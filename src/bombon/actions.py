@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotOnQuadric, NotSmooth, ZeroVector
-from .linalg import (DEFAULT_TOL, as_cvector, congruence_to_signs, max_abs,
-                     nullspace, sym, zero_tol)
-from .projective import ProjPoint, proj_close, unit_rep
+from .linalg import (as_cvector, congruence_to_signs, max_abs, nullspace,
+                     sym, zero_tol)
+from .projective import ProjPoint, proj_close
 from .quadrics import quad
 
 

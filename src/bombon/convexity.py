@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import (DegenerateSpan, NoConvergence, NotOnSphere,
                      OracleInconsistent)
-from .linalg import hermitian_eig, max_abs, orthonormal_columns, sym
+from .linalg import (form_values, hermitian_eig, orthonormal_columns,
+                     real_form, sym)
 
 _GRID = 64
 _RAYS = 256
@@ -65,11 +66,10 @@ def ellipsoid_body(center, h):
     if sig.n_pos != hm.shape[0]:
         raise ValueError("ellipsoid form must be positive definite")
     r = 1.0 / np.sqrt(float(sig.eigvals.min()))
+    rform = real_form(hm)
 
     def member(pts):
-        d = pts - c
-        vals = np.real(np.einsum("ij,jk,ik->i", d.conj(), hm, d))
-        return vals <= 1.0
+        return form_values(pts - c, rform) <= 1.0
 
     return ConvexBodyOracle(member, r + float(np.linalg.norm(c)), c.size,
                             "ellipsoid")
@@ -219,6 +219,7 @@ class ComplexEllipsoid:
         d = np.asarray(pts, dtype=complex) - self.center
         if d.ndim == 1:
             return float(np.real(np.vdot(d, self.h @ d)))
+        # few points per call: building real_form(h) would cost more
         return np.real(np.einsum("ij,jk,ik->i", d.conj(), self.h, d))
 
 
@@ -253,6 +254,7 @@ def mvee_complex(points, eps=1e-6, max_iter=100000):
     for it in range(max_iter):
         v = (lifted.T * u) @ lifted.conj()
         vinv = np.linalg.inv(v)
+        # vinv changes every iteration and m is small: real_form costs more
         w = np.real(np.einsum("ij,jk,ik->i", lifted.conj(), vinv, lifted))
         kappa = float(np.max(w))
         gap = kappa / nn - 1.0

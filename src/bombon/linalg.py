@@ -7,8 +7,13 @@ of the matrix it was derived from.  ``DEFAULT_TOL`` is the knob.
 
 Eigendecompositions of Hermitian matrices use a self-contained cyclic
 Jacobi iteration rather than a packaged solver; signatures fall out of
-it with high relative accuracy and the eigenvector phases are pinned so
-results are reproducible bit for bit.
+it and the eigenvector phases are pinned so results are reproducible
+bit for bit.
+
+Values ``Re(p* A p)`` of a fixed Hermitian form over large stacks of
+rows go through one real-arithmetic kernel: ``real_form`` builds the
+2k x 2k real symmetric form of ``A`` once, and ``form_values`` applies
+it to the rows viewed as interleaved float pairs.
 """
 
 from dataclasses import dataclass
@@ -70,6 +75,37 @@ def sym(m):
     """Hermitian part, no validation.  For internally computed matrices."""
     a = np.asarray(m, dtype=complex)
     return (a + a.conj().T) / 2.0
+
+
+_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def real_form(a):
+    """2k x 2k real symmetric matrix R of the Hermitian form ``a``.
+
+    With a complex row p viewed as interleaved (Re, Im) float64 pairs x,
+    ``x @ R @ x`` equals ``Re(p* a p)``.  Only the Hermitian part of
+    ``a`` contributes, as it does to that real part.
+    """
+    h = sym(a)
+    return np.kron(h.real, np.eye(2)) + np.kron(h.imag, _J2)
+
+
+def _float_rows(rows):
+    return np.ascontiguousarray(rows, dtype=complex).view(np.float64)
+
+
+def form_values(rows, rform):
+    """``Re(p* A p)`` for every row p of a (..., k) complex stack, given
+    ``rform = real_form(A)``: one real matmul and a row dot."""
+    x = _float_rows(rows)
+    return np.einsum("...j,...j->...", x @ rform, x)
+
+
+def sq_norms(rows):
+    """Squared norm of every row of a (..., k) complex stack."""
+    x = _float_rows(rows)
+    return np.einsum("...j,...j->...", x, x)
 
 
 @dataclass(frozen=True)

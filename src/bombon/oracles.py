@@ -8,13 +8,13 @@ classifier by the regression suite.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import max_abs, zero_tol
-from .moebius import GenCircle, MoebiusMap, _fit_hermitian_through
+from .linalg import form_values, max_abs, real_form, sq_norms, zero_tol
+from .moebius import GenCircle, _fit_hermitian_through
 from .projective import sample_line
 from .sections import SectionTag
 from .version import VERSION
@@ -22,6 +22,7 @@ from .version import VERSION
 _GOLDEN = (1.0 + 5.0 ** 0.5) / 2.0
 _STAGE2 = 131072
 _angle_cache = {}
+_grid_cache = {}
 
 
 def fib_angles(k):
@@ -43,18 +44,22 @@ def spinor(theta, phi):
 
 
 def cp1_grid(k):
-    return spinor(*fib_angles(k))
+    """The k-point Fibonacci grid of CP^1 as a (k, 2) spinor array.
+
+    Built on first use and cached per k; the array is read-only and
+    shared by every caller, so copy it before writing.
+    """
+    if k not in _grid_cache:
+        grid = spinor(*fib_angles(k))
+        grid.flags.writeable = False
+        _grid_cache[k] = grid
+    return _grid_cache[k]
 
 
-def _unit_line_points(basis, spinors):
+def _line_values(rform, basis, spinors):
+    # form values at the unit points of the line, normalized once
     pts = np.asarray(spinors, dtype=complex) @ basis.T
-    norms = np.linalg.norm(pts, axis=-1, keepdims=True)
-    return pts / norms
-
-
-def _line_values(a, basis, spinors):
-    pts = _unit_line_points(basis, spinors)
-    return np.real(np.einsum("...j,jk,...k->...", pts.conj(), a, pts))
+    return form_values(pts, rform) / sq_norms(pts)
 
 
 def grid_line_tag(a, basis, k=128):
@@ -75,8 +80,9 @@ def grid_line_tag(a, basis, k=128):
     flat_tol = 1e-12 * scale
     ztol = 1e-10 * scale
 
+    rform = real_form(a)
     theta, phi = fib_angles(k)
-    vals = _line_values(a, basis, spinor(theta, phi))
+    vals = _line_values(rform, basis, cp1_grid(k))
     if float(np.max(np.abs(vals))) <= flat_tol:
         return SectionTag.FULL_LINE
     if np.any(vals > sign_tol) and np.any(vals < -sign_tol):
@@ -97,7 +103,7 @@ def grid_line_tag(a, basis, k=128):
             break
         tt = th[:, None, None] + step[:, None, None] * off[None, :, None]
         pp = ph[:, None, None] + step[:, None, None] * off[None, None, :]
-        v = sgn[:, None, None] * _line_values(a, basis, spinor(tt, pp))
+        v = sgn[:, None, None] * _line_values(rform, basis, spinor(tt, pp))
         flat = v.reshape(th.size, -1)
         j = np.argmax(flat, axis=1)
         vbest = flat[np.arange(th.size), j]
@@ -127,11 +133,12 @@ def grid_line_tag(a, basis, k=128):
 class OracleSet:
     """Membership-side oracle on CP^dim.
 
-    ``side`` maps a batch (m, dim+1) of homogeneous vectors to labels
-    +1 (component U), 0 (on the set, within the oracle's own band) and
-    -1 (component V).  ``exact`` optionally carries the quadric the
-    oracle was built from; the verifier never consults it for
-    classification, only for LowConfidence bookkeeping.
+    ``side`` maps a batch (m, dim+1) of homogeneous vectors, which need
+    not be unit vectors, to labels +1 (component U), 0 (on the set,
+    within the oracle's own band) and -1 (component V).  ``exact``
+    optionally carries the quadric the oracle was built from; the
+    verifier never consults it for classification, only for
+    LowConfidence bookkeeping.
     """
 
     side: Callable[[np.ndarray], np.ndarray]
@@ -151,13 +158,11 @@ class OracleSet:
 
 def oracle_from_quadric(x):
     """Side oracle of an algebraic bombon, banded by its zero tolerance."""
-    a = x.a
-    thr = zero_tol(a, x.tol)
+    thr = zero_tol(x.a, x.tol)
+    rform = real_form(x.a)
 
     def side(pts):
-        pts = np.asarray(pts, dtype=complex)
-        pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        vals = np.real(np.einsum("ij,jk,ik->i", pts.conj(), a, pts))
+        vals = form_values(pts, rform) / sq_norms(pts)
         return np.where(np.abs(vals) <= thr, 0, np.sign(vals)).astype(int)
 
     return OracleSet(side=side, description=f"quadric(n={x.n})", dim=x.n,
@@ -242,7 +247,7 @@ def _trace_zeros(oracle, basis, p_u, p_v, n_rays=64, iters=60):
     def lab(logr):
         w = np.power(10.0, logr) * ang
         sp = np.column_stack([w, np.ones_like(w)]) @ p.T
-        return oracle.labels(_unit_line_points(basis, sp))
+        return oracle.labels(sp @ basis.T)
 
     lo = np.full(n_rays, -8.0)
     hi = np.full(n_rays, 8.0)
@@ -267,7 +272,7 @@ def _ring_labels(oracle, basis, chart_inv, radius, k=16):
     w = radius * np.exp(2j * np.pi * np.arange(k) / k)
     hom = np.column_stack([w, np.ones_like(w)])
     sp = hom @ chart_inv.m.T
-    return oracle.labels(_unit_line_points(basis, sp))
+    return oracle.labels(sp @ basis.T)
 
 
 def oracle_line_tag(oracle, basis, chart_residual=1e-4):
@@ -280,7 +285,7 @@ def oracle_line_tag(oracle, basis, chart_residual=1e-4):
     """
     basis = np.asarray(basis, dtype=complex)
     grid = cp1_grid(128)
-    labels = oracle.labels(_unit_line_points(basis, grid))
+    labels = oracle.labels(grid @ basis.T)
     if bool(np.all(labels == 0)):
         return "full_line", True, ""
     has_u = bool(np.any(labels == 1))
@@ -288,7 +293,7 @@ def oracle_line_tag(oracle, basis, chart_residual=1e-4):
 
     if not (has_u and has_v):
         grid = cp1_grid(_STAGE2)
-        labels = oracle.labels(_unit_line_points(basis, grid))
+        labels = oracle.labels(grid @ basis.T)
         has_u = bool(np.any(labels == 1))
         has_v = bool(np.any(labels == -1))
 

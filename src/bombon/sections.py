@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ExpectationViolated, NotSmooth, PreconditionError
-from .linalg import DEFAULT_TOL, hermitian_eig, nullspace, sym, zero_tol
+from .linalg import hermitian_eig, nullspace, sym, zero_tol
 from .moebius import GenCircle
 from .projective import ProjLine, ProjPoint, Subspace, proj_close
 from .quadrics import QuadricBombon, SideSign, SpecialKind, quad

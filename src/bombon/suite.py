@@ -8,8 +8,6 @@ fault-injection hook corrupts the section classifier so the harness can
 prove it would notice.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .actions import (CoreSplit, bundle_projection, homogeneity_transport,

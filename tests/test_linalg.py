@@ -5,9 +5,10 @@ import pytest
 
 from bombon.errors import NoConvergence
 from bombon.linalg import (DEFAULT_TOL, as_cvector, congruence_to_signs,
-                           hermitian_eig, hermitize, max_abs, nullspace,
-                           orthonormal_columns, random_hermitian,
-                           random_unitary, sym, zero_tol)
+                           form_values, hermitian_eig, hermitize, max_abs,
+                           nullspace, orthonormal_columns, random_hermitian,
+                           random_unitary, real_form, sq_norms, sym,
+                           zero_tol)
 
 
 def test_zero_tol_floor():
@@ -133,3 +134,42 @@ def test_random_unitary_is_unitary():
     for k in (1, 3, 6):
         u = random_unitary(rng, k)
         assert max_abs(u.conj().T @ u - np.eye(k)) < 1e-12
+
+
+def _cgauss(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _check_form_values(a, rows):
+    ref = np.real(np.einsum("...j,jk,...k->...", rows.conj(), a, rows))
+    norms2 = np.real(np.einsum("...j,...j->...", rows.conj(), rows))
+    scale = np.linalg.norm(a, 2) * norms2
+    got = form_values(rows, real_form(a))
+    assert got.shape == rows.shape[:-1]
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+    assert np.all(np.abs(sq_norms(rows) - norms2) <= 1e-12 * norms2)
+
+
+def test_real_form_is_symmetric_and_real():
+    rng = np.random.default_rng(41)
+    for k in range(1, 8):
+        r = real_form(random_hermitian(rng, k))
+        assert r.shape == (2 * k, 2 * k) and r.dtype == np.float64
+        assert np.array_equal(r, r.T)
+
+
+def test_form_values_match_einsum():
+    rng = np.random.default_rng(43)
+    for k in range(2, 8):
+        a = random_hermitian(rng, k, scale=float(rng.uniform(0.1, 10.0)))
+        for lead in ((37,), (4, 5, 5)):
+            _check_form_values(a, _cgauss(rng, *lead, k))
+
+
+def test_form_values_noncontiguous_rows():
+    rng = np.random.default_rng(47)
+    for k in range(2, 8):
+        a = random_hermitian(rng, k)
+        _check_form_values(a, _cgauss(rng, k, 23).T)
+        _check_form_values(a, _cgauss(rng, 23, 2 * k)[:, ::2])
+        _check_form_values(a, _cgauss(rng, 4, 5, 5, k)[:, ::2, ::-1])

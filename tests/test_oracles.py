@@ -1,15 +1,20 @@
 """Grid oracle, membership oracles and the Monte-Carlo axiom verifier."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import bombon
 from bombon.errors import PreconditionError
 from bombon.jsonio import canonical_dumps
 from bombon.oracles import (RunConfig, bidisk_oracle, cp1_grid, fib_angles,
                             grid_line_tag, oracle_from_quadric, verify_axioms,
                             verify_point_star)
 from bombon.projective import ProjLine, ProjPoint, sample_line
-from bombon.quadrics import QuadricBombon, random_bombon
+from bombon.quadrics import QuadricBombon, random_bombon, random_point_on
 from bombon.sections import SectionTag, classify_line_section
 
 ELLIPTIC = QuadricBombon.from_epsilons([1, 1, -1])
@@ -131,3 +136,36 @@ def test_point_star_precondition():
         verify_point_star(oracle_from_quadric(flat),
                           ProjPoint([0.0, 0.0, 1.0]),
                           RunConfig(seed=3, n_lines=10))
+
+
+def test_cp1_grid_cached_read_only():
+    grid = cp1_grid(256)
+    assert cp1_grid(256) is grid
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0, 0] = 0.0
+
+
+def test_import_leaves_grid_cache_empty():
+    code = ("import bombon, bombon.oracles as o; "
+            "print(len(o._grid_cache), len(o._angle_cache))")
+    src = os.path.dirname(os.path.dirname(bombon.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "0"]
+
+
+def test_quadric_oracle_labels_scale_invariant():
+    rng = np.random.default_rng(53)
+    for n in (2, 3, 4):
+        x = random_bombon(rng, n, n_pos=(n + 1) // 2, n_zero=0)
+        oracle = oracle_from_quadric(x)
+        pts = rng.standard_normal((40, n + 1)) \
+            + 1j * rng.standard_normal((40, n + 1))
+        pts = np.vstack([pts] + [random_point_on(rng, x).v for _ in range(8)])
+        base = oracle.labels(pts)
+        assert np.any(base == 0) and np.any(base == 1) and np.any(base == -1)
+        for lam in (1e-100, 1e-3, 1e3, 1e100):
+            scale = lam * np.exp(2j * np.pi * rng.random(pts.shape[0]))
+            assert np.array_equal(oracle.labels(pts * scale[:, None]), base)
