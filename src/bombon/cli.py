@@ -7,6 +7,7 @@ input.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -310,6 +311,9 @@ _HANDLERS = {
 }
 
 
+# Built once per process: parse_args never mutates the parser, and the
+# subparser tree costs more to build than a typical request takes.
+@functools.cache
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=7,

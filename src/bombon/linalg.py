@@ -5,10 +5,10 @@ tolerance: a quantity is treated as zero when it is at most
 ``tol * max(1, |M|_inf)`` where ``|M|_inf`` is the largest entry modulus
 of the matrix it was derived from.  ``DEFAULT_TOL`` is the knob.
 
-Eigendecompositions of Hermitian matrices use a self-contained cyclic
-Jacobi iteration rather than a packaged solver; signatures fall out of
-it and the eigenvector phases are pinned so results are reproducible
-bit for bit.
+Eigendecompositions of Hermitian matrices come from LAPACK through
+``numpy.linalg.eigh``; signatures fall out of them, and the eigenvector
+phases are pinned so results are reproducible on a given numpy/LAPACK
+build.
 
 Values ``Re(p* A p)`` of a fixed Hermitian form over large stacks of
 rows go through one real-arithmetic kernel: ``real_form`` builds the
@@ -23,8 +23,6 @@ import numpy as np
 from .errors import NoConvergence
 
 DEFAULT_TOL = 1e-9
-
-_JACOBI_MAX_SWEEPS = 100
 
 
 def as_cvector(v):
@@ -147,13 +145,6 @@ class Signature:
         return self.eigbasis[:, self.eigvals < -self.zero_threshold]
 
 
-def _off_norm(a):
-    # Frobenius norm of the off-diagonal part, summed directly; the
-    # subtraction form sum|A|^2 - sum diag^2 bottoms out near |A| sqrt(eps)
-    d = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(d))
-
-
 def _fix_phases(v):
     # Pin each column's largest entry to be real positive so the basis is
     # reproducible; ties broken by first index.
@@ -167,8 +158,8 @@ def _fix_phases(v):
     return out
 
 
-def hermitian_eig(m, tol=DEFAULT_TOL, max_sweeps=_JACOBI_MAX_SWEEPS):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def hermitian_eig(m, tol=DEFAULT_TOL):
+    """Eigendecomposition of a Hermitian matrix (LAPACK via numpy).
 
     Parameters
     ----------
@@ -177,63 +168,23 @@ def hermitian_eig(m, tol=DEFAULT_TOL, max_sweeps=_JACOBI_MAX_SWEEPS):
     tol : float
         Relative tolerance; eigenvalues with modulus at most
         ``tol * max(1, |m|_inf)`` count as zero.
-    max_sweeps : int
-        Sweep budget before NoConvergence is raised.
 
     Returns
     -------
     Signature
+
+    Raises
+    ------
+    NoConvergence
+        When LAPACK fails to converge.
     """
     a = hermitize(m)
     k = a.shape[0]
     thr = zero_tol(a, tol)
-    target = thr * 1e-3
-    v = np.eye(k, dtype=complex)
-    if k == 1:
-        lam = np.array([a[0, 0].real])
-    else:
-        converged = False
-        for _ in range(max_sweeps):
-            if _off_norm(a) <= target:
-                converged = True
-                break
-            for p in range(k - 1):
-                for q in range(p + 1, k):
-                    apq = a[p, q]
-                    r = abs(apq)
-                    if r <= target / (10.0 * k * k):
-                        continue
-                    phase = apq / r
-                    alpha = a[p, p].real
-                    gamma = a[q, q].real
-                    # inner rotation, |theta| <= pi/4; the large-angle
-                    # branch swaps the diagonal pair forever instead of
-                    # converging
-                    tau = (alpha - gamma) / (2.0 * r)
-                    sgn = 1.0 if tau >= 0 else -1.0
-                    t = sgn / (abs(tau) + np.hypot(tau, 1.0))
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    # J = diag(phase, 1) @ [[c, -s], [s, c]] acting on columns p, q
-                    jpp, jpq = phase * c, -phase * s
-                    jqp, jqq = s, c
-                    colp = a[:, p] * jpp + a[:, q] * jqp
-                    colq = a[:, p] * jpq + a[:, q] * jqq
-                    a[:, p], a[:, q] = colp, colq
-                    rowp = np.conj(jpp) * a[p, :] + np.conj(jqp) * a[q, :]
-                    rowq = np.conj(jpq) * a[p, :] + np.conj(jqq) * a[q, :]
-                    a[p, :], a[q, :] = rowp, rowq
-                    colp = v[:, p] * jpp + v[:, q] * jqp
-                    colq = v[:, p] * jpq + v[:, q] * jqq
-                    v[:, p], v[:, q] = colp, colq
-        if not converged:
-            off = _off_norm(a)
-            if off > target:
-                raise NoConvergence(
-                    f"Jacobi off-diagonal norm {off:.3e} above {target:.3e} "
-                    f"after {max_sweeps} sweeps"
-                )
-        lam = np.diag(a).real.copy()
+    try:
+        lam, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
     v = _fix_phases(v[:, order])
@@ -278,8 +229,8 @@ def orthonormal_columns(cols, rtol=DEFAULT_TOL):
 def nullspace(rows, tol=DEFAULT_TOL):
     """Orthonormal basis of {v : rows @ v = 0} via the Gram matrix.
 
-    ``rows`` is (k, dim).  Routed through the Jacobi eigensolver so the
-    rank decision uses the same tolerance scheme as everything else.
+    ``rows`` is (k, dim).  Routed through ``hermitian_eig`` so the rank
+    decision uses the same tolerance scheme as everything else.
     """
     r = np.asarray(rows, dtype=complex)
     if r.ndim != 2:

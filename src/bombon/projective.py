@@ -231,7 +231,7 @@ def meet(s, t, tol=DEFAULT_TOL):
     """Intersection of two subspaces.
 
     Computed as the kernel of the stacked orthogonal-complement system;
-    the kernel extraction shares the Jacobi eigensolver and tolerance.
+    the kernel extraction shares ``hermitian_eig`` and its tolerance.
     """
     if s.ambient_dim != t.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")

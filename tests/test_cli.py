@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from bombon.cli import main
+from bombon.cli import _build_parser, main
+from bombon.linalg import DEFAULT_TOL
 
 ELL3 = {"n": 2, "A": [[[1, 0], [0, 0], [0, 0]],
                       [[0, 0], [1, 0], [0, 0]],
@@ -145,3 +146,31 @@ def test_input_file_and_text_format(capsys, tmp_path):
     assert code == 0
     assert 'label: "(0,1)_2"' in out
     assert "{" not in out.splitlines()[0]
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_cached_parser_does_not_keep_options(capsys, monkeypatch):
+    # the 1e-6 eigenvalue is zero at --tol 1e-3 and nonzero by default
+    tiny = {"quadric": {"n": 2, "A": [[[1, 0], [0, 0], [0, 0]],
+                                      [[0, 0], [-1, 0], [0, 0]],
+                                      [[0, 0], [0, 0], [1e-6, 0]]]}}
+    code, obj = run_json(capsys, monkeypatch, ["type", "--tol", "1e-3"],
+                         tiny)
+    assert code == 0 and obj["signature"]["n_zero"] == 1
+    assert _build_parser().parse_args(["type"]).tol == DEFAULT_TOL
+    code, obj = run_json(capsys, monkeypatch, ["type"], tiny)
+    assert code == 0 and obj["signature"]["n_zero"] == 0
+
+
+def test_cached_parser_survives_usage_error(capsys, monkeypatch):
+    _build_parser.cache_clear()
+    fresh = run(capsys, ["type"], {"quadric": ELL3}, monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["type", "--tol", "not-a-number"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, ["type"], {"quadric": ELL3}, monkeypatch) == fresh
+    assert fresh[0] == 0

@@ -1,8 +1,13 @@
 """Eigensolver, congruence and tolerance plumbing."""
 
+import io
+import json
+
+import mpmath
 import numpy as np
 import pytest
 
+from bombon import cli
 from bombon.errors import NoConvergence
 from bombon.linalg import (DEFAULT_TOL, as_cvector, congruence_to_signs,
                            form_values, hermitian_eig, hermitize, max_abs,
@@ -79,11 +84,21 @@ def test_eig_repeated_and_zero_eigenvalues():
     assert max_abs(a @ k) < 1e-10
 
 
-def test_eig_convergence_budget():
+def test_eig_solver_failure_raises_no_convergence(monkeypatch, capsys):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     rng = np.random.default_rng(17)
-    a = random_hermitian(rng, 6)
     with pytest.raises(NoConvergence):
-        hermitian_eig(a, max_sweeps=1)
+        hermitian_eig(random_hermitian(rng, 6))
+
+    # the CLI reports it as a failed computation, not as bad input
+    quadric = {"n": 1, "A": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        {"quadric": quadric})))
+    assert cli.main(["type"]) == cli._EXIT_FAILED
+    assert "error" in json.loads(capsys.readouterr().out)
 
 
 def test_signature_scale_tolerance():
@@ -173,3 +188,58 @@ def test_form_values_noncontiguous_rows():
         _check_form_values(a, _cgauss(rng, k, 23).T)
         _check_form_values(a, _cgauss(rng, 23, 2 * k)[:, ::2])
         _check_form_values(a, _cgauss(rng, 4, 5, 5, k)[:, ::2, ::-1])
+
+
+# --- high-precision reference ----------------------------------------------
+# A seeded corpus of hard spectra, checked against mpmath's Hermitian
+# eigensolver at 40 digits: graded D M D with D in 10^[-6, 0]; eigenvalues
+# clustered at +-1 within 1e-8 plus exact zeros; one eigenvalue at half or
+# twice the zero threshold.
+
+
+def _spectral(u, d):
+    return sym(u @ np.diag(d) @ u.conj().T)
+
+
+def _graded(rng, k):
+    d = 10.0 ** rng.uniform(-6.0, 0.0, k)
+    return sym(d[:, None] * random_hermitian(rng, k) * d[None, :])
+
+
+def _clustered(rng, k):
+    n_zero = max(1, k // 4)
+    ones = rng.choice([-1.0, 1.0], k - n_zero)
+    ones = ones + 1e-8 * rng.uniform(-1.0, 1.0, k - n_zero)
+    d = np.concatenate([ones, np.zeros(n_zero)])
+    return _spectral(random_unitary(rng, k), d)
+
+
+def _near_cut(rng, k, factor):
+    u = random_unitary(rng, k)
+    d = rng.uniform(1.0, 3.0, k) * rng.choice([-1.0, 1.0], k)
+    d[0] = 0.0
+    d[0] = rng.choice([-1.0, 1.0]) * factor * zero_tol(_spectral(u, d))
+    return _spectral(u, d)
+
+
+def _reference_eigvals(a):
+    with mpmath.workdps(40):
+        e = mpmath.eighe(mpmath.matrix(a.tolist()), eigvals_only=True)
+        return np.array([float(x) for x in e])
+
+
+def test_eig_matches_high_precision_reference():
+    rng = np.random.default_rng(53)
+    eps = np.finfo(float).eps
+    for k in (2, 4, 12, 24):
+        corpus = [_graded(rng, k), _graded(rng, k),
+                  _clustered(rng, k), _clustered(rng, k),
+                  _near_cut(rng, k, 0.5), _near_cut(rng, k, 2.0)]
+        for a in corpus:
+            ref = _reference_eigvals(a)
+            sig = hermitian_eig(a)
+            bound = 16 * k * eps * float(np.max(np.abs(ref)))
+            assert np.all(np.abs(sig.eigvals - ref) <= bound)
+            thr = sig.zero_threshold
+            assert (sig.n_pos, sig.n_neg) == (int(np.sum(ref > thr)),
+                                              int(np.sum(ref < -thr)))
