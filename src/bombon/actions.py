@@ -49,7 +49,7 @@ class TransportWitness:
     residual: float
 
 
-def s1_action(x, split, theta, v):
+def s1_action(split, theta, v):
     """Apply the circle action at angle theta to homogeneous coords v."""
     w = as_cvector(v)
     return split.p_pos @ w + np.exp(1j * float(theta)) * (split.p_neg @ w)

@@ -181,7 +181,7 @@ def _cmd_orbit(args):
         thetas = [float(t) for t in obj["thetas"]]
     else:
         thetas = list(2.0 * np.pi * np.arange(args.samples) / args.samples)
-    points = [s1_action(x, split, t, p.unit) for t in thetas]
+    points = [s1_action(split, t, p.unit) for t in thetas]
     worst = max(abs(x.value(ProjPoint(w))) for w in points)
     return {"thetas": thetas,
             "points": [jsonio.encode_vector(w) for w in points],

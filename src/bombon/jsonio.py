@@ -5,9 +5,19 @@ accepted on input and read as real); a homogeneous vector is an array
 of complex scalars; a matrix is a row-major array of rows.  Decoders
 raise ValueError on malformed input so callers can map every parse
 problem to one exit code.
+
+``canonical_dumps`` writes text byte-identical to
+``json.dumps(obj, indent=2, separators=(",", ": "), allow_nan=False)``
+(a property test enforces it), without the stdlib's pure-Python
+encoder, which ``indent`` selects.  Rectangular blocks of numbers, the
+bulk of every payload, are formatted with one cached ``%r`` template
+and one ``%`` call; ``float.__repr__`` is what ``json`` writes.
 """
 
+import functools
 import json
+import math
+from itertools import chain
 
 import numpy as np
 
@@ -15,10 +25,114 @@ from .convexity import AffineComplexLine, ball_body, ellipsoid_body, polydisk_bo
 from .projective import ProjLine, ProjPoint, Subspace
 from .quadrics import QuadricBombon
 
+_escape = json.encoder.encode_basestring_ascii
+# Exact types only: bool is an int subclass but is written true/false,
+# and a float subclass such as np.float64 has its own repr.
+_NUMBERS = frozenset((int, float))
+# Deeper nests take the general path, which also catches a list that
+# contains itself (its shape scan would never end).
+_MAX_BLOCK_DEPTH = 4
+
 
 def canonical_dumps(obj):
     """Deterministic JSON text: fixed separators, no NaN, keys as built."""
-    return json.dumps(obj, indent=2, separators=(",", ": "), allow_nan=False)
+    return _dumps(obj, 0, set())
+
+
+def _dumps(o, level, markers):
+    # Same isinstance order, output and errors as the stdlib encoder.
+    if isinstance(o, str):
+        return _escape(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    if isinstance(o, (list, tuple)):
+        return _dumps_list(o, level, markers)
+    if isinstance(o, dict):
+        return _dumps_dict(o, level, markers)
+    raise TypeError(f"Object of type {o.__class__.__name__} "
+                    f"is not JSON serializable")
+
+
+def _float_text(x):
+    if not math.isfinite(x):
+        raise ValueError("Out of range float values are not JSON compliant: "
+                         + repr(x))
+    return float.__repr__(x)
+
+
+def _enter(o, markers):
+    if id(o) in markers:
+        raise ValueError("Circular reference detected")
+    markers.add(id(o))
+
+
+def _dumps_list(lst, level, markers):
+    if not lst:
+        return "[]"
+    if type(lst) is list:
+        block = _number_block(lst)
+        if block is not None:
+            shape, flat = block
+            text = _block_template(shape, level) % tuple(flat)
+            if "n" not in text:  # no nan or inf in the block
+                return text
+    _enter(lst, markers)
+    pad = "\n" + "  " * (level + 1)
+    body = ("," + pad).join([_dumps(v, level + 1, markers) for v in lst])
+    markers.discard(id(lst))
+    return "[" + pad + body + "\n" + "  " * level + "]"
+
+
+def _dumps_dict(dct, level, markers):
+    if not dct:
+        return "{}"
+    _enter(dct, markers)
+    pad = "\n" + "  " * (level + 1)
+    items = []
+    for key, value in dct.items():
+        if not isinstance(key, str):
+            if key is not None and not isinstance(key, (int, float)):
+                raise TypeError(f"keys must be str, int, float, bool or "
+                                f"None, not {key.__class__.__name__}")
+            key = _dumps(key, 0, markers)  # written as JSON, then quoted
+        items.append(_escape(key) + ": " + _dumps(value, level + 1, markers))
+    markers.discard(id(dct))
+    return "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"
+
+
+def _number_block(lst):
+    """(shape, flat entries) of a rectangular nested list of ints and
+    floats, or None.  Scans one nesting level per step in C."""
+    shape = [len(lst)]
+    level = lst
+    while len(shape) <= _MAX_BLOCK_DEPTH:
+        types = set(map(type, level))
+        if types <= _NUMBERS:
+            return tuple(shape), level
+        lens = set(map(len, level)) if types == {list} else ()
+        if len(lens) != 1 or 0 in lens:
+            return None
+        shape.append(lens.pop())
+        level = list(chain.from_iterable(level))
+    return None
+
+
+@functools.lru_cache(maxsize=128)
+def _block_template(shape, level):
+    if not shape:
+        return "%r"
+    pad = "\n" + "  " * (level + 1)
+    inner = _block_template(shape[1:], level + 1)
+    return ("[" + pad + ("," + pad).join([inner] * shape[0])
+            + "\n" + "  " * level + "]")
 
 
 def encode_complex(z):
@@ -28,40 +142,67 @@ def encode_complex(z):
 
 def decode_complex(obj):
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(obj)
-    if (isinstance(obj, (list, tuple)) and len(obj) == 2
+        parts = (obj,)
+    elif (isinstance(obj, (list, tuple)) and len(obj) == 2
             and all(isinstance(t, (int, float)) and not isinstance(t, bool)
                     for t in obj)):
-        return complex(obj[0], obj[1])
-    raise ValueError(f"not a complex scalar: {obj!r}")
+        parts = obj
+    else:
+        raise ValueError(f"not a complex scalar: {obj!r}")
+    try:
+        return complex(*parts)
+    except OverflowError:
+        raise ValueError("integer too large for a float") from None
+
+
+def _pair_block(obj, ndim):
+    """Complex array from a rectangular ``ndim``-deep nest of [re, im]
+    pairs of ints and floats, checked one nesting level per C scan; None
+    for anything else (bare numbers, bad entries, ragged rows)."""
+    cells = obj
+    for _ in range(ndim - 1):
+        if set(map(type, cells)) != {list} or len(set(map(len, cells))) != 1:
+            return None
+        cells = list(chain.from_iterable(cells))
+    if (set(map(type, cells)) != {list} or set(map(len, cells)) != {2}
+            or not set(map(type, chain.from_iterable(cells))) <= _NUMBERS):
+        return None
+    try:
+        return np.array(obj, dtype=float).view(complex)[..., 0]
+    except OverflowError:
+        return None
 
 
 def encode_vector(v):
-    return [encode_complex(z) for z in np.asarray(v, dtype=complex)]
+    a = np.asarray(v, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def decode_vector(obj, expect_len=None):
     if not isinstance(obj, list) or not obj:
         raise ValueError("a vector is a nonempty array of complex scalars")
-    v = np.array([decode_complex(t) for t in obj], dtype=complex)
+    v = _pair_block(obj, 1)
+    if v is None:
+        v = np.array([decode_complex(t) for t in obj], dtype=complex)
     if expect_len is not None and v.size != expect_len:
         raise ValueError(f"vector has length {v.size}, expected {expect_len}")
     return v
 
 
 def encode_matrix(m):
-    a = np.asarray(m, dtype=complex)
-    return [[encode_complex(z) for z in row] for row in a]
+    return encode_vector(m)
 
 
 def decode_matrix(obj, square=False):
     if not isinstance(obj, list) or not obj:
         raise ValueError("a matrix is a nonempty array of rows")
-    rows = [decode_vector(r) for r in obj]
-    width = rows[0].size
-    if any(r.size != width for r in rows):
-        raise ValueError("matrix rows have unequal lengths")
-    m = np.stack(rows)
+    m = _pair_block(obj, 2)
+    if m is None:
+        rows = [decode_vector(r) for r in obj]
+        width = rows[0].size
+        if any(r.size != width for r in rows):
+            raise ValueError("matrix rows have unequal lengths")
+        m = np.stack(rows)
     if square and m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
     return m
@@ -89,10 +230,6 @@ def encode_point(p):
 
 def decode_point(obj, expect_len=None):
     return ProjPoint(decode_vector(obj, expect_len))
-
-
-def encode_line(line):
-    return {"a": encode_vector(line.a), "b": encode_vector(line.b)}
 
 
 def decode_line(obj, expect_len=None):
@@ -143,14 +280,6 @@ def encode_section(sec, rep=None):
             "separates": bool(rep.separates),
         }
     return out
-
-
-def encode_moebius(f):
-    return {"m": encode_matrix(f.m)}
-
-
-def encode_gencircle(c):
-    return {"m": encode_matrix(c.m)}
 
 
 def decode_affine_line(obj):

@@ -8,7 +8,8 @@ of the matrix it was derived from.  ``DEFAULT_TOL`` is the knob.
 Eigendecompositions of Hermitian matrices come from LAPACK through
 ``numpy.linalg.eigh``; signatures fall out of them, and the eigenvector
 phases are pinned so results are reproducible on a given numpy/LAPACK
-build.
+build.  The pinning is one vectorized step over all columns and gives
+bit for bit what pinning each column in turn gives.
 
 Values ``Re(p* A p)`` of a fixed Hermitian form over large stacks of
 rows go through one real-arithmetic kernel: ``real_form`` builds the
@@ -16,6 +17,7 @@ rows go through one real-arithmetic kernel: ``real_form`` builds the
 it to the rows viewed as interleaved float pairs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +49,7 @@ def as_cmatrix(m):
 def max_abs(m):
     """Largest entry modulus; the matrix norm used for tolerances."""
     a = np.asarray(m)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def zero_tol(m, tol=DEFAULT_TOL):
@@ -60,13 +62,21 @@ def hermitize(m, atol=1e-12):
 
     Raises ValueError when the asymmetry exceeds the bound.
     """
-    a = as_cmatrix(m)
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
+    # A non-finite entry makes the largest modulus non-finite, so the
+    # exact entry check runs only when that scan says it may be needed.
+    big = max_abs(a)
+    if not math.isfinite(big) and not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     if a.shape[0] != a.shape[1]:
         raise ValueError("Hermitian matrix must be square")
-    gap = max_abs(a - a.conj().T)
-    if gap > atol * max(1.0, max_abs(a)):
+    ah = a.conj().T
+    gap = max_abs(a - ah)
+    if gap > atol * max(1.0, big):
         raise ValueError(f"matrix is not Hermitian (asymmetry {gap:.3e})")
-    return (a + a.conj().T) / 2.0
+    return (a + ah) / 2.0
 
 
 def sym(m):
@@ -147,15 +157,14 @@ class Signature:
 
 def _fix_phases(v):
     # Pin each column's largest entry to be real positive so the basis is
-    # reproducible; ties broken by first index.
-    out = v.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        k = int(np.argmax(np.abs(col)))
-        piv = col[k]
-        if piv != 0:
-            out[:, j] = col * (np.conj(piv) / abs(piv))
-    return out
+    # reproducible; ties broken by first index.  Columns are eigenvectors,
+    # so no pivot is zero.  ``hypot`` gives the pivot modulus bit for bit
+    # as scalar ``abs`` does; array ``np.abs`` on complex can differ in
+    # the last bit.
+    if not v.size:
+        return v
+    piv = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
+    return v * (piv.conj() / np.hypot(piv.real, piv.imag))
 
 
 def hermitian_eig(m, tol=DEFAULT_TOL):
@@ -182,14 +191,13 @@ def hermitian_eig(m, tol=DEFAULT_TOL):
     k = a.shape[0]
     thr = zero_tol(a, tol)
     try:
+        # LAPACK returns the eigenvalues in ascending order.
         lam, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    v = _fix_phases(v[:, order])
-    n_pos = int(np.sum(lam > thr))
-    n_neg = int(np.sum(lam < -thr))
+    v = _fix_phases(v)
+    n_pos = int(np.count_nonzero(lam > thr))
+    n_neg = int(np.count_nonzero(lam < -thr))
     n_zero = k - n_pos - n_neg
     return Signature(n_pos=n_pos, n_neg=n_neg, n_zero=n_zero,
                      eigvals=lam, eigbasis=v, zero_threshold=thr)

@@ -163,13 +163,6 @@ class Subspace:
         return cls(np.eye(ambient_dim + 1, dtype=complex),
                    ambient_dim, orthonormal=True)
 
-    @classmethod
-    def from_points(cls, points):
-        vecs = [p.v if isinstance(p, ProjPoint) else as_cvector(p) for p in points]
-        if not vecs:
-            raise ValueError("cannot infer ambient dimension from no points")
-        return cls(np.column_stack(vecs))
-
     @property
     def ambient_dim(self):
         return self._n

@@ -47,10 +47,6 @@ class BombonType:
     sing_dim: int
 
     @property
-    def is_smooth(self):
-        return self.sing_dim == -1
-
-    @property
     def fullness_defect(self):
         return self.p + self.q + self.sing_dim - (self.n - 2)
 
@@ -207,14 +203,13 @@ class QuadricBombon:
         return f"QuadricBombon(n={self.n}, type={self.bombon_type()})"
 
 
-def equivalence_witness(x, y, rng=None):
+def equivalence_witness(x, y):
     """Projective equivalence between two quadrics of equal type.
 
     Returns a CongruenceWitness with T* A T = sign * scale * B, scale
     positive, sign recorded in ``flipped``.  Raises TypeMismatch when
     the BombonTypes differ (the A -> -A swap is already quotiented out
-    by the type).  ``rng`` is accepted for interface symmetry; the
-    construction is deterministic and ignores it.
+    by the type).  The construction is deterministic.
     """
     if x.n != y.n:
         raise TypeMismatch(f"ambient dimensions differ: {x.n} vs {y.n}")

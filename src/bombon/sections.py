@@ -97,7 +97,7 @@ def restrict_form(x, s):
     return sym(b.conj().T @ x.a @ b)
 
 
-def _isotropic_pair(x, line, m2, sig2):
+def _isotropic_pair(x, line, sig2):
     a, b = line.a, line.b
     thr = zero_tol(x.a, x.tol)
     na2 = float(np.linalg.norm(a)) ** 2
@@ -152,7 +152,7 @@ def classify_line_section(x, line, with_sides=True):
                             low_confidence=low), None
     if sig2.n_pos == 2 or sig2.n_neg == 2:
         return SectionClass(SectionTag.EMPTY, low_confidence=low), None
-    a, b = _isotropic_pair(x, line, m2, sig2)
+    a, b = _isotropic_pair(x, line, sig2)
     c = quad(x.a, b, a)
     param = CircleParam(a=a, b=b, c=c)
     report = _sample_circle_sides(x, line, m2) if with_sides else None

@@ -483,8 +483,8 @@ def prop_s1_group_law(rng, ctx):
         split = CoreSplit.from_quadric(x)
         v = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
         t1, t2 = rng.uniform(-np.pi, np.pi, size=2)
-        lhs = s1_action(x, split, t1, s1_action(x, split, t2, v))
-        rhs = s1_action(x, split, t1 + t2, v)
+        lhs = s1_action(split, t1, s1_action(split, t2, v))
+        rhs = s1_action(split, t1 + t2, v)
         if np.max(np.abs(lhs - rhs)) > 1e-12 * np.linalg.norm(v):
             return False, count, "group law residual above 1e-12"
     return True, count, f"{count} compositions"
@@ -499,7 +499,7 @@ def prop_orbit_circle_coincidence(rng, ctx):
         split = CoreSplit.from_quadric(x)
         p = random_point_on(rng, x)
         pu, pv = bundle_projection(x, split, p)
-        orbit = np.stack([s1_action(x, split, t, p.unit) for t in thetas])
+        orbit = np.stack([s1_action(split, t, p.unit) for t in thetas])
         vals = [abs(x.value(ProjPoint(w))) for w in orbit]
         if max(vals) > 1e-9:
             return False, count, f"orbit value {max(vals):.2e} off the quadric"
@@ -521,11 +521,11 @@ def prop_fixed_points_are_cores(rng, ctx):
             coef = rng.standard_normal(sub.basis.shape[1]) \
                 + 1j * rng.standard_normal(sub.basis.shape[1])
             w = sub.basis @ coef
-            moved = s1_action(x, split, theta, w)
+            moved = s1_action(split, theta, w)
             if not proj_close(moved, w, 1e-9):
                 return False, count, "core point moved under the action"
         p = random_point_on(rng, x)
-        moved = s1_action(x, split, theta, p.unit)
+        moved = s1_action(split, theta, p.unit)
         if proj_close(moved, p.unit, 1e-6):
             return False, count, "generic quadric point was fixed"
     return True, count, f"{count} forms, fixed set = union of cores"

@@ -179,7 +179,7 @@ def test_criterion_07_circle_action_orbits():
         pu, pv = bundle_projection(x, split, p)
         basis = np.column_stack([pu.unit, pv.unit])
         for theta in thetas:
-            orbit = s1_action(x, split, theta, p.unit)
+            orbit = s1_action(split, theta, p.unit)
             assert abs(x.value(ProjPoint(orbit))) <= 1e-9
             _, res, _, _ = np.linalg.lstsq(basis, orbit, rcond=None)
             if res.size:
@@ -192,9 +192,9 @@ def test_criterion_07_circle_action_orbits():
             coef = rng.standard_normal(core.basis.shape[1]) \
                 + 1j * rng.standard_normal(core.basis.shape[1])
             v = ProjPoint(core.basis @ coef)
-            moved = s1_action(x, split, 1.7, v.unit)
+            moved = s1_action(split, 1.7, v.unit)
             assert proj_close(moved, v.v, 1e-9)
-        moved = s1_action(x, split, 1.7, p.unit)
+        moved = s1_action(split, 1.7, p.unit)
         assert not proj_close(moved, p.v, 1e-9)
     print("criterion 07: PASS (100 orbits stay on the quadric and on the "
           "shadow line; cores are the fixed points)")

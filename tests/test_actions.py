@@ -20,7 +20,7 @@ def test_core_split_frozen():
     assert np.allclose(split.p_pos, np.diag([1.0, 0.0]))
     assert np.allclose(split.p_neg, np.diag([0.0, 1.0]))
     v = np.array([1.0, 1.0], dtype=complex)
-    moved = s1_action(x, split, np.pi / 2, v)
+    moved = s1_action(split, np.pi / 2, v)
     assert np.allclose(moved, [1.0, 1j], atol=1e-15)
 
 
@@ -56,7 +56,7 @@ def test_orbit_stays_on_quadric_and_line():
         coef, *_ = np.linalg.lstsq(span, p.unit, rcond=None)
         assert np.linalg.norm(span @ coef - p.unit) < 1e-9
         for theta in (0.4, 1.9, 3.6):
-            w = s1_action(x, split, theta, p.unit)
+            w = s1_action(split, theta, p.unit)
             assert abs(x.value(ProjPoint(w))) < 1e-9
             coef, *_ = np.linalg.lstsq(span, w, rcond=None)
             assert np.linalg.norm(span @ coef - w) < 1e-9
@@ -70,9 +70,9 @@ def test_action_fixes_cores_only():
     for sub in (cu, cv):
         k = sub.basis.shape[1]
         w = sub.basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
-        assert proj_close(s1_action(x, split, 1.7, w), w, 1e-9)
+        assert proj_close(s1_action(split, 1.7, w), w, 1e-9)
     p = random_point_on(rng, x)
-    assert not proj_close(s1_action(x, split, 1.7, p.unit), p.unit, 1e-6)
+    assert not proj_close(s1_action(split, 1.7, p.unit), p.unit, 1e-6)
 
 
 def test_pseudo_unitary_check():

@@ -174,3 +174,50 @@ def test_cached_parser_survives_usage_error(capsys, monkeypatch):
     capsys.readouterr()
     assert run(capsys, ["type"], {"quadric": ELL3}, monkeypatch) == fresh
     assert fresh[0] == 0
+
+
+# --- malformed input: exit 2 with a JSON error, never a traceback --------
+
+
+def quadric_text(a_text):
+    return '{"quadric": {"A": %s}}' % a_text
+
+
+ROW2 = "[[0, 0], [-1, 0]]"
+BAD_INPUTS = {
+    "malformed": '{"quadric": {"A": [[[1, 0]',
+    "empty_stdin": "",
+    "not_an_object": "[1, 2]",
+    "nan_literal": quadric_text("[[[NaN, 0], [0, 0]], %s]" % ROW2),
+    "infinity_literal": quadric_text("[[[1, 0], [0, Infinity]], %s]" % ROW2),
+    "neg_infinity": quadric_text("[[[-Infinity, 0], [0, 0]], %s]" % ROW2),
+    "bool_entry": quadric_text("[[[true, 0], [0, 0]], %s]" % ROW2),
+    "bool_bare": quadric_text("[[false, [0, 0]], %s]" % ROW2),
+    "string_entry": quadric_text('[[["1.5", 0], [0, 0]], %s]' % ROW2),
+    "string_bare": quadric_text('[["1.5", [0, 0]], %s]' % ROW2),
+    "three_element_pair": quadric_text("[[[1, 0, 0], [0, 0]], %s]" % ROW2),
+    "ragged_rows": quadric_text("[[[1, 0], [0, 0]], [[0, 0]]]"),
+    "non_square": quadric_text("[[[1, 0], [0, 0], [0, 0]], "
+                               "[[0, 0], [-1, 0], [0, 0]]]"),
+    "empty_matrix": quadric_text("[]"),
+    "empty_rows": quadric_text("[[], []]"),
+    "one_by_one": quadric_text("[[[1, 0]]]"),
+    "one_by_one_zero": quadric_text("[[[0, 0]]]"),
+    "non_hermitian": quadric_text("[[[1, 0], [5, 0]], %s]" % ROW2),
+    "int_overflows_float": quadric_text("[[[1%s, 0], [0, 0]], %s]"
+                                        % ("0" * 400, ROW2)),
+    "matrix_not_array": quadric_text('"[[1, 0]]"'),
+    "n_mismatch": '{"quadric": {"n": 5, "A": [[[1, 0], [0, 0]], %s]}}'
+                  % ROW2,
+}
+
+
+@pytest.mark.parametrize("command", ["type", "canonical"])
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_malformed_input_exits_2_with_json_error(capsys, monkeypatch,
+                                                 command, name):
+    monkeypatch.setattr("sys.stdin", io.StringIO(BAD_INPUTS[name]))
+    code = main([command])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert set(json.loads(out)) == {"error"}

@@ -30,6 +30,22 @@ def test_hermitize_rejects_asymmetry():
     assert max_abs(m - m.conj().T) == 0.0
 
 
+def test_hermitize_validation_order():
+    # 2-d first, then finite entries, then square, then symmetry.
+    for bad, msg in ((np.ones(3), "2-d"),
+                     (np.array([[1.0, np.nan, 0.0]]), "finite"),
+                     (np.array([[1.0, 0.0], [0.0, complex(0, np.inf)]]),
+                      "finite"),
+                     (np.ones((2, 3)), "square"),
+                     (np.array([[1.0, 2.0], [0.0, 1.0]]), "not Hermitian")):
+        with pytest.raises(ValueError, match=msg):
+            hermitize(bad)
+    # an entry with finite parts is finite even when its modulus overflows
+    z = 1.3e308 + 1.3e308j
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert hermitize(np.array([[0, z], [np.conj(z), 0]])).shape == (2, 2)
+
+
 def test_as_cvector_accepts_noncontiguous():
     m = np.arange(9, dtype=complex).reshape(3, 3)
     v = as_cvector(m[:, 1])
@@ -70,6 +86,32 @@ def test_eig_deterministic_phases():
     s2 = hermitian_eig(a.copy())
     assert np.array_equal(s1.eigbasis, s2.eigbasis)
     assert np.array_equal(s1.eigvals, s2.eigvals)
+
+
+def loop_fix_phases(v):
+    # Column-by-column phase pinning, the reference for the vectorized one.
+    out = v.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        piv = col[int(np.argmax(np.abs(col)))]
+        if piv != 0:
+            out[:, j] = col * (np.conj(piv) / abs(piv))
+    return out
+
+
+def test_eig_phase_pinning_matches_column_loop():
+    rng = np.random.default_rng(44)
+    mats = [random_hermitian(rng, k, scale=10.0 ** rng.uniform(-3, 3))
+            for k in range(1, 25) for _ in range(8)]
+    mats += [np.diag([1.0, -1.0, 1.0, 0.0]).astype(complex),
+             np.kron(np.eye(3), np.array([[0, 1j], [-1j, 0]])),
+             np.ones((4, 4), dtype=complex), np.zeros((3, 3), dtype=complex)]
+    for m in mats:
+        sig = hermitian_eig(m)
+        lam, v = np.linalg.eigh(hermitize(m))
+        assert sig.eigvals.tobytes() == lam.tobytes()
+        assert sig.eigbasis.tobytes() == loop_fix_phases(v).tobytes()
+    assert hermitian_eig(np.zeros((0, 0))).eigbasis.shape == (0, 0)
 
 
 def test_eig_repeated_and_zero_eigenvalues():
