@@ -25,6 +25,8 @@ import numpy as np
 from .errors import NoConvergence
 
 DEFAULT_TOL = 1e-9
+# Above this entry modulus, a + a* can overflow float64.
+_HALF_MAX = float(np.finfo(float).max) / 2.0
 
 
 def as_cvector(v):
@@ -73,6 +75,15 @@ def hermitize(m, atol=1e-12):
     if a.shape[0] != a.shape[1]:
         raise ValueError("Hermitian matrix must be square")
     ah = a.conj().T
+    if big > _HALF_MAX:
+        # a + a* and a - a* can overflow here, so halve first; no other
+        # input takes this path, so all others are bitwise unchanged.
+        a, ah = a / 2.0, ah / 2.0
+        gap = max_abs(a - ah)
+        if gap > atol * max_abs(a):
+            raise ValueError(
+                f"matrix is not Hermitian (asymmetry {2.0 * gap:.3e})")
+        return a + ah
     gap = max_abs(a - ah)
     if gap > atol * max(1.0, big):
         raise ValueError(f"matrix is not Hermitian (asymmetry {gap:.3e})")

@@ -157,15 +157,21 @@ def pushforward_circle(f, c):
 
 
 def _fit_hermitian_through(points):
-    # Least-squares Hermitian 2x2 form vanishing at all given points.
-    rows = []
-    for p in points:
-        v = p.v if isinstance(p, ProjPoint) else as_cvector(p)
-        v = v / np.linalg.norm(v)
-        x, y = v[0], v[1]
-        xy = np.conj(x) * y
-        rows.append([abs(x) ** 2, 2.0 * xy.real, -2.0 * xy.imag, abs(y) ** 2])
-    a = np.asarray(rows, dtype=float)
+    # Least-squares Hermitian 2x2 form vanishing at all given points:
+    # one row (|x|^2, 2 Re xy, -2 Im xy, |y|^2), xy = conj(x) y, per unit
+    # representative (x, y), then one SVD.  Takes a list of ProjPoints or
+    # vectors, or an (m, 2) array.  |x| comes from ``hypot``, which
+    # matches scalar ``abs`` where array ``np.abs`` can differ.
+    if isinstance(points, np.ndarray):
+        v = as_cmatrix(points)
+    else:
+        v = np.array([p.v if isinstance(p, ProjPoint) else as_cvector(p)
+                      for p in points])
+    v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    x, y = v[:, 0], v[:, 1]
+    xy = np.conj(x) * y
+    a = np.column_stack([np.hypot(x.real, x.imag) ** 2, 2.0 * xy.real,
+                         -2.0 * xy.imag, np.hypot(y.real, y.imag) ** 2])
     _, s, vt = np.linalg.svd(a)
     coef = vt[-1]
     resid = float(s[-1]) if a.shape[0] >= 4 else 0.0

@@ -14,6 +14,7 @@ transformations combined with the harmless global sign swap A -> -A.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,8 +107,11 @@ class QuadricBombon:
 
     def __init__(self, a, tol=DEFAULT_TOL):
         m = hermitize(a)
-        if max_abs(m) < 1e-300:
+        scale = max_abs(m)
+        if scale < 1e-300:
             raise NotABombon("the zero matrix defines no quadric")
+        if not math.isfinite(scale):
+            raise ValueError("matrix entry modulus overflows the float range")
         self.a = m
         self.tol = tol
         self.sig = hermitian_eig(m, tol=tol)

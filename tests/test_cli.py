@@ -221,3 +221,33 @@ def test_malformed_input_exits_2_with_json_error(capsys, monkeypatch,
     out = capsys.readouterr().out
     assert code == 2
     assert set(json.loads(out)) == {"error"}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("big", [1e308, 1.3e308, 1.7e308])
+def test_huge_finite_entries_answer_without_overflow(capsys, monkeypatch,
+                                                     big):
+    # (a + a*) / 2 overflows above half the float range; the answer must
+    # be the one for diag(1, -1).
+    quad = {"n": 1, "A": [[[big, 0], [0, 0]], [[0, 0], [-big, 0]]]}
+    code, obj = run_json(capsys, monkeypatch, ["type"], {"quadric": quad})
+    assert code == 0
+    assert (obj["label"], obj["special"]) == ("(0,0)_1", "elliptic")
+    code, obj = run_json(capsys, monkeypatch, ["canonical"],
+                         {"quadric": quad})
+    assert code == 0
+    assert obj["canonical"] == [[[1.0, 0.0], [0.0, 0.0]],
+                                [[0.0, 0.0], [-1.0, 0.0]]]
+    assert obj["residual"] <= 1e-12
+    t = obj["t"]
+    assert t[0][0][0] == pytest.approx(big ** -0.5, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["type", "canonical"])
+def test_entry_modulus_overflow_exits_2(capsys, monkeypatch, command):
+    big = 1.3e308
+    quad = {"n": 1, "A": [[[big, 0], [big, big]], [[big, -big], [-big, 0]]]}
+    code, obj = run_json(capsys, monkeypatch, [command], {"quadric": quad})
+    assert code == 2
+    assert obj == {"error": "matrix entry modulus overflows the float range"}

@@ -46,6 +46,23 @@ def test_hermitize_validation_order():
         assert hermitize(np.array([[0, z], [np.conj(z), 0]])).shape == (2, 2)
 
 
+def test_hermitize_huge_entries_halve_first():
+    # Above half the float range (a + a*) / 2 would overflow; the result
+    # is still the exact Hermitian part, without floating-point warnings.
+    with np.errstate(all="raise"):
+        for big in (9e307, 1.3e308, np.finfo(float).max):
+            a = np.array([[big, 0.5 * big + 1e300j], [0.5 * big - 1e300j,
+                                                       -big]])
+            assert np.array_equal(hermitize(a), a)
+            with pytest.raises(ValueError, match="not Hermitian"):
+                hermitize(np.array([[big, big], [-big, 0.0]]))
+            with pytest.raises(ValueError, match="not Hermitian"):
+                hermitize(np.array([[big, 0.0], [0.0, 1j * big]]))
+    # just below the bound the usual path runs, unchanged
+    a = np.array([[8e307, 1.0], [1.0, 1.0]])
+    assert np.array_equal(hermitize(a), (a + a.conj().T) / 2.0)
+
+
 def test_as_cvector_accepts_noncontiguous():
     m = np.arange(9, dtype=complex).reshape(3, 3)
     v = as_cvector(m[:, 1])

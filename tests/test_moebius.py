@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from bombon.errors import CoincidentPoints, PointOnCircle
-from bombon.linalg import max_abs, sym
-from bombon.moebius import (GenCircle, MoebiusMap, circle_through,
-                            conjugate_point, pushforward_circle, rotation)
+from bombon.linalg import as_cvector, max_abs, sym
+from bombon.moebius import (GenCircle, MoebiusMap, _fit_hermitian_through,
+                            circle_through, conjugate_point,
+                            pushforward_circle, rotation)
 from bombon.projective import ProjPoint
 
 ZERO = ProjPoint([0.0, 1.0])
@@ -161,3 +162,75 @@ def test_rotation_conjugate_center_reverses():
     g = rotation(c, v, -0.8)
     for z in (ONE, I, ProjPoint([0.2, 1.0])):
         assert f.apply(z).isclose(g.apply(z), 1e-9)
+
+
+def _fit_per_point(points):
+    # Reference: the per-point loop the one-step fit replaced.
+    rows = []
+    for p in points:
+        v = p.v if isinstance(p, ProjPoint) else as_cvector(p)
+        v = v / np.linalg.norm(v)
+        x, y = v[0], v[1]
+        xy = np.conj(x) * y
+        rows.append([abs(x) ** 2, 2.0 * xy.real, -2.0 * xy.imag, abs(y) ** 2])
+    a = np.asarray(rows, dtype=float)
+    _, s, vt = np.linalg.svd(a)
+    coef = vt[-1]
+    resid = float(s[-1]) if a.shape[0] >= 4 else 0.0
+    m = np.array([[coef[0], coef[1] + 1j * coef[2]],
+                  [coef[1] - 1j * coef[2], coef[3]]], dtype=complex)
+    return m, resid
+
+
+def _zero_sets(rng, count):
+    # Zero sets as the oracle verifier traces them: circles of random
+    # quadric oracles, on raw (non-unit) homogeneous rows, plus noisy
+    # points near a random circle given as ProjPoints.
+    from bombon.oracles import _trace_zeros, cp1_grid, oracle_from_quadric
+    from bombon.projective import sample_line
+    from bombon.quadrics import random_bombon
+
+    grid = cp1_grid(128)
+    sets = []
+    while len(sets) < count:
+        n = int(rng.integers(1, 6))
+        oracle = oracle_from_quadric(random_bombon(rng, n))
+        basis = sample_line(rng, n).basis()
+        lab = oracle.labels(grid @ basis.T)
+        if not (np.any(lab == 1) and np.any(lab == -1)):
+            continue
+        zeros, _ = _trace_zeros(oracle, basis, grid[np.argmax(lab == 1)],
+                                grid[np.argmax(lab == -1)])
+        if zeros is not None:
+            sets.append(zeros)
+        t = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        back = np.linalg.inv(t)
+        w = np.exp(2j * np.pi * rng.random(12)) * (1 + 1e-3 * rng.random(12))
+        hom = np.column_stack([w, np.ones_like(w)]) @ back.T
+        sets.append([ProjPoint(h * rng.uniform(1e-3, 1e3)) for h in hom])
+    return sets
+
+
+def test_fit_matches_per_point_loop():
+    rng = np.random.default_rng(71)
+    for pts in _zero_sets(rng, 60):
+        m, resid = _fit_hermitian_through(pts)
+        m0, resid0 = _fit_per_point(pts)
+        scale = max_abs(m0)
+        # the singular vector is fixed up to sign
+        assert min(max_abs(m - m0), max_abs(m + m0)) <= 1e-12 * scale
+        assert abs(resid - resid0) <= 1e-12 * max(1.0, resid0)
+
+
+def test_circle_through_matches_per_point_fit():
+    rng = np.random.default_rng(73)
+    for _ in range(100):
+        pts = [ProjPoint(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+               for _ in range(3)]
+        raw = [p.v for p in pts]
+        m0, _ = _fit_per_point(pts)
+        if float(np.real(np.linalg.det(m0))) >= 0:
+            continue
+        want = GenCircle(m0)
+        assert circle_through(*pts).isclose(want, 1e-12)
+        assert circle_through(*raw).isclose(want, 1e-12)

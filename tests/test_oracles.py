@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bombon
+from bombon import oracles
 from bombon.errors import PreconditionError
 from bombon.jsonio import canonical_dumps
 from bombon.oracles import (RunConfig, bidisk_oracle, cp1_grid, fib_angles,
@@ -169,3 +170,80 @@ def test_quadric_oracle_labels_scale_invariant():
         for lam in (1e-100, 1e-3, 1e3, 1e100):
             scale = lam * np.exp(2j * np.pi * rng.random(pts.shape[0]))
             assert np.array_equal(oracle.labels(pts * scale[:, None]), base)
+
+
+def _line_through_grid_row(p, d, g):
+    # Line basis whose grid point g (a unit spinor) lands on p exactly
+    # and whose orthogonal spinor lands on d.
+    g_perp = np.array([-np.conj(g[1]), np.conj(g[0])])
+    return np.outer(p, np.conj(g)) + np.outer(d, np.conj(g_perp))
+
+
+def test_grid_labels_blocked_equal_whole_grid():
+    rng = np.random.default_rng(61)
+    grid = cp1_grid(oracles._STAGE2)
+    assert grid.shape[0] > oracles._BLOCK
+    cases = []
+    for n in range(1, 6):
+        for n_zero in range(n):
+            x = random_bombon(rng, n, n_zero=n_zero)
+            oracle = oracle_from_quadric(x)
+            cases.append((oracle, sample_line(rng, n).basis(), False))
+            # a tangent line through a grid point that lies on the set
+            p = random_point_on(rng, x).v
+            ap = x.a @ p
+            d = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            d = d - ap * (np.vdot(ap, d) / np.vdot(ap, ap))
+            g = grid[int(rng.integers(grid.shape[0]))]
+            cases.append((oracle, _line_through_grid_row(p, d, g), True))
+    bidisk = bidisk_oracle()
+    cases += [(bidisk, sample_line(rng, 2).basis(), False) for _ in range(4)]
+    for oracle, basis, on_set in cases:
+        got = oracles._grid_labels(oracle, grid, basis)
+        want = oracle.labels(grid @ basis.T)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        if on_set:
+            assert np.any(got == 0)
+    # stage-1 size: a single block
+    basis = sample_line(rng, 3).basis()
+    oracle = oracle_from_quadric(random_bombon(rng, 3))
+    assert np.array_equal(oracles._grid_labels(oracle, cp1_grid(128), basis),
+                          oracle.labels(cp1_grid(128) @ basis.T))
+
+
+def _pinned_report(seed, tags, bad=()):
+    tallies = {k: 0 for k in oracles._TALLY_KEYS}
+    for t in tags:
+        tallies[t] += 1
+    nonconf = [{"line_index": i,
+                "summary": f"circle fit residual {r} in chart units"}
+               for i, r in bad]
+    return {"version": bombon.__version__,
+            "config": {"seed": seed, "n_lines": len(tags),
+                       "tolerances": {"chart_residual": 1e-4, "grid": 1e-6,
+                                      "zero": 1e-9},
+                       "output_format": "json"},
+            "lines_tested": len(tags), "tallies": tallies,
+            "two_sides_violations": 0, "nonconforming_lines": nonconf,
+            "line_tags": tags,
+            "verdict": "Violations" if nonconf else "ConsistentWithBombon"}
+
+
+def test_verify_axioms_reports_pinned():
+    # Stage-2 (empty) lines, circle fits and nonconforming fit residuals.
+    quad = oracle_from_quadric(ELLIPTIC)
+    rep = verify_axioms(quad, RunConfig(seed=5, n_lines=10))
+    assert rep.to_dict() == _pinned_report(
+        5, ["circle"] * 7 + ["empty"] + ["circle"] * 2)
+    singular = oracle_from_quadric(
+        QuadricBombon.from_epsilons([1, -1, -1, -1, 0]))
+    rep = verify_axioms(singular, RunConfig(seed=8, n_lines=10))
+    assert rep.to_dict() == _pinned_report(
+        8, "empty empty circle empty circle empty empty circle empty "
+           "empty".split())
+    rep = verify_axioms(bidisk_oracle(), RunConfig(seed=5, n_lines=10))
+    residuals = ("3.325e-01", "5.122e-01", "4.770e-01", "3.476e-01",
+                 "4.850e-01", "6.313e-01", "1.039e-01", "3.615e-01",
+                 "2.538e-01", "1.585e-01")
+    assert rep.to_dict() == _pinned_report(
+        5, ["nonconforming"] * 10, enumerate(residuals))

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from bombon.errors import NotOnQuadric, NotSmooth, PreconditionError
-from bombon.linalg import max_abs
+from bombon.linalg import max_abs, random_unitary
 from bombon.projective import (ProjLine, ProjPoint, Subspace, line_through,
                                proj_close, sample_line, sample_point)
-from bombon.quadrics import QuadricBombon, random_smooth_bombon
+from bombon.quadrics import (QuadricBombon, SideSign, random_bombon,
+                              random_smooth_bombon)
 from bombon.sections import (SectionTag, circle_points, classify_line_section,
                              restrict_form, section_with_subspace,
                              tangent_section_singular_point, tangent_space)
@@ -182,3 +183,37 @@ def test_tangent_lines_never_circles():
             sec, _ = classify_line_section(x, line_through(p, q))
             if not sec.low_confidence:
                 assert sec.tag is SectionTag.CIRCLE
+
+
+def _side_codes(sides):
+    assert all(isinstance(s, SideSign) for s in sides)
+    return "".join("0" if s is SideSign.ON else s.value for s in sides)
+
+
+def test_two_sides_probe_pinned():
+    # Guard for any rewrite of the probe: the 16 labels of each ring
+    # (radius 0.5 inner, radius 2 outer, in the circle's unit chart) are
+    # pinned, including low-confidence circles whose inner ring sits on
+    # the zero cut ("0" is ON).
+    rng = np.random.default_rng(79)
+    got = []
+    while len(got) < 8:
+        n = int(rng.integers(1, 6))
+        x = random_bombon(rng, n)
+        line = sample_line(rng, n)
+        sec, rep = classify_line_section(x, line, with_sides=True)
+        if sec.tag is SectionTag.CIRCLE:
+            got.append((_side_codes(rep.inner), _side_codes(rep.outer)))
+    assert got == [("V" * 16, "U" * 16)] * 8
+
+    u = random_unitary(np.random.default_rng(7), 3)
+    line = ProjLine(u[:, 0] + 0.3 * u[:, 1] + 0.6 * u[:, 2], u[:, 2])
+    pinned = {1.2e-9: "0" * 16,
+              1.3333251953125001e-09: "00000VVVVVVV0000",
+              1.5e-9: "V" * 16}
+    for eps, inner in pinned.items():
+        x = QuadricBombon(u @ np.diag([1.0, 1.0, -eps]) @ u.conj().T)
+        sec, rep = classify_line_section(x, line, with_sides=True)
+        assert sec.tag is SectionTag.CIRCLE and sec.low_confidence
+        assert (_side_codes(rep.inner), _side_codes(rep.outer)) \
+            == (inner, "U" * 16)
