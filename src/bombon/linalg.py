@@ -25,8 +25,6 @@ import numpy as np
 from .errors import NoConvergence
 
 DEFAULT_TOL = 1e-9
-# Above this entry modulus, a + a* can overflow float64.
-_HALF_MAX = float(np.finfo(float).max) / 2.0
 
 
 def as_cvector(v):
@@ -74,20 +72,17 @@ def hermitize(m, atol=1e-12):
         raise ValueError("matrix entries must be finite")
     if a.shape[0] != a.shape[1]:
         raise ValueError("Hermitian matrix must be square")
-    ah = a.conj().T
-    if big > _HALF_MAX:
-        # a + a* and a - a* can overflow here, so halve first; no other
-        # input takes this path, so all others are bitwise unchanged.
-        a, ah = a / 2.0, ah / 2.0
-        gap = max_abs(a - ah)
-        if gap > atol * max_abs(a):
-            raise ValueError(
-                f"matrix is not Hermitian (asymmetry {2.0 * gap:.3e})")
-        return a + ah
-    gap = max_abs(a - ah)
-    if gap > atol * max(1.0, big):
-        raise ValueError(f"matrix is not Hermitian (asymmetry {gap:.3e})")
-    return (a + ah) / 2.0
+    # Halving first keeps a + a* and a - a* finite for entries up to the
+    # float maximum.  A power-of-two scale is exact, so the result is
+    # (a + a*) / 2 bit for bit apart from subnormal entries and the sign
+    # of exact zeros, and the gap is exactly half of |a - a*|.
+    h = a / 2.0
+    hh = h.conj().T
+    gap = max_abs(h - hh)
+    if gap > atol * max(0.5, big / 2.0):
+        raise ValueError(
+            f"matrix is not Hermitian (asymmetry {2.0 * gap:.3e})")
+    return h + hh
 
 
 def sym(m):

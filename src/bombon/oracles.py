@@ -143,7 +143,8 @@ class OracleSet:
 
     ``side`` maps a batch (m, dim+1) of homogeneous vectors, which need
     not be unit vectors, to labels +1 (component U), 0 (on the set,
-    within the oracle's own band) and -1 (component V).  ``exact``
+    within the oracle's own band) and -1 (component V); each row's label
+    must not depend on the other rows of the batch.  ``exact``
     optionally carries the quadric the oracle was built from; the
     verifier never consults it for classification, only for
     LowConfidence bookkeeping.

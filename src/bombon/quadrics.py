@@ -115,6 +115,8 @@ class QuadricBombon:
         self.a = m
         self.tol = tol
         self.sig = hermitian_eig(m, tol=tol)
+        if not np.isfinite(self.sig.eigvals).all():
+            raise ValueError("matrix eigenvalue overflows the float range")
         if self.sig.n_pos < 1 or self.sig.n_neg < 1:
             raise NotABombon(
                 f"form signature ({self.sig.n_pos},{self.sig.n_neg},"

@@ -251,3 +251,14 @@ def test_entry_modulus_overflow_exits_2(capsys, monkeypatch, command):
     code, obj = run_json(capsys, monkeypatch, [command], {"quadric": quad})
     assert code == 2
     assert obj == {"error": "matrix entry modulus overflows the float range"}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["type", "canonical"])
+def test_eigenvalue_overflow_exits_2(capsys, monkeypatch, command):
+    # Finite entries whose eigenvalues, about +-1.84e308, overflow.
+    big = 1.3e308
+    quad = {"n": 1, "A": [[[big, 0], [big, 0]], [[big, 0], [-big, 0]]]}
+    code, obj = run_json(capsys, monkeypatch, [command], {"quadric": quad})
+    assert code == 2
+    assert obj == {"error": "matrix eigenvalue overflows the float range"}

@@ -58,9 +58,14 @@ def test_hermitize_huge_entries_halve_first():
                 hermitize(np.array([[big, big], [-big, 0.0]]))
             with pytest.raises(ValueError, match="not Hermitian"):
                 hermitize(np.array([[big, 0.0], [0.0, 1j * big]]))
-    # just below the bound the usual path runs, unchanged
-    a = np.array([[8e307, 1.0], [1.0, 1.0]])
-    assert np.array_equal(hermitize(a), (a + a.conj().T) / 2.0)
+    # halving first is exact, so ordinary inputs get bitwise (a + a*) / 2
+    rng = np.random.default_rng(5)
+    for k in (2, 5, 24):
+        for scale in (1e-300, 1.0, 1e307):
+            a = scale * (rng.normal(size=(k, k))
+                         + 1j * rng.normal(size=(k, k)))
+            a = a + a.conj().T + 1e-14 * a
+            assert np.array_equal(hermitize(a), (a + a.conj().T) / 2.0)
 
 
 def test_as_cvector_accepts_noncontiguous():

