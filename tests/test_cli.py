@@ -245,20 +245,16 @@ def test_huge_finite_entries_answer_without_overflow(capsys, monkeypatch,
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["type", "canonical"])
-def test_entry_modulus_overflow_exits_2(capsys, monkeypatch, command):
+@pytest.mark.parametrize("off, error", [
+    # |1.3e308 + 1.3e308i| overflows
+    ([1.3e308, 1.3e308], "matrix entry modulus overflows the float range"),
+    # finite entries, eigenvalues about +-1.84e308
+    ([1.3e308, 0], "matrix eigenvalue overflows the float range")])
+def test_float_range_overflow_exits_2(capsys, monkeypatch, command, off,
+                                      error):
     big = 1.3e308
-    quad = {"n": 1, "A": [[[big, 0], [big, big]], [[big, -big], [-big, 0]]]}
+    conj = [off[0], -off[1]]
+    quad = {"n": 1, "A": [[[big, 0], off], [conj, [-big, 0]]]}
     code, obj = run_json(capsys, monkeypatch, [command], {"quadric": quad})
     assert code == 2
-    assert obj == {"error": "matrix entry modulus overflows the float range"}
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", ["type", "canonical"])
-def test_eigenvalue_overflow_exits_2(capsys, monkeypatch, command):
-    # Finite entries whose eigenvalues, about +-1.84e308, overflow.
-    big = 1.3e308
-    quad = {"n": 1, "A": [[[big, 0], [big, 0]], [[big, 0], [-big, 0]]]}
-    code, obj = run_json(capsys, monkeypatch, [command], {"quadric": quad})
-    assert code == 2
-    assert obj == {"error": "matrix eigenvalue overflows the float range"}
+    assert obj == {"error": error}
