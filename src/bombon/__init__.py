@@ -18,8 +18,8 @@ from .errors import (BombonError, CoincidentPoints, DegenerateSpan,
 from .linalg import (DEFAULT_TOL, Signature, hermitian_eig, hermitize,
                      max_abs, nullspace, orthonormal_columns,
                      random_hermitian, random_unitary, sym, zero_tol)
-from .moebius import (Disk, GenCircle, MoebiusMap, circle_through,
-                      conjugate_point, pushforward_circle, rotation)
+from .moebius import (GenCircle, MoebiusMap, circle_through, conjugate_point,
+                      pushforward_circle, rotation)
 from .oracles import (AxiomReport, OracleSet, PointStarReport, RunConfig,
                       bidisk_oracle, fib_angles, grid_line_tag,
                       oracle_from_quadric, verify_axioms, verify_point_star)
@@ -41,7 +41,7 @@ __all__ = [
     "AffineComplexLine", "AffineSubspace", "AxiomReport", "BombonError",
     "BombonType", "CircleParam", "CoincidentPoints", "ComplexEllipsoid",
     "CongruenceWitness", "ConvexBodyOracle", "CoreSplit", "DEFAULT_TOL",
-    "DegenerateSpan", "Disk", "DiskTag", "DiskVerdict", "ExpectationViolated",
+    "DegenerateSpan", "DiskTag", "DiskVerdict", "ExpectationViolated",
     "GenCircle", "MoebiusMap", "NoConvergence", "NotABombon",
     "NotComplementary", "NotOnQuadric", "NotOnSphere", "NotSmooth",
     "OracleInconsistent", "OracleSet", "PointOnCircle", "PointStarReport",

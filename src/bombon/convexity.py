@@ -131,8 +131,7 @@ def _fit_circle_2d(zs):
     return center, radius
 
 
-def disk_section_test(body, line, tol=1e-3, rng=None, n_rays=_RAYS,
-                      grid=_GRID, bisect_iters=_BISECT_ITERS):
+def disk_section_test(body, line, tol=1e-3, rng=None):
     """Decide whether a convex body cuts the complex line in a disk.
 
     The planar section is located by a membership grid over the chord
@@ -156,7 +155,7 @@ def disk_section_test(body, line, tol=1e-3, rng=None, n_rays=_RAYS,
         return body.inside(line.at(np.asarray(ts, dtype=complex)))
 
     hits = np.zeros(0, dtype=complex)
-    for npts in (grid, grid * 4):
+    for npts in (_GRID, _GRID * 4):
         ax = np.linspace(-chord, chord, npts)
         re, im = np.meshgrid(ax, ax)
         ts = t0 + (re + 1j * im).ravel()
@@ -179,10 +178,10 @@ def disk_section_test(body, line, tol=1e-3, rng=None, n_rays=_RAYS,
     if not inside_t([t_in])[0]:
         raise OracleInconsistent("centroid of member points left the body")
 
-    angles = np.exp(2j * np.pi * np.arange(n_rays) / n_rays)
-    lo = np.zeros(n_rays)
-    hi = np.full(n_rays, 2.0 * (big_r + abs(t_in) + 1.0))
-    for _ in range(bisect_iters):
+    angles = np.exp(2j * np.pi * np.arange(_RAYS) / _RAYS)
+    lo = np.zeros(_RAYS)
+    hi = np.full(_RAYS, 2.0 * (big_r + abs(t_in) + 1.0))
+    for _ in range(_BISECT_ITERS):
         mid = (lo + hi) / 2.0
         ok = inside_t(t_in + mid * angles)
         lo = np.where(ok, mid, lo)
@@ -234,9 +233,12 @@ def mvee_complex(points, eps=1e-6, max_iter=100000):
     gap kappa / (n+1) - 1 certified within the first k+1 iterations, so
     the recorded sequence is nonincreasing by construction.
 
-    Raises DegenerateSpan when the points fail to affinely span C^n and
-    NoConvergence if the iteration budget runs out.
+    Raises ValueError for a negative or non-finite eps, which no
+    ellipsoid can meet, DegenerateSpan when the points fail to affinely
+    span C^n and NoConvergence if the iteration budget runs out.
     """
+    if not (np.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a nonempty (m, n) array")

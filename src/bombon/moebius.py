@@ -14,8 +14,6 @@ J = [[0, -1], [1, 0]], an antiholomorphic involution fixing exactly the
 circle.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CoincidentPoints, PointOnCircle
@@ -136,20 +134,6 @@ class GenCircle:
         return f"GenCircle({self.m.tolist()!r})"
 
 
-@dataclass(frozen=True)
-class Disk:
-    """One of the two sides of a generalized circle.
-
-    ``sign`` selects {z : z* M z < 0} (-1) or the positive side (+1).
-    """
-
-    circle: GenCircle
-    sign: int
-
-    def contains(self, z):
-        return self.circle.side(z) == self.sign
-
-
 def pushforward_circle(f, c):
     """Image circle under a Moebius map: M' = f^-* M f^-1."""
     fi = np.linalg.inv(f.m)
@@ -202,8 +186,7 @@ def conjugate_point(c, u):
     Raises PointOnCircle when u lies on c, where inversion would fix it.
     """
     v = u.v if isinstance(u, ProjPoint) else as_cvector(u)
-    vn = v / np.linalg.norm(v)
-    if abs(np.real(np.vdot(vn, c.m @ vn))) <= zero_tol(c.m):
+    if c.contains(v):
         raise PointOnCircle("conjugate point of a circle point is itself")
     return ProjPoint(_J_INV @ np.conj(c.m @ v))
 
@@ -235,8 +218,7 @@ def rotation(c, u, theta):
     of rotation.
     """
     up = u if isinstance(u, ProjPoint) else ProjPoint(u)
-    vn = up.unit
-    if abs(np.real(np.vdot(vn, c.m @ vn))) <= zero_tol(c.m):
+    if c.contains(up):
         raise PointOnCircle("rotation center must avoid the circle")
     za, zb, zc = c.witness_zeros()
     g = _three_point_map(za, zb, zc)

@@ -25,7 +25,14 @@ from .sections import SectionTag
 from .version import VERSION
 
 _GOLDEN = (1.0 + 5.0 ** 0.5) / 2.0
+# CP^1 grid sizes: the grid oracle and the first labelling stage, then
+# the fallback stage for one-sided lines
+_GRID = 128
 _STAGE2 = 131072
+# zero tracing: rays, bisection steps, and points per side-probe ring
+_RAYS = 64
+_BISECT_ITERS = 60
+_RING = 16
 # Rows per block when labelling a grid: big enough to amortize the
 # per-call cost, small enough that a block's temporaries stay in cache.
 _BLOCK = 4096
@@ -70,8 +77,8 @@ def _line_values(rform, basis, spinors):
     return form_values(pts, rform) / sq_norms(pts)
 
 
-def grid_line_tag(a, basis, k=128):
-    """Classify a line section by brute force on a k-point grid.
+def grid_line_tag(a, basis):
+    """Classify a line section by brute force on a 128-point grid.
 
     Uses only values of the form at points of the line's CP^1, never
     eigenvalues: both signs on the raw grid means Circle, everything
@@ -89,8 +96,8 @@ def grid_line_tag(a, basis, k=128):
     ztol = 1e-10 * scale
 
     rform = real_form(a)
-    theta, phi = fib_angles(k)
-    vals = _line_values(rform, basis, cp1_grid(k))
+    theta, phi = fib_angles(_GRID)
+    vals = _line_values(rform, basis, cp1_grid(_GRID))
     if float(np.max(np.abs(vals))) <= flat_tol:
         return SectionTag.FULL_LINE
     if np.any(vals > sign_tol) and np.any(vals < -sign_tol):
@@ -210,6 +217,10 @@ class RunConfig:
         "zero": 1e-9, "grid": 1e-6, "chart_residual": 1e-4})
     output_format: str = "json"
 
+    def __post_init__(self):
+        if self.n_lines < 0:
+            raise ValueError(f"n_lines must be >= 0, got {self.n_lines}")
+
     def to_dict(self):
         return {"seed": int(self.seed), "n_lines": int(self.n_lines),
                 "tolerances": {k: self.tolerances[k]
@@ -244,28 +255,28 @@ def _fs_diameter(pts):
     return float(np.max(np.arccos(np.clip(g, 0.0, 1.0))))
 
 
-def _trace_zeros(oracle, basis, p_u, p_v, n_rays=64, iters=60):
+def _trace_zeros(oracle, basis, p_u, p_v):
     """Chart: p_v at 0, p_u at infinity; bisect side flips along rays."""
     p = np.column_stack([np.asarray(p_u, complex), np.asarray(p_v, complex)])
     try:
         g = np.linalg.inv(p)
     except np.linalg.LinAlgError:
         return None, None
-    ang = np.exp(2j * np.pi * np.arange(n_rays) / n_rays)
+    ang = np.exp(2j * np.pi * np.arange(_RAYS) / _RAYS)
 
     def lab(logr):
         w = np.power(10.0, logr) * ang
         sp = np.column_stack([w, np.ones_like(w)]) @ p.T
         return oracle.labels(sp @ basis.T)
 
-    lo = np.full(n_rays, -8.0)
-    hi = np.full(n_rays, 8.0)
+    lo = np.full(_RAYS, -8.0)
+    hi = np.full(_RAYS, 8.0)
     lab_lo = lab(lo)
     lab_hi = lab(hi)
     valid = (lab_lo != 0) & (lab_hi != 0) & (lab_lo != lab_hi)
     if not np.any(valid):
         return None, p
-    for _ in range(iters):
+    for _ in range(_BISECT_ITERS):
         mid = (lo + hi) / 2.0
         lm = lab(mid)
         on = lm == 0
@@ -277,8 +288,8 @@ def _trace_zeros(oracle, basis, p_u, p_v, n_rays=64, iters=60):
     return zeros, p
 
 
-def _ring_labels(oracle, basis, chart_inv, radius, k=16):
-    w = radius * np.exp(2j * np.pi * np.arange(k) / k)
+def _ring_labels(oracle, basis, chart_inv, radius):
+    w = radius * np.exp(2j * np.pi * np.arange(_RING) / _RING)
     hom = np.column_stack([w, np.ones_like(w)])
     sp = hom @ chart_inv.m.T
     return oracle.labels(sp @ basis.T)
@@ -300,7 +311,7 @@ def oracle_line_tag(oracle, basis, chart_residual=1e-4):
     applicable); summary is a short text for nonconforming lines.
     """
     basis = np.asarray(basis, dtype=complex)
-    grid = cp1_grid(128)
+    grid = cp1_grid(_GRID)
     labels = _grid_labels(oracle, grid, basis)
     if bool(np.all(labels == 0)):
         return "full_line", True, ""

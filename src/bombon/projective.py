@@ -186,10 +186,6 @@ class Subspace:
         return all(self.contains_vector(other.basis[:, j], tol)
                    for j in range(other.basis.shape[1]))
 
-    def point(self, coords):
-        """Ambient point with the given coordinates in this basis."""
-        return ProjPoint(self.basis @ as_cvector(coords))
-
     def __repr__(self):
         return f"Subspace(dim={self.projective_dim}, ambient={self._n})"
 

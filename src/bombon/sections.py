@@ -25,6 +25,9 @@ from .moebius import GenCircle
 from .projective import ProjLine, ProjPoint, Subspace, proj_close
 from .quadrics import QuadricBombon, SideSign, SpecialKind, quad
 
+# side probes per ring when checking that a circle separates the sides
+_SIDE_ANGLES = 16
+
 
 class SectionTag(enum.Enum):
     EMPTY = "empty"
@@ -114,7 +117,7 @@ def _isotropic_pair(x, line, sig2):
     return amb_a, amb_b
 
 
-def _sample_circle_sides(x, line, m2, n_angles=16):
+def _sample_circle_sides(x, line, m2):
     # Map the unit-circle chart back onto the line and probe both disks.
     circ = GenCircle(m2)
     back = circ.to_unit_chart().inverse()
@@ -122,8 +125,8 @@ def _sample_circle_sides(x, line, m2, n_angles=16):
     sides = []
     for r in (0.5, 2.0):
         got = []
-        for k in range(n_angles):
-            z = r * np.exp(2j * np.pi * k / n_angles)
+        for k in range(_SIDE_ANGLES):
+            z = r * np.exp(2j * np.pi * k / _SIDE_ANGLES)
             coords = back.m @ np.array([z, 1.0], dtype=complex)
             got.append(x.side(ProjPoint(basis @ coords)))
         sides.append(tuple(got))

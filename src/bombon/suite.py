@@ -174,14 +174,23 @@ def prop_span_monotone(rng, ctx):
 # --- quadric bombons ------------------------------------------------------
 
 
-def prop_fullness_identity(rng, ctx):
-    count = ctx.scaled(500)
+def fullness_violation(rng, count):
+    """The first type among ``count`` random forms that breaks
+    p + q + dim(sing) = n - 2 (for the sampled n, or as its own
+    fullness_defect), or None."""
     for _ in range(count):
         n = int(rng.integers(1, 7))
-        x = random_bombon(rng, n)
-        t = x.bombon_type()
-        if t.p + t.q + t.sing_dim != n - 2:
-            return False, count, f"fullness defect at type {t}"
+        t = random_bombon(rng, n).bombon_type()
+        if t.p + t.q + t.sing_dim != n - 2 or t.fullness_defect != 0:
+            return t
+    return None
+
+
+def prop_fullness_identity(rng, ctx):
+    count = ctx.scaled(500)
+    bad = fullness_violation(rng, count)
+    if bad is not None:
+        return False, count, f"fullness defect at type {bad}"
     return True, count, f"{count} forms, p+q+dim(sing) = n-2 exactly"
 
 
@@ -264,23 +273,32 @@ def prop_cores_strictly_sided(rng, ctx):
 # --- sections and tangents ------------------------------------------------
 
 
-def prop_section_classifier_vs_grid(rng, ctx):
-    count = ctx.scaled(1000, lo=40)
+def classifier_vs_grid(rng, count, classify):
+    """Compare ``count`` random ``classify(x, line)`` verdicts with the
+    grid oracle.  Returns (first disagreement as text or None, number of
+    low-confidence verdicts left out).
+    """
     low = 0
     for _ in range(count):
         n = int(rng.integers(1, 6))
         x = random_bombon(rng, n)
         line = sample_line(rng, n)
-        sec, _ = ctx.classify(x, line, with_sides=False)
+        sec, _ = classify(x, line)
         if sec.low_confidence:
             low += 1
             continue
         tag = grid_line_tag(x.a, line.basis())
         if tag is not sec.tag:
-            return False, count, (f"classifier said {sec.tag.value}, "
-                                  f"grid oracle said {tag.value}")
-    return True, count, (f"{count} pairs, 0 disagreements, "
-                         f"{low} low-confidence excluded")
+            return (f"classifier said {sec.tag.value}, "
+                    f"grid oracle said {tag.value}"), low
+    return None, low
+
+
+def prop_section_classifier_vs_grid(rng, ctx):
+    count = ctx.scaled(1000, lo=40)
+    failure, low = classifier_vs_grid(rng, count, ctx.classify)
+    return failure is None, count, failure or (
+        f"{count} pairs, 0 disagreements, {low} low-confidence excluded")
 
 
 def prop_circle_two_sides(rng, ctx):
@@ -306,9 +324,16 @@ def prop_circle_parametrization_lands(rng, ctx):
     return True, count, f"{count} circles, 32-point grids land on the quadric"
 
 
-def prop_tangent_hyperplane_audit(rng, ctx):
-    points = ctx.scaled(100, lo=4)
-    per = 64
+_AUDIT_LINES = 64
+
+
+def tangent_audit(rng, points, classify):
+    """A line through a quadric point cuts a circle iff it leaves the
+    tangent hyperplane: ``classify(x, line)`` judges _AUDIT_LINES lines
+    inside and _AUDIT_LINES random lines at each of ``points`` points.
+    Returns (first violation as text or None, number of low-confidence
+    verdicts left out).
+    """
     excluded = 0
     for _ in range(points):
         n = int(rng.integers(2, 6))
@@ -316,29 +341,32 @@ def prop_tangent_hyperplane_audit(rng, ctx):
         p = random_point_on(rng, x)
         h = tangent_space(x, p)
         k = h.basis.shape[1]
-        for _ in range(per):
-            coef = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            q = ProjPoint(h.basis @ coef)
-            if proj_close(q.v, p.v, 1e-9):
-                continue
-            sec, _ = ctx.classify(x, line_through(p, q))
-            if sec.low_confidence:
-                excluded += 1
-            elif sec.tag is SectionTag.CIRCLE:
-                return False, points * 2 * per, "in-hyperplane line cut a circle"
-        for _ in range(per):
-            q = sample_point(rng, n)
-            if proj_close(q.v, p.v, 1e-9):
-                continue
-            sec, _ = ctx.classify(x, line_through(p, q))
-            if sec.low_confidence:
-                excluded += 1
-            elif sec.tag is not SectionTag.CIRCLE:
-                return False, points * 2 * per, (
-                    f"line leaving the tangent hyperplane gave "
-                    f"{sec.tag.value}")
-    return True, points * 2 * per, (f"{points} tangent points, "
-                                    f"{excluded} low-confidence excluded")
+        for leaves in (False, True):
+            for _ in range(_AUDIT_LINES):
+                if leaves:
+                    q = sample_point(rng, n)
+                else:
+                    coef = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+                    q = ProjPoint(h.basis @ coef)
+                if proj_close(q.v, p.v, 1e-9):
+                    continue
+                sec, _ = classify(x, line_through(p, q))
+                if sec.low_confidence:
+                    excluded += 1
+                elif (sec.tag is SectionTag.CIRCLE) != leaves:
+                    if leaves:
+                        return (f"line leaving the tangent hyperplane gave "
+                                f"{sec.tag.value}"), excluded
+                    return "in-hyperplane line cut a circle", excluded
+    return None, excluded
+
+
+def prop_tangent_hyperplane_audit(rng, ctx):
+    points = ctx.scaled(100, lo=4)
+    count = points * 2 * _AUDIT_LINES
+    failure, excluded = tangent_audit(rng, points, ctx.classify)
+    return failure is None, count, failure or (
+        f"{points} tangent points, {excluded} low-confidence excluded")
 
 
 def prop_hypersection_trichotomy(rng, ctx):

@@ -5,6 +5,7 @@ gives the pass/fail verdict per criterion.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -15,35 +16,27 @@ from bombon.convexity import (AffineComplexLine, DiskTag, disk_section_test,
 from bombon.errors import TypeMismatch
 from bombon.jsonio import canonical_dumps
 from bombon.linalg import max_abs, sym
-from bombon.oracles import RunConfig, grid_line_tag
-from bombon.projective import (ProjPoint, line_through, proj_close,
-                               sample_line, sample_point)
-from bombon.quadrics import (QuadricBombon, equivalence_witness,
-                             random_bombon, random_point_on,
-                             random_smooth_bombon)
+from bombon.oracles import RunConfig
+from bombon.projective import ProjPoint, proj_close, sample_line
+from bombon.quadrics import (equivalence_witness, random_bombon,
+                             random_point_on, random_smooth_bombon)
 from bombon.sections import (SectionTag, circle_points,
                              classify_line_section,
-                             tangent_section_singular_point, tangent_space)
-from bombon.suite import theorem_suite
+                             tangent_section_singular_point)
+from bombon.suite import (classifier_vs_grid, fullness_violation,
+                          tangent_audit, theorem_suite)
+
+# the criteria classify without the two-sides probe
+_classify = partial(classify_line_section, with_sides=False)
 
 
 def test_criterion_01_classifier_matches_grid_oracle():
     rng = np.random.default_rng(101)
     pairs = 1000
-    low = 0
     start = time.perf_counter()
-    for _ in range(pairs):
-        n = int(rng.integers(1, 6))
-        x = random_bombon(rng, n)
-        line = sample_line(rng, n)
-        sec, _ = classify_line_section(x, line, with_sides=False)
-        if sec.low_confidence:
-            low += 1
-            continue
-        tag = grid_line_tag(x.a, line.basis(), k=128)
-        assert tag is sec.tag, (f"classifier {sec.tag.value} vs grid "
-                                f"{tag.value}")
+    failure, low = classifier_vs_grid(rng, pairs, _classify)
     elapsed = time.perf_counter() - start
+    assert failure is None, failure
     assert low < 0.02 * pairs
     assert elapsed < 10.0
     print(f"criterion 01: PASS ({pairs} pairs, 0 disagreements, "
@@ -74,12 +67,8 @@ def test_criterion_02_circle_parametrization_lands():
 
 
 def test_criterion_03_fullness_identity():
-    rng = np.random.default_rng(103)
-    for _ in range(500):
-        n = int(rng.integers(1, 7))
-        x = random_bombon(rng, n)
-        t = x.bombon_type()
-        assert t.p + t.q + t.sing_dim == n - 2
+    bad = fullness_violation(np.random.default_rng(103), 500)
+    assert bad is None, f"fullness defect at type {bad}"
     print("criterion 03: PASS (500 forms, p + q + dim(sing) = n - 2 exact)")
 
 
@@ -122,35 +111,9 @@ def test_criterion_04_equivalence_witnesses():
 
 
 def test_criterion_05_tangent_audit():
-    rng = np.random.default_rng(105)
-    excluded = 0
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        x = random_smooth_bombon(rng, n)
-        p = random_point_on(rng, x)
-        h = tangent_space(x, p)
-        k = h.basis.shape[1]
-        for _ in range(64):
-            coef = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            q = ProjPoint(h.basis @ coef)
-            if proj_close(q.v, p.v, 1e-9):
-                continue
-            sec, _ = classify_line_section(x, line_through(p, q),
-                                           with_sides=False)
-            if sec.low_confidence:
-                excluded += 1
-                continue
-            assert sec.tag is not SectionTag.CIRCLE
-        for _ in range(64):
-            q = sample_point(rng, n)
-            if proj_close(q.v, p.v, 1e-9):
-                continue
-            sec, _ = classify_line_section(x, line_through(p, q),
-                                           with_sides=False)
-            if sec.low_confidence:
-                excluded += 1
-                continue
-            assert sec.tag is SectionTag.CIRCLE
+    failure, excluded = tangent_audit(np.random.default_rng(105), 100,
+                                      _classify)
+    assert failure is None, failure
     print(f"criterion 05: PASS (100 tangent points x 128 lines, "
           f"{excluded} lines inside the exclusion band)")
 

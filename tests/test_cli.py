@@ -138,6 +138,18 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["verify", "--lines", "-5"], "n_lines must be >= 0, got -5"),
+    (["suite", "--lines", "-1"], "n_lines must be >= 0, got -1"),
+    (["mvee", "--eps", "-1"], "eps must be finite and >= 0, got -1.0"),
+    (["mvee", "--eps", "nan"], "eps must be finite and >= 0, got nan")])
+def test_out_of_range_option_exits_2(capsys, monkeypatch, argv, error):
+    payload = {"quadric": ELL3, "points": [[[1, 0]], [[-1, 0]]]}
+    code, obj = run_json(capsys, monkeypatch, argv, payload)
+    assert code == 2
+    assert obj == {"error": error}
+
+
 def test_input_file_and_text_format(capsys, tmp_path):
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"quadric": ELL3}))

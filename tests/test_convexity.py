@@ -85,6 +85,7 @@ def test_mvee_symmetric_frozen():
     assert abs(ell.center[0]) < 1e-9
     assert max_abs(ell.h - np.eye(1)) < 1e-9
     assert ell.iterations <= 2
+    assert mvee_complex(pts, eps=0.0).iterations == 1
 
 
 def test_mvee_contains_and_certifies():
@@ -108,6 +109,14 @@ def test_mvee_affine_equivariance():
     e2 = mvee_complex(pts @ s.T + b, eps=1e-7)
     assert np.allclose(e2.center, s @ e1.center + b, atol=1e-6)
     assert max_abs(sym(s.conj().T @ e2.h @ s) - e1.h) < 1e-6
+
+
+@pytest.mark.parametrize("eps", [-1.0, np.nan, np.inf])
+def test_mvee_rejects_unreachable_eps(eps):
+    # the largest leverage is at least n + 1, so eps < 0 is never met
+    pts = np.array([[1.0], [-1.0], [1j], [-1j]], dtype=complex)
+    with pytest.raises(ValueError, match="eps"):
+        mvee_complex(pts, eps=eps)
 
 
 def test_mvee_degenerate_span():

@@ -17,6 +17,7 @@ from bombon.oracles import (RunConfig, bidisk_oracle, cp1_grid, fib_angles,
 from bombon.projective import ProjLine, ProjPoint, sample_line
 from bombon.quadrics import QuadricBombon, random_bombon, random_point_on
 from bombon.sections import SectionTag, classify_line_section
+from bombon.suite import classifier_vs_grid
 
 ELLIPTIC = QuadricBombon.from_epsilons([1, 1, -1])
 
@@ -46,15 +47,9 @@ def test_grid_line_tag_frozen():
 
 
 def test_grid_agrees_with_classifier():
-    rng = np.random.default_rng(127)
-    for _ in range(150):
-        n = int(rng.integers(1, 6))
-        x = random_bombon(rng, n)
-        line = sample_line(rng, n)
-        sec, _ = classify_line_section(x, line)
-        if sec.low_confidence:
-            continue
-        assert grid_line_tag(x.a, line.basis()) is sec.tag
+    failure, _ = classifier_vs_grid(np.random.default_rng(127), 150,
+                                    classify_line_section)
+    assert failure is None, failure
 
 
 def test_quadric_oracle_labels():

@@ -40,15 +40,15 @@ def test_subset_run_replays_full_run_randomness():
 
 
 def test_corrupt_classifier_is_caught():
-    report, code = theorem_suite(
-        small(), corrupt="classifier",
-        names=("section_classifier_vs_grid",))
+    # the shared loops must judge with the classifier they are given
+    names = ("section_classifier_vs_grid", "tangent_hyperplane_audit")
+    report, code = theorem_suite(small(), corrupt="classifier", names=names)
     assert code == 1
     assert report["verdict"] == "fail"
     assert report["fault"] == "classifier"
-    assert report["failures"] == 1
+    assert report["failures"] == len(names)
     bad = [p["name"] for p in report["properties"] if not p["passed"]]
-    assert bad == ["section_classifier_vs_grid"]
+    assert bad == list(names)
 
 
 def test_unknown_property_name_rejected():
