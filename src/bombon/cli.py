@@ -177,8 +177,12 @@ def _cmd_orbit(args):
     x.require_on(p)
     split = CoreSplit.from_quadric(x)
     pu, pv = bundle_projection(x, split, p)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     if "thetas" in obj:
         thetas = [float(t) for t in obj["thetas"]]
+        if not thetas:
+            raise ValueError('"thetas" must be a nonempty list')
     else:
         thetas = list(2.0 * np.pi * np.arange(args.samples) / args.samples)
     points = [s1_action(split, t, p.unit) for t in thetas]

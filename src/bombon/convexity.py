@@ -24,6 +24,7 @@ from .linalg import (form_values, hermitian_eig, orthonormal_columns,
 _GRID = 64
 _RAYS = 256
 _BISECT_ITERS = 60
+_MVEE_MAX_ITER = 100000
 
 
 @dataclass
@@ -141,8 +142,11 @@ def disk_section_test(body, line, tol=1e-3, rng=None):
     Empty when no section point is found (sections thinner than the
     grid pitch are invisible) and Point when the boundary extent stays
     below tol * bounding_radius.  Convexity of the oracle is spot
-    checked on midpoints; violations raise OracleInconsistent.
+    checked on midpoints; violations raise OracleInconsistent.  A
+    negative or non-finite tol raises ValueError.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     rng = np.random.default_rng(0) if rng is None else rng
     t0 = -complex(np.vdot(line.direction, line.base))
     dmin = float(np.linalg.norm(line.base + t0 * line.direction))
@@ -222,7 +226,7 @@ class ComplexEllipsoid:
         return np.real(np.einsum("ij,jk,ik->i", d.conj(), self.h, d))
 
 
-def mvee_complex(points, eps=1e-6, max_iter=100000):
+def mvee_complex(points, eps=1e-6):
     """Minimum-volume enclosing complex ellipsoid of a finite sample.
 
     Khachiyan multiplicative-weights iteration on the lifted vectors
@@ -253,7 +257,7 @@ def mvee_complex(points, eps=1e-6, max_iter=100000):
     gaps = []
     best_gap = np.inf
     it = 0
-    for it in range(max_iter):
+    for it in range(_MVEE_MAX_ITER):
         v = (lifted.T * u) @ lifted.conj()
         vinv = np.linalg.inv(v)
         # vinv changes every iteration and m is small: real_form costs more
@@ -286,8 +290,8 @@ def mvee_complex(points, eps=1e-6, max_iter=100000):
         u = np.maximum(u, 0.0)
         u /= u.sum()
     else:
-        raise NoConvergence(f"MVEE did not reach gap {eps:.1e} in {max_iter} "
-                            "iterations")
+        raise NoConvergence(f"MVEE did not reach gap {eps:.1e} in "
+                            f"{_MVEE_MAX_ITER} iterations")
     center = u @ pts
     spread = sym((pts.T * u) @ pts.conj() - np.outer(center, center.conj()))
     h = sym(np.linalg.inv(spread)) / n
@@ -296,17 +300,16 @@ def mvee_complex(points, eps=1e-6, max_iter=100000):
                             weights=u)
 
 
-def john_touchpoint_check(points, ell, eps=None):
+def john_touchpoint_check(points, ell):
     """True when the touching points of the ellipsoid span C^n affinely.
 
-    Touching means gauge >= 1 - 10 * eps.  For a genuine minimum-volume
+    Touching means gauge >= 1 - 10 * eps, with eps the ellipsoid's gap
+    target (1e-6 when that is 0).  For a genuine minimum-volume
     ellipsoid of the sample this must hold; a failure certifies the
     ellipsoid is not minimal (or the sample is degenerate).
     """
     pts = np.asarray(points, dtype=complex)
-    e = ell.eps if eps is None else eps
-    if not e:
-        e = 1e-6
+    e = ell.eps or 1e-6
     vals = ell.gauge(pts)
     touch = pts[vals >= 1.0 - 10.0 * e]
     if touch.shape[0] == 0:
@@ -344,7 +347,7 @@ class AffineSubspace:
         return c, float(np.sqrt(max(r2, 0.0)))
 
 
-def linear_closure(points, tol=1e-9):
+def linear_closure(points):
     """Complex affine hull of points on the unit sphere S^{2n-1}.
 
     The closure of the family under abstract lines (circles cut by
@@ -358,7 +361,7 @@ def linear_closure(points, tol=1e-9):
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise NotOnSphere("linear closure is defined for unit vectors")
     base = pts[0]
-    dirs = orthonormal_columns((pts[1:] - base).T, rtol=tol) if pts.shape[0] > 1 \
+    dirs = orthonormal_columns((pts[1:] - base).T, rtol=1e-9) if pts.shape[0] > 1 \
         else np.zeros((pts.shape[1], 0), dtype=complex)
     return AffineSubspace(base=base, directions=dirs)
 

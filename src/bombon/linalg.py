@@ -57,10 +57,14 @@ def zero_tol(m, tol=DEFAULT_TOL):
     return tol * max(1.0, max_abs(m))
 
 
-def hermitize(m, atol=1e-12):
-    """Validate Hermitian symmetry to ``atol`` and return (M + M*) / 2.
+_HERMITIAN_ATOL = 1e-12
 
-    Raises ValueError when the asymmetry exceeds the bound.
+
+def hermitize(m):
+    """Validate Hermitian symmetry and return (M + M*) / 2.
+
+    Raises ValueError when the asymmetry |M - M*| exceeds
+    _HERMITIAN_ATOL * max(1, |M|).
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
@@ -79,7 +83,7 @@ def hermitize(m, atol=1e-12):
     h = a / 2.0
     hh = h.conj().T
     gap = max_abs(h - hh)
-    if gap > atol * max(0.5, big / 2.0):
+    if gap > _HERMITIAN_ATOL * max(0.5, big / 2.0):
         raise ValueError(
             f"matrix is not Hermitian (asymmetry {2.0 * gap:.3e})")
     return h + hh

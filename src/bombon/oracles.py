@@ -36,6 +36,8 @@ _RING = 16
 # Rows per block when labelling a grid: big enough to amortize the
 # per-call cost, small enough that a block's temporaries stay in cache.
 _BLOCK = 4096
+# ON band of the bidisk oracle around its gauge level 1
+_BIDISK_BAND = 1e-9
 _angle_cache = {}
 _grid_cache = {}
 
@@ -185,7 +187,7 @@ def oracle_from_quadric(x):
                      band=thr, exact=x)
 
 
-def bidisk_oracle(radii=(1.0, 1.0), band=1e-9):
+def bidisk_oracle(radii=(1.0, 1.0)):
     """Boundary of the closed bidisk in the affine chart z0 = 1 of CP^2.
 
     Inside (both coordinates strictly under their radius) is labeled U,
@@ -201,10 +203,10 @@ def bidisk_oracle(radii=(1.0, 1.0), band=1e-9):
             g = np.where(np.abs(pts[:, 0]) == 0, np.inf,
                          g / np.abs(pts[:, 0]))
         out = np.where(g < 1.0, 1, -1)
-        return np.where(np.abs(g - 1.0) <= band, 0, out).astype(int)
+        return np.where(np.abs(g - 1.0) <= _BIDISK_BAND, 0, out).astype(int)
 
     return OracleSet(side=side, description=f"bidisk(r=({r1}, {r2}))", dim=2,
-                     band=band)
+                     band=_BIDISK_BAND)
 
 
 @dataclass

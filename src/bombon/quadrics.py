@@ -102,10 +102,13 @@ class QuadricBombon:
         required to have at least one positive and one negative
         eigenvalue.
     tol : float
-        Relative tolerance used for all zero decisions on this quadric.
+        Relative tolerance used for all zero decisions on this quadric;
+        finite and >= 0, else ValueError.
     """
 
     def __init__(self, a, tol=DEFAULT_TOL):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {tol}")
         m = hermitize(a)
         scale = max_abs(m)
         if scale < 1e-300:
@@ -298,15 +301,16 @@ def random_bombon(rng, n, n_pos=None, n_zero=None):
     return QuadricBombon(sym(u @ np.diag(eigs) @ u.conj().T))
 
 
-def random_point_on(rng, x, max_tries=10000):
+def random_point_on(rng, x):
     """A point of the quadric, found on a line through opposite sides.
 
     Samples point pairs until their sides differ, then takes an
     isotropic direction of the restricted 2x2 form on that line.
+    Raises ZeroVector after 10000 pairs without a point.
     """
     from .projective import sample_point
 
-    for _ in range(max_tries):
+    for _ in range(10000):
         p = sample_point(rng, x.n)
         q = sample_point(rng, x.n)
         vp, sp = x.evaluate(p)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import ExpectationViolated, NotSmooth, PreconditionError
 from .linalg import hermitian_eig, nullspace, sym, zero_tol
-from .moebius import GenCircle
 from .projective import ProjLine, ProjPoint, Subspace, proj_close
 from .quadrics import QuadricBombon, SideSign, SpecialKind, quad
 
@@ -100,16 +99,13 @@ def restrict_form(x, s):
     return sym(b.conj().T @ x.a @ b)
 
 
-def _isotropic_pair(x, line, sig2):
+def _isotropic_pair(x, line, wp, wn):
     a, b = line.a, line.b
     thr = zero_tol(x.a, x.tol)
     na2 = float(np.linalg.norm(a)) ** 2
     nb2 = float(np.linalg.norm(b)) ** 2
     if (abs(quad(x.a, a, a)) <= thr * na2 and abs(quad(x.a, b, b)) <= thr * nb2):
         return a, b
-    lam, q = sig2.eigvals, sig2.eigbasis
-    wp = q[:, 1] / np.sqrt(lam[1])
-    wn = q[:, 0] / np.sqrt(-lam[0])
     ca = wp + wn
     cb = wp - wn
     amb_a = ca[0] * a + ca[1] * b
@@ -117,18 +113,16 @@ def _isotropic_pair(x, line, sig2):
     return amb_a, amb_b
 
 
-def _sample_circle_sides(x, line, m2):
-    # Map the unit-circle chart back onto the line and probe both disks.
-    circ = GenCircle(m2)
-    back = circ.to_unit_chart().inverse()
+def _sample_circle_sides(x, line, wp, wn):
+    # In line coordinates z wp + wn the restricted form is |z|^2 - 1, so
+    # the unit circle is the section; probe both disks off it.
     basis = line.basis()
     sides = []
     for r in (0.5, 2.0):
         got = []
         for k in range(_SIDE_ANGLES):
             z = r * np.exp(2j * np.pi * k / _SIDE_ANGLES)
-            coords = back.m @ np.array([z, 1.0], dtype=complex)
-            got.append(x.side(ProjPoint(basis @ coords)))
+            got.append(x.side(ProjPoint(basis @ (z * wp + wn))))
         sides.append(tuple(got))
     return TwoSidesReport(inner=sides[0], outer=sides[1])
 
@@ -155,10 +149,14 @@ def classify_line_section(x, line, with_sides=True):
                             low_confidence=low), None
     if sig2.n_pos == 2 or sig2.n_neg == 2:
         return SectionClass(SectionTag.EMPTY, low_confidence=low), None
-    a, b = _isotropic_pair(x, line, sig2)
+    # eigenvectors scaled to form values +1 and -1
+    lam, q = sig2.eigvals, sig2.eigbasis
+    wp = q[:, 1] / np.sqrt(lam[1])
+    wn = q[:, 0] / np.sqrt(-lam[0])
+    a, b = _isotropic_pair(x, line, wp, wn)
     c = quad(x.a, b, a)
     param = CircleParam(a=a, b=b, c=c)
-    report = _sample_circle_sides(x, line, m2) if with_sides else None
+    report = _sample_circle_sides(x, line, wp, wn) if with_sides else None
     return SectionClass(SectionTag.CIRCLE, circle=param, low_confidence=low), report
 
 
@@ -171,20 +169,20 @@ def circle_points(param, s, t):
     return ProjPoint((s * 1j) * param.a + (t * param.c) * param.b)
 
 
-def tangent_space(x, p, tol=None):
+def tangent_space(x, p):
     """Tangent space of the quadric at an on-quadric point.
 
     The hyperplane {y : p* A y = 0} at smooth points; the whole space at
     singular points.  In CP^1 the hyperplane degenerates to the point
     itself.  Raises NotOnQuadric for points off the quadric.
     """
-    tol = x.tol if tol is None else tol
     x.require_on(p)
     v = p.unit if isinstance(p, ProjPoint) else ProjPoint(p).unit
     w = x.a @ v
-    if np.max(np.abs(w)) <= zero_tol(x.a, tol):
+    if np.max(np.abs(w)) <= zero_tol(x.a, x.tol):
         return Subspace.full(x.n)
-    return Subspace(nullspace(w.conj()[None, :], tol=tol), x.n, orthonormal=True)
+    return Subspace(nullspace(w.conj()[None, :], tol=x.tol), x.n,
+                    orthonormal=True)
 
 
 def section_with_subspace(x, h):

@@ -63,9 +63,9 @@ class SuiteContext:
         return max(lo, int(round(base * self.cfg.n_lines / 200.0)))
 
 
-def _conditioned(rng, k, lo=0.3, hi=3.0):
-    # invertible matrix with singular values in [lo, hi]
-    s = np.exp(rng.uniform(np.log(lo), np.log(hi), size=k))
+def _conditioned(rng, k):
+    # invertible matrix with singular values in [0.3, 3]
+    s = np.exp(rng.uniform(np.log(0.3), np.log(3.0), size=k))
     return random_unitary(rng, k) @ np.diag(s) @ random_unitary(rng, k)
 
 
@@ -88,16 +88,8 @@ def _off_circle_point(rng, c):
             return z
 
 
-def _confident_circle(rng, ctx, n_range=(2, 5), with_sides=False,
-                      max_tries=400):
-    for _ in range(max_tries):
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
-        x = random_smooth_bombon(rng, n)
-        line = sample_line(rng, n)
-        sec, rep = ctx.classify(x, line, with_sides=with_sides)
-        if sec.tag is SectionTag.CIRCLE and not sec.low_confidence:
-            return x, line, sec, rep
-    raise RuntimeError("no confident circle section found")
+# lines drawn per wanted circle before a sampler gives up
+_CIRCLE_TRIES = 400
 
 
 # --- projective core ------------------------------------------------------
@@ -304,24 +296,48 @@ def prop_section_classifier_vs_grid(rng, ctx):
 def prop_circle_two_sides(rng, ctx):
     count = ctx.scaled(100)
     for _ in range(count):
-        _, _, _, rep = _confident_circle(rng, ctx, with_sides=True)
+        for _ in range(_CIRCLE_TRIES):
+            n = int(rng.integers(2, 6))
+            x = random_smooth_bombon(rng, n)
+            sec, rep = ctx.classify(x, sample_line(rng, n), with_sides=True)
+            if sec.tag is SectionTag.CIRCLE and not sec.low_confidence:
+                break
+        else:
+            raise RuntimeError("no confident circle section found")
         if rep is None or not rep.separates:
             return False, count, "circle section failed to separate sides"
     return True, count, f"{count} circle sections separate their disks"
 
 
-def prop_circle_parametrization_lands(rng, ctx):
-    count = ctx.scaled(200)
+def circle_landing(rng, count, classify):
+    """Parametrize ``count`` confident circles that ``classify(x, line)``
+    finds on random lines of random forms on CP^1 to CP^5, singular ones
+    included, at 32 angles each.  Returns the first residual above
+    1e-9 * |A| as text, or None.
+    """
     angles = np.pi * np.arange(32) / 32.0
     for _ in range(count):
-        x, _, sec, _ = _confident_circle(rng, ctx)
-        worst = 0.0
-        for ang in angles:
-            pt = circle_points(sec.circle, np.cos(ang), np.sin(ang))
-            worst = max(worst, abs(x.value(pt)))
+        for _ in range(_CIRCLE_TRIES):
+            n = int(rng.integers(1, 6))
+            x = random_bombon(rng, n)
+            sec, _ = classify(x, sample_line(rng, n))
+            if sec.tag is SectionTag.CIRCLE and not sec.low_confidence:
+                break
+        else:
+            return "no confident circle section found"
+        worst = max(abs(x.value(circle_points(sec.circle, np.cos(ang),
+                                              np.sin(ang))))
+                    for ang in angles)
         if worst > 1e-9 * max_abs(x.a):
-            return False, count, f"parametrization residual {worst:.2e}"
-    return True, count, f"{count} circles, 32-point grids land on the quadric"
+            return f"parametrization residual {worst:.2e}"
+    return None
+
+
+def prop_circle_parametrization_lands(rng, ctx):
+    count = ctx.scaled(200)
+    failure = circle_landing(rng, count, ctx.classify)
+    return failure is None, count, failure or (
+        f"{count} circles, 32-point grids land on the quadric")
 
 
 _AUDIT_LINES = 64
@@ -446,15 +462,23 @@ def prop_rotation_opposite_orientation(rng, ctx):
     return True, count, f"{count} rotations match their conjugate reversal"
 
 
-def prop_conjugate_point_involution(rng, ctx):
-    count = ctx.scaled(100)
+def involution_violation(rng, count):
+    """Reflect ``count`` random points off random circles twice.
+    Returns the first point that moves by more than 1e-9 as text, or
+    None.
+    """
     for _ in range(count):
         c = _random_gencircle(rng)
         u = _off_circle_point(rng, c)
-        w = conjugate_point(c, u)
-        if not conjugate_point(c, w).isclose(u, 1e-9):
-            return False, count, "conjugation applied twice moved the point"
-    return True, count, f"{count} involutions"
+        if not conjugate_point(c, conjugate_point(c, u)).isclose(u, 1e-9):
+            return "conjugation applied twice moved the point"
+    return None
+
+
+def prop_conjugate_point_involution(rng, ctx):
+    count = ctx.scaled(100)
+    failure = involution_violation(rng, count)
+    return failure is None, count, failure or f"{count} involutions"
 
 
 def prop_circle_moebius_covariance(rng, ctx):
@@ -518,8 +542,12 @@ def prop_s1_group_law(rng, ctx):
     return True, count, f"{count} compositions"
 
 
-def prop_orbit_circle_coincidence(rng, ctx):
-    count = ctx.scaled(100)
+def orbit_violation(rng, count):
+    """Sample 16 orbit points of a random quadric point under the circle
+    action, for ``count`` random smooth forms.  Returns the first orbit
+    point off the quadric or off the bundle projection line (distance
+    1e-9 either way, or a rank test at rtol 1e-9) as text, or None.
+    """
     thetas = 2.0 * np.pi * np.arange(16) / 16.0
     for _ in range(count):
         n = int(rng.integers(1, 6))
@@ -527,41 +555,65 @@ def prop_orbit_circle_coincidence(rng, ctx):
         split = CoreSplit.from_quadric(x)
         p = random_point_on(rng, x)
         pu, pv = bundle_projection(x, split, p)
-        orbit = np.stack([s1_action(split, t, p.unit) for t in thetas])
-        vals = [abs(x.value(ProjPoint(w))) for w in orbit]
-        if max(vals) > 1e-9:
-            return False, count, f"orbit value {max(vals):.2e} off the quadric"
-        stacked = np.column_stack([pu.v, pv.v, orbit.T])
-        if orthonormal_columns(stacked, rtol=1e-9).shape[1] != 2:
-            return False, count, "orbit left the bundle projection line"
-    return True, count, f"{count} orbits of 16 samples on their lines"
+        orbit = np.column_stack([s1_action(split, t, p.unit) for t in thetas])
+        worst = max(abs(x.value(ProjPoint(w))) for w in orbit.T)
+        if worst >= 1e-9:
+            return f"orbit value {worst:.2e} off the quadric"
+        line = np.column_stack([pu.v, pv.v])
+        coef = np.linalg.lstsq(line, orbit, rcond=None)[0]
+        off = float(np.max(np.linalg.norm(line @ coef - orbit, axis=0)))
+        stacked = np.column_stack([line, orbit])
+        if off >= 1e-9 or \
+                orthonormal_columns(stacked, rtol=1e-9).shape[1] != 2:
+            return "orbit left the bundle projection line"
+    return None
 
 
-def prop_fixed_points_are_cores(rng, ctx):
-    count = ctx.scaled(30)
-    theta = 1.7
+def prop_orbit_circle_coincidence(rng, ctx):
+    count = ctx.scaled(100)
+    failure = orbit_violation(rng, count)
+    return failure is None, count, failure or (
+        f"{count} orbits of 16 samples on their lines")
+
+
+def fixed_point_violation(rng, count):
+    """Turn a random point of each core, and a random quadric point, by
+    the angle 1.7 for ``count`` random smooth forms.  Returns the first
+    core point that moves (beyond 1e-9) or quadric point that stays
+    (within 1e-6) as text, or None.
+    """
     for _ in range(count):
         n = int(rng.integers(1, 6))
         x = random_smooth_bombon(rng, n)
         split = CoreSplit.from_quadric(x)
-        cu, cv = x.cores()
-        for sub in (cu, cv):
-            coef = rng.standard_normal(sub.basis.shape[1]) \
-                + 1j * rng.standard_normal(sub.basis.shape[1])
-            w = sub.basis @ coef
-            moved = s1_action(split, theta, w)
-            if not proj_close(moved, w, 1e-9):
-                return False, count, "core point moved under the action"
+        for sub in x.cores():
+            k = sub.basis.shape[1]
+            w = sub.basis @ (rng.standard_normal(k)
+                             + 1j * rng.standard_normal(k))
+            if not proj_close(s1_action(split, 1.7, w), w, 1e-9):
+                return "core point moved under the action"
         p = random_point_on(rng, x)
-        moved = s1_action(split, theta, p.unit)
-        if proj_close(moved, p.unit, 1e-6):
-            return False, count, "generic quadric point was fixed"
-    return True, count, f"{count} forms, fixed set = union of cores"
+        if proj_close(s1_action(split, 1.7, p.unit), p.unit, 1e-6):
+            return "generic quadric point was fixed"
+    return None
 
 
-def prop_transport_preserves_sections(rng, ctx):
-    count = ctx.scaled(20)
-    per = 5
+def prop_fixed_points_are_cores(rng, ctx):
+    count = ctx.scaled(30)
+    failure = fixed_point_violation(rng, count)
+    return failure is None, count, failure or (
+        f"{count} forms, fixed set = union of cores")
+
+
+_TRANSPORT_LINES = 5
+
+
+def transport_tag_change(rng, count, classify):
+    """Move _TRANSPORT_LINES random lines by the transport between two
+    random points of each of ``count`` random smooth forms, and judge
+    each line before and after with ``classify(x, line)``.  Returns (the
+    first changed tag as text or None, number of confident pairs).
+    """
     checked = 0
     for _ in range(count):
         n = int(rng.integers(2, 6))
@@ -569,18 +621,24 @@ def prop_transport_preserves_sections(rng, ctx):
         p = random_point_on(rng, x)
         q = random_point_on(rng, x)
         w = homogeneity_transport(x, p, q)
-        for _ in range(per):
+        for _ in range(_TRANSPORT_LINES):
             line = sample_line(rng, n)
-            s1, _ = ctx.classify(x, line)
-            moved = ProjLine(w.t @ line.a, w.t @ line.b)
-            s2, _ = ctx.classify(x, moved)
+            s1, _ = classify(x, line)
+            s2, _ = classify(x, ProjLine(w.t @ line.a, w.t @ line.b))
             if s1.low_confidence or s2.low_confidence:
                 continue
             checked += 1
             if s1.tag is not s2.tag:
-                return False, count * per, (
-                    f"transport changed {s1.tag.value} to {s2.tag.value}")
-    return True, count * per, f"{checked} transported lines kept their tags"
+                return (f"transport changed {s1.tag.value} to "
+                        f"{s2.tag.value}"), checked
+    return None, checked
+
+
+def prop_transport_preserves_sections(rng, ctx):
+    count = ctx.scaled(20)
+    failure, checked = transport_tag_change(rng, count, ctx.classify)
+    return failure is None, count * _TRANSPORT_LINES, failure or (
+        f"{checked} transported lines kept their tags")
 
 
 def prop_transport_via_intermediate(rng, ctx):
@@ -628,9 +686,11 @@ def _random_ellipsoid(rng, n):
     return ellipsoid_body(c, h)
 
 
-def prop_ellipsoid_sections_are_disks(rng, ctx):
-    count = ctx.scaled(500)
-    allowed = {DiskTag.DISK, DiskTag.POINT, DiskTag.EMPTY}
+def ellipsoid_sections(rng, count):
+    """Cut ``count`` random ellipsoids in C^2 or C^3 by random complex
+    lines.  Returns (the first section judged not a disk as text or
+    None, tally of verdicts by DiskTag).
+    """
     tally = {t: 0 for t in DiskTag}
     for _ in range(count):
         n = int(rng.integers(2, 4))
@@ -640,17 +700,25 @@ def prop_ellipsoid_sections_are_disks(rng, ctx):
         verdict = disk_section_test(body, AffineComplexLine(base, d),
                                     tol=1e-3, rng=rng)
         tally[verdict.tag] += 1
-        if verdict.tag not in allowed:
-            return False, count, (f"ellipsoid section judged "
-                                  f"{verdict.tag.value} "
-                                  f"(deviation {verdict.deviation:.2e})")
-    return True, count, (f"{count} lines: {tally[DiskTag.DISK]} disks, "
-                         f"{tally[DiskTag.POINT]} points, "
-                         f"{tally[DiskTag.EMPTY]} empty")
+        if verdict.tag is DiskTag.NOT_A_DISK:
+            return (f"ellipsoid section judged {verdict.tag.value} "
+                    f"(deviation {verdict.deviation:.2e})"), tally
+    return None, tally
 
 
-def prop_bidisk_finds_not_a_disk(rng, ctx):
-    count = ctx.scaled(100)
+def prop_ellipsoid_sections_are_disks(rng, ctx):
+    count = ctx.scaled(500)
+    failure, tally = ellipsoid_sections(rng, count)
+    return failure is None, count, failure or (
+        f"{count} lines: {tally[DiskTag.DISK]} disks, "
+        f"{tally[DiskTag.POINT]} points, {tally[DiskTag.EMPTY]} empty")
+
+
+def bidisk_lenses(rng, count):
+    """Cut the unit bidisk by ``count`` random complex lines.  Returns
+    (a failure as text when no section is a lens, else None; the number
+    of lens sections).
+    """
     body = polydisk_body((1.0, 1.0))
     found = 0
     for _ in range(count):
@@ -660,27 +728,47 @@ def prop_bidisk_finds_not_a_disk(rng, ctx):
                                     tol=1e-3, rng=rng)
         if verdict.tag is DiskTag.NOT_A_DISK:
             found += 1
-    if found == 0:
-        return False, count, "no lens section found on the bidisk"
-    return True, count, f"{found} of {count} bidisk sections are not disks"
+    return (None if found else "no lens section found on the bidisk"), found
 
 
-def prop_mvee_certificate(rng, ctx):
-    count = ctx.scaled(8, lo=3)
-    eps = 1e-6
+def prop_bidisk_finds_not_a_disk(rng, ctx):
+    count = ctx.scaled(100)
+    failure, found = bidisk_lenses(rng, count)
+    return failure is None, count, failure or (
+        f"{found} of {count} bidisk sections are not disks")
+
+
+_MVEE_EPS = 1e-6
+
+
+def mvee_violation(rng, count):
+    """Fit the MVEE, to gap _MVEE_EPS, of ``count`` random point clouds
+    in C^2 or C^3.  Returns the first broken certificate (gap history
+    rising or ending above the target, a point outside, or touching
+    points that fail to span) as text, or None.
+    """
     for _ in range(count):
         n = int(rng.integers(2, 4))
         m = int(rng.integers(2 * n + 2, 4 * n + 5))
         pts = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        ell = mvee_complex(pts, eps=eps)
+        ell = mvee_complex(pts, eps=_MVEE_EPS)
         gaps = np.asarray(ell.gap_history)
         if np.any(np.diff(gaps) > 1e-15):
-            return False, count, "duality gap certificate increased"
-        if float(np.max(ell.gauge(pts))) > 1.0 + eps + 1e-9:
-            return False, count, "a point escaped the certified ellipsoid"
+            return "duality gap certificate increased"
+        if gaps[-1] > _MVEE_EPS:
+            return f"duality gap {gaps[-1]:.2e} above the target"
+        if float(np.max(ell.gauge(pts))) > 1.0 + _MVEE_EPS + 1e-9:
+            return "a point escaped the certified ellipsoid"
         if not john_touchpoint_check(pts, ell):
-            return False, count, "touching points fail to span affinely"
-    return True, count, f"{count} ellipsoids certified to gap {eps:.0e}"
+            return "touching points fail to span affinely"
+    return None
+
+
+def prop_mvee_certificate(rng, ctx):
+    count = ctx.scaled(8, lo=3)
+    failure = mvee_violation(rng, count)
+    return failure is None, count, failure or (
+        f"{count} ellipsoids certified to gap {_MVEE_EPS:.0e}")
 
 
 def prop_mvee_equivariance(rng, ctx):

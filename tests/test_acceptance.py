@@ -9,22 +9,21 @@ from functools import partial
 
 import numpy as np
 
-from bombon.actions import (CoreSplit, bundle_projection,
-                            homogeneity_transport, s1_action)
-from bombon.convexity import (AffineComplexLine, DiskTag, disk_section_test,
-                              ellipsoid_body, mvee_complex, polydisk_body)
+from bombon.actions import homogeneity_transport
+from bombon.convexity import DiskTag, mvee_complex
 from bombon.errors import TypeMismatch
 from bombon.jsonio import canonical_dumps
-from bombon.linalg import max_abs, sym
+from bombon.linalg import max_abs
 from bombon.oracles import RunConfig
-from bombon.projective import ProjPoint, proj_close, sample_line
+from bombon.projective import proj_close
 from bombon.quadrics import (equivalence_witness, random_bombon,
                              random_point_on, random_smooth_bombon)
-from bombon.sections import (SectionTag, circle_points,
-                             classify_line_section,
+from bombon.sections import (classify_line_section,
                              tangent_section_singular_point)
-from bombon.suite import (classifier_vs_grid, fullness_violation,
-                          tangent_audit, theorem_suite)
+from bombon.suite import (bidisk_lenses, circle_landing, classifier_vs_grid,
+                          ellipsoid_sections, fixed_point_violation,
+                          fullness_violation, orbit_violation, tangent_audit,
+                          theorem_suite)
 
 # the criteria classify without the two-sides probe
 _classify = partial(classify_line_section, with_sides=False)
@@ -44,26 +43,9 @@ def test_criterion_01_classifier_matches_grid_oracle():
 
 
 def test_criterion_02_circle_parametrization_lands():
-    rng = np.random.default_rng(102)
-    angles = np.pi * np.arange(32) / 32.0
-    done = 0
-    worst = 0.0
-    while done < 200:
-        n = int(rng.integers(1, 6))
-        x = random_bombon(rng, n)
-        sec, _ = classify_line_section(x, sample_line(rng, n),
-                                       with_sides=False)
-        if sec.tag is not SectionTag.CIRCLE or sec.low_confidence:
-            continue
-        bound = 1e-9 * max_abs(x.a)
-        for ang in angles:
-            pt = circle_points(sec.circle, np.cos(ang), np.sin(ang))
-            val = abs(x.value(pt))
-            worst = max(worst, val / bound * 1e-9)
-            assert val <= bound
-        done += 1
-    print(f"criterion 02: PASS (200 circles x 32 points, worst residual "
-          f"{worst:.2e} vs 1e-9 bound)")
+    failure = circle_landing(np.random.default_rng(102), 200, _classify)
+    assert failure is None, failure
+    print("criterion 02: PASS (200 circles x 32 points within 1e-9 |A|)")
 
 
 def test_criterion_03_fullness_identity():
@@ -133,32 +115,8 @@ def test_criterion_06_tangent_hypersection_singular_locus():
 
 def test_criterion_07_circle_action_orbits():
     rng = np.random.default_rng(107)
-    thetas = 2.0 * np.pi * np.arange(16) / 16.0
-    for _ in range(100):
-        n = int(rng.integers(1, 6))
-        x = random_smooth_bombon(rng, n)
-        split = CoreSplit.from_quadric(x)
-        p = random_point_on(rng, x)
-        pu, pv = bundle_projection(x, split, p)
-        basis = np.column_stack([pu.unit, pv.unit])
-        for theta in thetas:
-            orbit = s1_action(split, theta, p.unit)
-            assert abs(x.value(ProjPoint(orbit))) <= 1e-9
-            _, res, _, _ = np.linalg.lstsq(basis, orbit, rcond=None)
-            if res.size:
-                assert float(res[0]) <= 1e-18
-        # fixed points: core samples stay put, the on-quadric point moves
-        cu, cv = x.cores()
-        for core in (cu, cv):
-            if core.basis.shape[1] == 0:
-                continue
-            coef = rng.standard_normal(core.basis.shape[1]) \
-                + 1j * rng.standard_normal(core.basis.shape[1])
-            v = ProjPoint(core.basis @ coef)
-            moved = s1_action(split, 1.7, v.unit)
-            assert proj_close(moved, v.v, 1e-9)
-        moved = s1_action(split, 1.7, p.unit)
-        assert not proj_close(moved, p.v, 1e-9)
+    failure = orbit_violation(rng, 100) or fixed_point_violation(rng, 100)
+    assert failure is None, failure
     print("criterion 07: PASS (100 orbits stay on the quadric and on the "
           "shadow line; cores are the fixed points)")
 
@@ -179,31 +137,10 @@ def test_criterion_08_homogeneity_transport():
 
 def test_criterion_09_convex_sections():
     rng = np.random.default_rng(109)
-    allowed = {DiskTag.DISK, DiskTag.POINT, DiskTag.EMPTY}
-    n = 2
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    body = ellipsoid_body(
-        0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
-        sym(m @ m.conj().T) + 0.3 * np.eye(n))
-    tally = {t: 0 for t in DiskTag}
-    for _ in range(500):
-        base = 0.8 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        verdict = disk_section_test(body, AffineComplexLine(base, d),
-                                    tol=1e-3, rng=rng)
-        tally[verdict.tag] += 1
-        assert verdict.tag in allowed, verdict.tag.value
-
-    bidisk = polydisk_body((1.0, 1.0))
-    lenses = 0
-    for _ in range(100):
-        base = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        d = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        verdict = disk_section_test(bidisk, AffineComplexLine(base, d),
-                                    tol=1e-3, rng=rng)
-        if verdict.tag is DiskTag.NOT_A_DISK:
-            lenses += 1
-    assert lenses >= 1
+    failure, tally = ellipsoid_sections(rng, 500)
+    assert failure is None, failure
+    failure, lenses = bidisk_lenses(rng, 100)
+    assert failure is None, failure
     print(f"criterion 09: PASS (500 ellipsoid lines: "
           f"{tally[DiskTag.DISK]} disks, {tally[DiskTag.POINT]} points, "
           f"{tally[DiskTag.EMPTY]} empty; bidisk lenses {lenses}/100)")

@@ -9,9 +9,11 @@ from bombon.actions import (CoreSplit, bundle_projection,
 from bombon.errors import NotOnQuadric, NotSmooth
 from bombon.linalg import max_abs
 from bombon.projective import ProjPoint, proj_close
-from bombon.quadrics import (QuadricBombon, random_bombon, random_point_on,
+from bombon.quadrics import (QuadricBombon, random_point_on,
                              random_smooth_bombon)
-from bombon.sections import SectionTag, classify_line_section
+from bombon.sections import classify_line_section
+from bombon.suite import (fixed_point_violation, orbit_violation,
+                          transport_tag_change)
 
 
 def test_core_split_frozen():
@@ -45,34 +47,13 @@ def test_bundle_projection_needs_on_point():
 
 
 def test_orbit_stays_on_quadric_and_line():
-    rng = np.random.default_rng(83)
-    for _ in range(40):
-        n = int(rng.integers(1, 6))
-        x = random_smooth_bombon(rng, n)
-        split = CoreSplit.from_quadric(x)
-        p = random_point_on(rng, x)
-        pu, pv = bundle_projection(x, split, p)
-        span = np.column_stack([pu.v, pv.v])
-        coef, *_ = np.linalg.lstsq(span, p.unit, rcond=None)
-        assert np.linalg.norm(span @ coef - p.unit) < 1e-9
-        for theta in (0.4, 1.9, 3.6):
-            w = s1_action(split, theta, p.unit)
-            assert abs(x.value(ProjPoint(w))) < 1e-9
-            coef, *_ = np.linalg.lstsq(span, w, rcond=None)
-            assert np.linalg.norm(span @ coef - w) < 1e-9
+    failure = orbit_violation(np.random.default_rng(83), 40)
+    assert failure is None, failure
 
 
 def test_action_fixes_cores_only():
-    rng = np.random.default_rng(89)
-    x = random_smooth_bombon(rng, 3)
-    split = CoreSplit.from_quadric(x)
-    cu, cv = x.cores()
-    for sub in (cu, cv):
-        k = sub.basis.shape[1]
-        w = sub.basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
-        assert proj_close(s1_action(split, 1.7, w), w, 1e-9)
-    p = random_point_on(rng, x)
-    assert not proj_close(s1_action(split, 1.7, p.unit), p.unit, 1e-6)
+    failure = fixed_point_violation(np.random.default_rng(89), 10)
+    assert failure is None, failure
 
 
 def test_pseudo_unitary_check():
@@ -122,17 +103,7 @@ def test_transport_requires_smooth_and_on():
 
 
 def test_transport_preserves_section_tags():
-    rng = np.random.default_rng(101)
-    x = random_smooth_bombon(rng, 3)
-    p = random_point_on(rng, x)
-    q = random_point_on(rng, x)
-    wit = homogeneity_transport(x, p, q)
-    from bombon.projective import ProjLine, sample_line
-    for _ in range(25):
-        line = sample_line(rng, 3)
-        s1, _ = classify_line_section(x, line)
-        s2, _ = classify_line_section(
-            x, ProjLine(wit.t @ line.a, wit.t @ line.b))
-        if s1.low_confidence or s2.low_confidence:
-            continue
-        assert s1.tag is s2.tag
+    # judged with the two-sides probe on, the classifier's default
+    failure, _ = transport_tag_change(np.random.default_rng(101), 5,
+                                      classify_line_section)
+    assert failure is None, failure

@@ -142,9 +142,24 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path):
     (["verify", "--lines", "-5"], "n_lines must be >= 0, got -5"),
     (["suite", "--lines", "-1"], "n_lines must be >= 0, got -1"),
     (["mvee", "--eps", "-1"], "eps must be finite and >= 0, got -1.0"),
-    (["mvee", "--eps", "nan"], "eps must be finite and >= 0, got nan")])
+    (["mvee", "--eps", "nan"], "eps must be finite and >= 0, got nan"),
+    (["disksect", "--disk-tol", "-1"],
+     "tol must be finite and >= 0, got -1.0"),
+    (["disksect", "--disk-tol", "nan"],
+     "tol must be finite and >= 0, got nan"),
+    (["type", "--tol", "-1"], "tol must be finite and >= 0, got -1.0"),
+    (["classify", "--tol", "nan"], "tol must be finite and >= 0, got nan"),
+    (["orbit", "--samples", "0"], "--samples must be >= 1, got 0"),
+    (["orbit", "--samples", "-3"], "--samples must be >= 1, got -3"),
+    (["orbit"], '"thetas" must be a nonempty list')])
 def test_out_of_range_option_exits_2(capsys, monkeypatch, argv, error):
-    payload = {"quadric": ELL3, "points": [[[1, 0]], [[-1, 0]]]}
+    # "line" is the test_disksect line; the tol check fires before the
+    # classify handler reads it
+    payload = {"quadric": ELL3, "points": [[[1, 0]], [[-1, 0]]],
+               "point": [[1, 0], [0, 0], [1, 0]], "thetas": [],
+               "body": {"type": "ellipsoid", "H": [[1, 0], [0, 4]]},
+               "line": {"base": [[0, 0], [0.3, 0]],
+                        "direction": [[1, 0], [0, 0]]}}
     code, obj = run_json(capsys, monkeypatch, argv, payload)
     assert code == 2
     assert obj == {"error": error}

@@ -5,10 +5,10 @@ import pytest
 
 from bombon.convexity import (AffineComplexLine, DiskTag, abstract_line_points,
                               ball_body, disk_section_test, ellipsoid_body,
-                              john_touchpoint_check, linear_closure,
-                              mvee_complex, polydisk_body)
+                              linear_closure, mvee_complex, polydisk_body)
 from bombon.errors import DegenerateSpan, NotOnSphere
 from bombon.linalg import max_abs, sym
+from bombon.suite import mvee_violation
 
 
 def test_ball_membership():
@@ -89,15 +89,8 @@ def test_mvee_symmetric_frozen():
 
 
 def test_mvee_contains_and_certifies():
-    rng = np.random.default_rng(107)
-    for n in (2, 3):
-        pts = rng.standard_normal((4 * n, n)) + 1j * rng.standard_normal((4 * n, n))
-        ell = mvee_complex(pts, eps=1e-6)
-        assert float(np.max(ell.gauge(pts))) <= 1.0 + 1e-6 + 1e-9
-        gaps = np.asarray(ell.gap_history)
-        assert np.all(np.diff(gaps) <= 1e-15)
-        assert gaps[-1] <= 1e-6
-        assert john_touchpoint_check(pts, ell)
+    failure = mvee_violation(np.random.default_rng(107), 8)
+    assert failure is None, failure
 
 
 def test_mvee_affine_equivariance():

@@ -9,6 +9,7 @@ from bombon.moebius import (GenCircle, MoebiusMap, _fit_hermitian_through,
                             circle_through, conjugate_point,
                             pushforward_circle, rotation)
 from bombon.projective import ProjPoint
+from bombon.suite import involution_violation
 
 ZERO = ProjPoint([0.0, 1.0])
 ONE = ProjPoint([1.0, 1.0])
@@ -111,13 +112,8 @@ def test_conjugate_point_frozen():
 
 
 def test_conjugate_point_involution():
-    rng = np.random.default_rng(73)
-    c = GenCircle.unit_circle()
-    for _ in range(50):
-        z = ProjPoint(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        if abs(c.value(z)) < 1e-6:
-            continue
-        assert conjugate_point(c, conjugate_point(c, z)).isclose(z, 1e-9)
+    failure = involution_violation(np.random.default_rng(73), 50)
+    assert failure is None, failure
 
 
 def test_rotation_multiplier_frozen():

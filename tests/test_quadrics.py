@@ -10,13 +10,7 @@ from bombon.quadrics import (QuadricBombon, SideSign, SpecialKind,
                              equivalence_witness, join_with_apex, quad,
                              random_bombon, random_point_on,
                              random_smooth_bombon)
-from bombon.suite import fullness_violation
-
-
-def _conditioned(rng, k):
-    from bombon.linalg import random_unitary
-    s = np.exp(rng.uniform(np.log(0.3), np.log(3.0), size=k))
-    return random_unitary(rng, k) @ np.diag(s) @ random_unitary(rng, k)
+from bombon.suite import _conditioned, fullness_violation
 
 
 def test_rejects_definite_and_zero():

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from bombon.errors import NotOnQuadric, NotSmooth, PreconditionError
-from bombon.linalg import max_abs, random_unitary
-from bombon.projective import (ProjLine, ProjPoint, Subspace, line_through,
-                               proj_close, sample_line, sample_point)
+from bombon.linalg import random_unitary
+from bombon.projective import (ProjLine, ProjPoint, Subspace, proj_close,
+                               sample_line)
 from bombon.quadrics import (QuadricBombon, SideSign, random_bombon,
                               random_smooth_bombon)
 from bombon.sections import (SectionTag, circle_points, classify_line_section,
                              restrict_form, section_with_subspace,
                              tangent_section_singular_point, tangent_space)
+from bombon.suite import tangent_audit
 
 ELLIPTIC = QuadricBombon.from_epsilons([1, 1, -1])
 
@@ -161,28 +162,10 @@ def _point_on(rng, x):
 
 
 def test_tangent_lines_never_circles():
-    rng = np.random.default_rng(61)
-    for _ in range(20):
-        n = int(rng.integers(2, 5))
-        x = random_smooth_bombon(rng, n)
-        p = _point_on(rng, x)
-        h = tangent_space(x, p)
-        for _ in range(20):
-            coef = rng.standard_normal(h.basis.shape[1]) \
-                + 1j * rng.standard_normal(h.basis.shape[1])
-            q = ProjPoint(h.basis @ coef)
-            if proj_close(q.v, p.v, 1e-9):
-                continue
-            sec, _ = classify_line_section(x, line_through(p, q))
-            if not sec.low_confidence:
-                assert sec.tag is not SectionTag.CIRCLE
-        for _ in range(20):
-            q = sample_point(rng, n)
-            if h.contains_point(q) or proj_close(q.v, p.v, 1e-9):
-                continue
-            sec, _ = classify_line_section(x, line_through(p, q))
-            if not sec.low_confidence:
-                assert sec.tag is SectionTag.CIRCLE
+    # judged with the two-sides probe on, the classifier's default
+    failure, _ = tangent_audit(np.random.default_rng(61), 7,
+                               classify_line_section)
+    assert failure is None, failure
 
 
 def _side_codes(sides):
