@@ -19,7 +19,7 @@ from .actions import CoreSplit, bundle_projection, homogeneity_transport, \
 from .convexity import disk_section_test, mvee_complex
 from .errors import (BombonError, ExpectationViolated, NoConvergence,
                      OracleInconsistent, TypeMismatch)
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, finite_nonnegative
 from .moebius import GenCircle, rotation
 from .oracles import (RunConfig, bidisk_oracle, oracle_from_quadric,
                       verify_axioms, verify_point_star)
@@ -89,16 +89,18 @@ def _cmd_classify(args):
     return jsonio.encode_section(sec, rep), _EXIT_OK
 
 
+def _encode_section_of(x, sub):
+    result = section_with_subspace(x, sub)
+    if isinstance(result, QuadricBombon):
+        return {"kind": "quadric", "quadric": jsonio.encode_quadric(result)}
+    return {"kind": "subspace", "subspace": jsonio.encode_subspace(result)}
+
+
 def _cmd_section(args):
     obj = _load(args)
     x = _quadric_from(obj, "quadric", args.tol)
     sub = jsonio.decode_subspace(obj.get("subspace"), x.n)
-    result = section_with_subspace(x, sub)
-    if isinstance(result, QuadricBombon):
-        return {"kind": "quadric",
-                "quadric": jsonio.encode_quadric(result)}, _EXIT_OK
-    return {"kind": "subspace",
-            "subspace": jsonio.encode_subspace(result)}, _EXIT_OK
+    return _encode_section_of(x, sub), _EXIT_OK
 
 
 def _cmd_type(args):
@@ -152,15 +154,8 @@ def _cmd_tangent(args):
     x = _quadric_from(obj, "quadric", args.tol)
     p = jsonio.decode_point(obj.get("point"), x.n + 1)
     h = tangent_space(x, p)
-    payload = {"subspace": jsonio.encode_subspace(h)}
-    result = section_with_subspace(x, h)
-    if isinstance(result, QuadricBombon):
-        payload["section"] = {"kind": "quadric",
-                              "quadric": jsonio.encode_quadric(result)}
-    else:
-        payload["section"] = {"kind": "subspace",
-                              "subspace": jsonio.encode_subspace(result)}
-    return payload, _EXIT_OK
+    return {"subspace": jsonio.encode_subspace(h),
+            "section": _encode_section_of(x, h)}, _EXIT_OK
 
 
 def _cmd_cores(args):
@@ -180,6 +175,8 @@ def _cmd_orbit(args):
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     if "thetas" in obj:
+        if not isinstance(obj["thetas"], list):
+            raise ValueError('"thetas" must be a JSON array')
         thetas = [float(t) for t in obj["thetas"]]
         if not thetas:
             raise ValueError('"thetas" must be a nonempty list')
@@ -264,7 +261,8 @@ def _oracle_from_spec(obj, tol):
         radii = spec.get("radii", [1.0, 1.0])
         if not isinstance(radii, list) or len(radii) != 2:
             raise ValueError("bidisk oracle needs two radii")
-        return bidisk_oracle((float(radii[0]), float(radii[1])))
+        return bidisk_oracle(tuple(finite_nonnegative(r, "bidisk radius")
+                                   for r in radii))
     raise ValueError(f"unknown oracle type: {kind!r}")
 
 

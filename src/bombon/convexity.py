@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import (DegenerateSpan, NoConvergence, NotOnSphere,
                      OracleInconsistent)
-from .linalg import (form_values, hermitian_eig, orthonormal_columns,
-                     real_form, sym)
+from .linalg import (finite_nonnegative, form_values, hermitian_eig,
+                     orthonormal_columns, real_form, sym)
 
 _GRID = 64
 _RAYS = 256
@@ -145,8 +145,7 @@ def disk_section_test(body, line, tol=1e-3, rng=None):
     checked on midpoints; violations raise OracleInconsistent.  A
     negative or non-finite tol raises ValueError.
     """
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    tol = finite_nonnegative(tol, "tol")
     rng = np.random.default_rng(0) if rng is None else rng
     t0 = -complex(np.vdot(line.direction, line.base))
     dmin = float(np.linalg.norm(line.base + t0 * line.direction))
@@ -241,8 +240,7 @@ def mvee_complex(points, eps=1e-6):
     ellipsoid can meet, DegenerateSpan when the points fail to affinely
     span C^n and NoConvergence if the iteration budget runs out.
     """
-    if not (np.isfinite(eps) and eps >= 0):
-        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    eps = finite_nonnegative(eps, "eps")
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a nonempty (m, n) array")

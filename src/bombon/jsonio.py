@@ -22,6 +22,7 @@ from itertools import chain
 import numpy as np
 
 from .convexity import AffineComplexLine, ball_body, ellipsoid_body, polydisk_body
+from .linalg import finite_nonnegative
 from .projective import ProjLine, ProjPoint, Subspace
 from .quadrics import QuadricBombon
 
@@ -298,7 +299,7 @@ def decode_body(obj):
     kind = obj["type"]
     if kind == "ball":
         n = int(obj.get("n", 2))
-        radius = float(obj.get("radius", 1.0))
+        radius = finite_nonnegative(obj.get("radius", 1.0), "ball radius")
         center = (decode_vector(obj["center"], n) if "center" in obj
                   else np.zeros(n, dtype=complex))
         return ball_body(n, radius=radius, center=center)
@@ -313,7 +314,8 @@ def decode_body(obj):
         radii = obj.get("radii", [1.0, 1.0])
         if not isinstance(radii, list) or not radii:
             raise ValueError("bidisk radii must be a nonempty array")
-        return polydisk_body([float(r) for r in radii])
+        return polydisk_body([finite_nonnegative(r, "bidisk radius")
+                              for r in radii])
     raise ValueError(f"unknown body type: {kind!r}")
 
 

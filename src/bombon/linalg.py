@@ -52,6 +52,14 @@ def max_abs(m):
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def finite_nonnegative(x, name):
+    """``x`` as a float; ValueError naming ``name`` unless finite and >= 0."""
+    v = float(x)
+    if not (math.isfinite(v) and v >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {v}")
+    return v
+
+
 def zero_tol(m, tol=DEFAULT_TOL):
     """Zero threshold for quantities derived from ``m``."""
     return tol * max(1.0, max_abs(m))
@@ -285,6 +293,15 @@ def congruence_to_signs(m, tol=DEFAULT_TOL):
         signs.append(0)
     t = np.column_stack(cols) if cols else np.zeros((m.shape[0], 0), dtype=complex)
     return t, np.array(signs, dtype=int)
+
+
+def circle_frame(sig):
+    """Columns (w+, w-): the eigenvectors of a 2x2 form with eigenvalues
+    l0 < 0 < l1 scaled to form values +1 and -1, so that the form reads
+    |z|^2 - 1 at z w+ + w-.  Eigenvalues below the zero cut scale too."""
+    lam, q = sig.eigvals, sig.eigbasis
+    return np.column_stack([q[:, 1] / np.sqrt(lam[1]),
+                            q[:, 0] / np.sqrt(-lam[0])])
 
 
 def random_hermitian(rng, k, scale=1.0):

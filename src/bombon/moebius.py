@@ -17,9 +17,9 @@ circle.
 import numpy as np
 
 from .errors import CoincidentPoints, PointOnCircle
-from .linalg import (DEFAULT_TOL, as_cmatrix, as_cvector, hermitian_eig,
-                     hermitize, max_abs, sym, zero_tol)
-from .projective import ProjPoint, proj_close
+from .linalg import (DEFAULT_TOL, as_cmatrix, as_cvector, circle_frame,
+                     hermitian_eig, hermitize, max_abs, sym, zero_tol)
+from .projective import ProjPoint, form_value, proj_close
 
 _J_INV = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 
@@ -93,9 +93,7 @@ class GenCircle:
         return cls(np.array([[0.0, 1j], [-1j, 0.0]]))
 
     def value(self, z):
-        v = z.v if isinstance(z, ProjPoint) else as_cvector(z)
-        v = v / np.linalg.norm(v)
-        return float(np.real(np.vdot(v, self.m @ v)))
+        return form_value(self.m, z)
 
     def contains(self, z, tol=DEFAULT_TOL):
         return abs(self.value(z)) <= zero_tol(self.m, tol)
@@ -118,11 +116,7 @@ class GenCircle:
         Built from the eigendecomposition; deterministic, and the three
         model points 1, -1, i pull back to reproducible witness zeros.
         """
-        sig = hermitian_eig(self.m)
-        lam, q = sig.eigvals, sig.eigbasis
-        k = np.column_stack([q[:, 1] / np.sqrt(lam[1]),
-                             q[:, 0] / np.sqrt(-lam[0])])
-        return MoebiusMap(np.linalg.inv(k))
+        return MoebiusMap(np.linalg.inv(circle_frame(hermitian_eig(self.m))))
 
     def witness_zeros(self):
         """Three reproducible points on the circle."""

@@ -18,10 +18,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import form_values, max_abs, real_form, sq_norms, zero_tol
-from .moebius import GenCircle, _fit_hermitian_through
+from .linalg import (circle_frame, form_values, hermitian_eig, max_abs,
+                     real_form, sq_norms, zero_tol)
+from .moebius import _fit_hermitian_through
 from .projective import sample_line
-from .sections import SectionTag
+from .sections import SectionTag, side_rings
 from .version import VERSION
 
 _GOLDEN = (1.0 + 5.0 ** 0.5) / 2.0
@@ -29,10 +30,9 @@ _GOLDEN = (1.0 + 5.0 ** 0.5) / 2.0
 # the fallback stage for one-sided lines
 _GRID = 128
 _STAGE2 = 131072
-# zero tracing: rays, bisection steps, and points per side-probe ring
+# zero tracing: rays and bisection steps
 _RAYS = 64
 _BISECT_ITERS = 60
-_RING = 16
 # Rows per block when labelling a grid: big enough to amortize the
 # per-call cost, small enough that a block's temporaries stay in cache.
 _BLOCK = 4096
@@ -290,13 +290,6 @@ def _trace_zeros(oracle, basis, p_u, p_v):
     return zeros, p
 
 
-def _ring_labels(oracle, basis, chart_inv, radius):
-    w = radius * np.exp(2j * np.pi * np.arange(_RING) / _RING)
-    hom = np.column_stack([w, np.ones_like(w)])
-    sp = hom @ chart_inv.m.T
-    return oracle.labels(sp @ basis.T)
-
-
 def _grid_labels(oracle, grid, basis):
     # Oracle labels of the line points grid @ basis.T, one row block at
     # a time; rows are labelled independently, so blocks change nothing.
@@ -343,18 +336,17 @@ def oracle_line_tag(oracle, basis, chart_residual=1e-4):
     m, _ = _fit_hermitian_through(zeros)
     if np.linalg.det(m).real >= 0:
         return "nonconforming", True, "zero set fit is not mixed-signature"
-    circ = GenCircle(m)
-    chart = circ.to_unit_chart()
-    hom = zeros @ chart.m.T
+    frame = circle_frame(hermitian_eig(m))
+    hom = np.linalg.solve(frame, zeros.T).T
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.abs(hom[:, 0] / hom[:, 1])
     residual = float(np.max(np.abs(r - 1.0)))
     if not np.isfinite(residual) or residual > chart_residual:
         return "nonconforming", True, (
             f"circle fit residual {residual:.3e} in chart units")
-    inv = chart.inverse()
-    inner = _ring_labels(oracle, basis, inv, 0.5)
-    outer = _ring_labels(oracle, basis, inv, 2.0)
+    rings = side_rings(basis, frame)
+    inner, outer = oracle.labels(
+        rings.reshape(-1, basis.shape[0])).reshape(rings.shape[:2])
     ok = (np.all(inner == inner[0]) and np.all(outer == outer[0])
           and inner[0] != 0 and outer[0] != 0 and inner[0] != outer[0])
     return "circle", bool(ok), ""

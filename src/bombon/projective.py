@@ -10,8 +10,8 @@ bit-identical coordinates.
 import numpy as np
 
 from .errors import CoincidentPoints, ZeroVector
-from .linalg import (DEFAULT_TOL, as_cvector, hermitian_eig, nullspace,
-                     orthonormal_columns, sym)
+from .linalg import (DEFAULT_TOL, as_cvector, hermitian_eig, max_abs,
+                     nullspace, orthonormal_columns, sym)
 
 _PIVOT_RTOL = 1e-12
 
@@ -45,6 +45,20 @@ def unit_rep(v):
     if n < 1e-300:
         raise ZeroVector("zero vector has no unit representative")
     return w / n
+
+
+def form_value(a, p):
+    """Re(v* A v) / (v* v) at a ProjPoint's coordinates or a vector v.
+
+    v is first scaled by a power of two, which is exact, so that tiny
+    and huge v neither under- nor overflow.  ZeroVector for v = 0.
+    """
+    v = p.v if isinstance(p, ProjPoint) else as_cvector(p)
+    big = max_abs(v)
+    if big < 1e-300:
+        raise ZeroVector("zero vector has no form value")
+    v = v * np.ldexp(1.0, 1 - np.frexp(big)[1])
+    return float(np.vdot(v, a @ v).real / np.vdot(v, v).real)
 
 
 def proj_close(u, v, tol=DEFAULT_TOL):

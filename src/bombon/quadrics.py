@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import (NotABombon, NotComplementary, NotOnQuadric,
                      TypeMismatch, ZeroVector)
-from .linalg import (DEFAULT_TOL, as_cvector, congruence_to_signs,
+from .linalg import (DEFAULT_TOL, congruence_to_signs, finite_nonnegative,
                      hermitian_eig, hermitize, max_abs, sym, zero_tol)
-from .projective import ProjPoint, Subspace, meet, unit_rep
+from .projective import ProjPoint, Subspace, form_value, meet
 
 
 class SideSign(enum.Enum):
@@ -107,8 +107,7 @@ class QuadricBombon:
     """
 
     def __init__(self, a, tol=DEFAULT_TOL):
-        if not (math.isfinite(tol) and tol >= 0):
-            raise ValueError(f"tol must be finite and >= 0, got {tol}")
+        tol = finite_nonnegative(tol, "tol")
         m = hermitize(a)
         scale = max_abs(m)
         if scale < 1e-300:
@@ -138,9 +137,8 @@ class QuadricBombon:
         return self.a.shape[0] - 1
 
     def value(self, x):
-        """Real form value at the unit representative of x."""
-        v = unit_rep(x.v if isinstance(x, ProjPoint) else as_cvector(x))
-        return float(np.real(np.vdot(v, self.a @ v)))
+        """Real form value at x; see ``projective.form_value``."""
+        return form_value(self.a, x)
 
     def evaluate(self, x):
         """(value, side) at a point; ON within tol * max(1, |A|_inf)."""
@@ -304,26 +302,23 @@ def random_bombon(rng, n, n_pos=None, n_zero=None):
 def random_point_on(rng, x):
     """A point of the quadric, found on a line through opposite sides.
 
-    Samples point pairs until their sides differ, then takes an
-    isotropic direction of the restricted 2x2 form on that line.
-    Raises ZeroVector after 10000 pairs without a point.
+    Samples point pairs until their sides differ, then takes the first
+    isotropic vector of the circle the section classifier finds on that
+    line.  Raises ZeroVector after 10000 pairs without a point.
     """
-    from .projective import sample_point
+    from .projective import ProjLine, sample_point
+    from .sections import classify_line_section
 
     for _ in range(10000):
         p = sample_point(rng, x.n)
         q = sample_point(rng, x.n)
-        vp, sp = x.evaluate(p)
-        vq, sq = x.evaluate(q)
-        if {sp, sq} != {SideSign.U, SideSign.V}:
+        if {x.side(p), x.side(q)} != {SideSign.U, SideSign.V}:
             continue
-        a, b = p.v, q.v
-        m2 = np.array([[quad(x.a, a, a), quad(x.a, a, b)],
-                       [quad(x.a, b, a), quad(x.a, b, b)]])
-        sig2 = hermitian_eig(sym(m2))
-        lam, vecs = sig2.eigvals, sig2.eigbasis
-        w = vecs[:, -1] / np.sqrt(lam[-1]) + vecs[:, 0] / np.sqrt(-lam[0])
-        pt = ProjPoint(w[0] * a + w[1] * b)
+        sec, _ = classify_line_section(x, ProjLine(p.v, q.v),
+                                       with_sides=False)
+        if sec.circle is None:
+            continue
+        pt = ProjPoint(sec.circle.a)
         if x.contains(pt):
             return pt
     raise ZeroVector("failed to find an on-quadric point")

@@ -20,11 +20,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import ExpectationViolated, NotSmooth, PreconditionError
-from .linalg import hermitian_eig, nullspace, sym, zero_tol
+from .linalg import circle_frame, hermitian_eig, nullspace, sym, zero_tol
 from .projective import ProjLine, ProjPoint, Subspace, proj_close
 from .quadrics import QuadricBombon, SideSign, SpecialKind, quad
 
-# side probes per ring when checking that a circle separates the sides
+# points per ring when probing the two sides of a circle section
 _SIDE_ANGLES = 16
 
 
@@ -90,41 +90,17 @@ def restrict_form(x, s):
     two stored representatives as given, which keeps the cross
     coefficient formulas literal.
     """
-    if isinstance(s, ProjLine):
-        b = s.basis()
-    elif isinstance(s, Subspace):
-        b = s.basis
-    else:
-        b = np.asarray(s, dtype=complex)
+    b = s.basis() if isinstance(s, ProjLine) else s.basis
     return sym(b.conj().T @ x.a @ b)
 
 
-def _isotropic_pair(x, line, wp, wn):
-    a, b = line.a, line.b
-    thr = zero_tol(x.a, x.tol)
-    na2 = float(np.linalg.norm(a)) ** 2
-    nb2 = float(np.linalg.norm(b)) ** 2
-    if (abs(quad(x.a, a, a)) <= thr * na2 and abs(quad(x.a, b, b)) <= thr * nb2):
-        return a, b
-    ca = wp + wn
-    cb = wp - wn
-    amb_a = ca[0] * a + ca[1] * b
-    amb_b = cb[0] * a + cb[1] * b
-    return amb_a, amb_b
-
-
-def _sample_circle_sides(x, line, wp, wn):
-    # In line coordinates z wp + wn the restricted form is |z|^2 - 1, so
-    # the unit circle is the section; probe both disks off it.
-    basis = line.basis()
-    sides = []
-    for r in (0.5, 2.0):
-        got = []
-        for k in range(_SIDE_ANGLES):
-            z = r * np.exp(2j * np.pi * k / _SIDE_ANGLES)
-            got.append(x.side(ProjPoint(basis @ (z * wp + wn))))
-        sides.append(tuple(got))
-    return TwoSidesReport(inner=sides[0], outer=sides[1])
+def side_rings(basis, frame):
+    """The (2, _SIDE_ANGLES, n+1) points at |z| = 0.5 and |z| = 2 of the
+    line chart z w+ + w-, (w+, w-) = ``frame`` from ``circle_frame``,
+    where a circle section is |z| = 1."""
+    k = np.arange(_SIDE_ANGLES)
+    z = np.array([[0.5], [2.0]]) * np.exp(2j * np.pi * k / _SIDE_ANGLES)
+    return (z[..., None] * frame[:, 0] + frame[:, 1]) @ basis.T
 
 
 def classify_line_section(x, line, with_sides=True):
@@ -149,14 +125,21 @@ def classify_line_section(x, line, with_sides=True):
                             low_confidence=low), None
     if sig2.n_pos == 2 or sig2.n_neg == 2:
         return SectionClass(SectionTag.EMPTY, low_confidence=low), None
-    # eigenvectors scaled to form values +1 and -1
-    lam, q = sig2.eigvals, sig2.eigbasis
-    wp = q[:, 1] / np.sqrt(lam[1])
-    wn = q[:, 0] / np.sqrt(-lam[0])
-    a, b = _isotropic_pair(x, line, wp, wn)
-    c = quad(x.a, b, a)
-    param = CircleParam(a=a, b=b, c=c)
-    report = _sample_circle_sides(x, line, wp, wn) if with_sides else None
+    frame = circle_frame(sig2)
+    a, b = line.a, line.b
+    # m2's diagonal is v* A v at v = a, b: unless the form vanishes at
+    # both, take the points z = 1 and z = -1 of the chart z w+ + w-
+    cut = zero_tol(x.a, x.tol)
+    if (abs(m2[0, 0].real) > cut * np.vdot(a, a).real
+            or abs(m2[1, 1].real) > cut * np.vdot(b, b).real):
+        ca, cb = frame[:, 0] + frame[:, 1], frame[:, 0] - frame[:, 1]
+        a, b = (c[0] * line.a + c[1] * line.b for c in (ca, cb))
+    param = CircleParam(a=a, b=b, c=quad(x.a, b, a))
+    report = None
+    if with_sides:
+        inner, outer = (tuple(x.side(row) for row in ring)
+                        for ring in side_rings(line.basis(), frame))
+        report = TwoSidesReport(inner=inner, outer=outer)
     return SectionClass(SectionTag.CIRCLE, circle=param, low_confidence=low), report
 
 

@@ -610,9 +610,11 @@ _TRANSPORT_LINES = 5
 
 def transport_tag_change(rng, count, classify):
     """Move _TRANSPORT_LINES random lines by the transport between two
-    random points of each of ``count`` random smooth forms, and judge
-    each line before and after with ``classify(x, line)``.  Returns (the
-    first changed tag as text or None, number of confident pairs).
+    random points of each of ``count`` random smooth forms; judge each
+    line before and after with ``classify(x, line)``, and before also
+    with the grid oracle, which a fault hitting both alike cannot fool.
+    Returns (the first changed or disputed tag as text or None, number
+    of confident pairs).
     """
     checked = 0
     for _ in range(count):
@@ -631,6 +633,10 @@ def transport_tag_change(rng, count, classify):
             if s1.tag is not s2.tag:
                 return (f"transport changed {s1.tag.value} to "
                         f"{s2.tag.value}"), checked
+            tag = grid_line_tag(x.a, line.basis())
+            if tag is not s1.tag:
+                return (f"classifier said {s1.tag.value}, "
+                        f"grid oracle said {tag.value}"), checked
     return None, checked
 
 

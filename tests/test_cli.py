@@ -36,6 +36,15 @@ def test_classify_circle(capsys, monkeypatch):
     assert obj["sides"]["separates"] is True
 
 
+def test_tangent_at_exact_zero_with_tol_0(capsys, monkeypatch):
+    # the form is exactly 0 at (1, 0, 1), so even --tol 0 accepts it
+    payload = {"quadric": ELL3, "point": [[1, 0], [0, 0], [1, 0]]}
+    code, obj = run_json(capsys, monkeypatch, ["tangent", "--tol", "0"],
+                         payload)
+    assert code == 0
+    assert len(obj["subspace"]["basis"]) == 2
+
+
 def test_type_and_canonical(capsys, monkeypatch):
     code, obj = run_json(capsys, monkeypatch, ["type"], {"quadric": ELL3})
     assert code == 0
@@ -138,6 +147,23 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path):
     assert code == 2
 
 
+# payload fields that replace the shared ones, keyed by the error they
+# must give; each used to get a confident answer with exit 0
+OUT_OF_RANGE_FIELDS = {
+    "ball radius must be finite and >= 0, got nan":
+        {"body": {"type": "ball", "radius": float("nan")}},
+    "ball radius must be finite and >= 0, got -1.0":
+        {"body": {"type": "ball", "radius": -1}},
+    "ball radius must be finite and >= 0, got inf":
+        {"body": {"type": "ball", "radius": float("inf")}},
+    "bidisk radius must be finite and >= 0, got -1.0":
+        {"body": {"type": "bidisk", "radii": [-1, 1]}},
+    '"thetas" must be a JSON array': {"thetas": "12"},
+    "bidisk radius must be finite and >= 0, got nan":
+        {"oracle": {"type": "bidisk", "radii": [float("nan"), 1]}},
+}
+
+
 @pytest.mark.parametrize("argv, error", [
     (["verify", "--lines", "-5"], "n_lines must be >= 0, got -5"),
     (["suite", "--lines", "-1"], "n_lines must be >= 0, got -1"),
@@ -151,7 +177,13 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path):
     (["classify", "--tol", "nan"], "tol must be finite and >= 0, got nan"),
     (["orbit", "--samples", "0"], "--samples must be >= 1, got 0"),
     (["orbit", "--samples", "-3"], "--samples must be >= 1, got -3"),
-    (["orbit"], '"thetas" must be a nonempty list')])
+    (["orbit"], '"thetas" must be a nonempty list'),
+    (["disksect"], "ball radius must be finite and >= 0, got nan"),
+    (["disksect"], "ball radius must be finite and >= 0, got -1.0"),
+    (["disksect"], "ball radius must be finite and >= 0, got inf"),
+    (["disksect"], "bidisk radius must be finite and >= 0, got -1.0"),
+    (["orbit"], '"thetas" must be a JSON array'),
+    (["verify"], "bidisk radius must be finite and >= 0, got nan")])
 def test_out_of_range_option_exits_2(capsys, monkeypatch, argv, error):
     # "line" is the test_disksect line; the tol check fires before the
     # classify handler reads it
@@ -160,6 +192,7 @@ def test_out_of_range_option_exits_2(capsys, monkeypatch, argv, error):
                "body": {"type": "ellipsoid", "H": [[1, 0], [0, 4]]},
                "line": {"base": [[0, 0], [0.3, 0]],
                         "direction": [[1, 0], [0, 0]]}}
+    payload.update(OUT_OF_RANGE_FIELDS.get(error, {}))
     code, obj = run_json(capsys, monkeypatch, argv, payload)
     assert code == 2
     assert obj == {"error": error}

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from bombon.errors import CoincidentPoints, ZeroVector
+from bombon.linalg import form_values, real_form, sq_norms
 from bombon.projective import (ProjLine, ProjPoint, Subspace, canonicalize,
-                               line_through, meet, perp, proj_close,
-                               sample_line, sample_point, span, unit_rep)
+                               form_value, line_through, meet, perp,
+                               proj_close, sample_line, sample_point, span,
+                               unit_rep)
 
 
 def test_canonicalize_frozen():
@@ -27,6 +29,26 @@ def test_zero_vector_rejected():
         ProjPoint([0.0, 0.0, 0.0])
     with pytest.raises(ZeroVector):
         unit_rep(np.zeros(3, dtype=complex))
+
+
+def test_form_value_rule():
+    a = np.diag([1.0, 1.0, -1.0]).astype(complex)
+    # an exact zero of the form reads exactly 0 at any scale, also where
+    # the squared entries would under- or overflow
+    for s in (1.0, 2.0 ** -600, 2.0 ** 600):
+        assert form_value(a, [s, 0.0, s]) == 0.0
+    assert form_value(a, ProjPoint([2.0, 0.0, 2.0])) == 0.0
+    # Re(v* A v) / (v* v), the rule of the batched oracle kernel, for
+    # representatives from tiny to huge
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m = m + m.conj().T
+    for scale in (1e-250, 1.0, 1e250):
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        want = form_values(v, real_form(m)) / sq_norms(v)
+        assert form_value(m, scale * v) == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ZeroVector):
+        form_value(a, np.zeros(3))
 
 
 def test_proj_close_ignores_phase_and_scale():

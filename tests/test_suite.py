@@ -42,7 +42,7 @@ def test_subset_run_replays_full_run_randomness():
 def test_corrupt_classifier_is_caught():
     # the shared loops must judge with the classifier they are given
     names = ("section_classifier_vs_grid", "circle_parametrization_lands",
-             "tangent_hyperplane_audit")
+             "tangent_hyperplane_audit", "transport_preserves_sections")
     report, code = theorem_suite(small(), corrupt="classifier", names=names)
     assert code == 1
     assert report["verdict"] == "fail"
