@@ -6,10 +6,18 @@ classifier: values of the Hermitian form on a spherical grid of a line
 (verify_axioms).  The two views are compared against the exact
 classifier by the regression suite.
 
-The verifier labels each line on a 128-point grid first; a line that
-shows only one side there is labelled again on the 131072-point
-stage-2 grid, in blocks of 4096 rows so that each block's temporaries
-stay in cache.
+The verifier tags a stack of lines stage by stage, each stage across
+all its lines, and no labels call exceeds 4096 rows:
+- stage 1 labels the 128-point grids of 32 lines per call;
+- a line that shows only one side there is labelled again on the
+  131072-point stage-2 grid, in blocks of 4096 rows so that each
+  block's temporaries stay in cache;
+- the zero sets of the two-sided lines are bisected along 64 rays per
+  line, 64 lines per labels call and step;
+- each zero set gets its own circle fit, and the side rings of every
+  fitted line are labelled together.
+Rows are labelled independently, so the tags do not depend on which
+lines share a call.
 """
 
 from dataclasses import dataclass, field
@@ -36,6 +44,9 @@ _BISECT_ITERS = 60
 # Rows per block when labelling a grid: big enough to amortize the
 # per-call cost, small enough that a block's temporaries stay in cache.
 _BLOCK = 4096
+# lines per labels call, so that no call exceeds _BLOCK rows
+_STAGE1_LINES = _BLOCK // _GRID
+_TRACE_LINES = _BLOCK // _RAYS
 # ON band of the bidisk oracle around its gauge level 1
 _BIDISK_BAND = 1e-9
 _angle_cache = {}
@@ -257,37 +268,48 @@ def _fs_diameter(pts):
     return float(np.max(np.arccos(np.clip(g, 0.0, 1.0))))
 
 
-def _trace_zeros(oracle, basis, p_u, p_v):
-    """Chart: p_v at 0, p_u at infinity; bisect side flips along rays."""
-    p = np.column_stack([np.asarray(p_u, complex), np.asarray(p_v, complex)])
-    try:
-        g = np.linalg.inv(p)
-    except np.linalg.LinAlgError:
-        return None, None
+def _trace_zeros(oracle, bases, ends):
+    """Zero sets of the lines ``bases`` (m, n+1, 2) by bisection.
+
+    Line i is charted by the columns (p_u, p_v) of ends[i]: p_v sits at
+    0 and p_u at infinity.  The side flip along each of _RAYS rays is
+    bisected in log10 |z| from [-8, 8], for _TRACE_LINES lines per
+    labels call.  Returns per line the (k, 2) CP^1 coordinates of its k
+    bracketed zeros, or None when no ray brackets a flip.
+    """
     ang = np.exp(2j * np.pi * np.arange(_RAYS) / _RAYS)
+    out = []
+    for s in range(0, bases.shape[0], _TRACE_LINES):
+        basis_t = bases[s:s + _TRACE_LINES].transpose(0, 2, 1)
+        p = ends[s:s + _TRACE_LINES]
+        p_t = p.transpose(0, 2, 1)
+        # chart coordinates (w, 1) of the ray points, w rewritten per step
+        chart = np.ones((p.shape[0], _RAYS, 2), dtype=complex)
 
-    def lab(logr):
-        w = np.power(10.0, logr) * ang
-        sp = np.column_stack([w, np.ones_like(w)]) @ p.T
-        return oracle.labels(sp @ basis.T)
+        def lab(logr):
+            chart[..., 0] = np.power(10.0, logr) * ang
+            pts = (chart @ p_t) @ basis_t
+            return oracle.labels(pts.reshape(-1, pts.shape[2])).reshape(
+                logr.shape)
 
-    lo = np.full(_RAYS, -8.0)
-    hi = np.full(_RAYS, 8.0)
-    lab_lo = lab(lo)
-    lab_hi = lab(hi)
-    valid = (lab_lo != 0) & (lab_hi != 0) & (lab_lo != lab_hi)
-    if not np.any(valid):
-        return None, p
-    for _ in range(_BISECT_ITERS):
-        mid = (lo + hi) / 2.0
-        lm = lab(mid)
-        on = lm == 0
-        take_lo = (lm == lab_lo) & ~on
-        lo = np.where(valid & (take_lo | on), mid, lo)
-        hi = np.where(valid & (~take_lo | on), mid, hi)
-    w = np.power(10.0, (lo + hi) / 2.0) * ang
-    zeros = np.column_stack([w[valid], np.ones(int(valid.sum()))]) @ p.T
-    return zeros, p
+        lo = np.full((p.shape[0], _RAYS), -8.0)
+        hi = np.full((p.shape[0], _RAYS), 8.0)
+        lab_lo = lab(lo)
+        lab_hi = lab(hi)
+        valid = (lab_lo != 0) & (lab_hi != 0) & (lab_lo != lab_hi)
+        if np.any(valid):
+            for _ in range(_BISECT_ITERS):
+                mid = (lo + hi) / 2.0
+                lm = lab(mid)
+                on = lm == 0
+                take_lo = (lm == lab_lo) & ~on
+                lo = np.where(valid & (take_lo | on), mid, lo)
+                hi = np.where(valid & (~take_lo | on), mid, hi)
+        w = np.power(10.0, (lo + hi) / 2.0) * ang
+        for wi, vi, pi in zip(w, valid, p):
+            out.append(np.column_stack([wi[vi], np.ones(int(vi.sum()))])
+                       @ pi.T if np.any(vi) else None)
+    return out
 
 
 def _grid_labels(oracle, grid, basis):
@@ -297,59 +319,97 @@ def _grid_labels(oracle, grid, basis):
                            for i in range(0, grid.shape[0], _BLOCK)])
 
 
-def oracle_line_tag(oracle, basis, chart_residual=1e-4):
-    """Shape of the oracle's ON set on one line, by membership alone.
-
-    Returns (tag, two_sides_ok, summary): tag is one of the four
-    section names or "nonconforming"; two_sides_ok reports the
-    complementary-component check for circle fits (True when not
-    applicable); summary is a short text for nonconforming lines.
-    """
-    basis = np.asarray(basis, dtype=complex)
+def _grid_tag(oracle, basis, labels):
+    # (tag, None) of a line its grid labels decide, or (None, ends) of a
+    # two-sided line: the columns (p_u, p_v) of a U and a V grid point.
+    # ``labels`` are the stage-1 labels; a one-sided line is labelled
+    # again on the stage-2 grid.
     grid = cp1_grid(_GRID)
-    labels = _grid_labels(oracle, grid, basis)
     if bool(np.all(labels == 0)):
-        return "full_line", True, ""
-    has_u = bool(np.any(labels == 1))
-    has_v = bool(np.any(labels == -1))
-
-    if not (has_u and has_v):
+        return ("full_line", True, ""), None
+    if not (np.any(labels == 1) and np.any(labels == -1)):
         grid = cp1_grid(_STAGE2)
         labels = _grid_labels(oracle, grid, basis)
-        has_u = bool(np.any(labels == 1))
-        has_v = bool(np.any(labels == -1))
+    if np.any(labels == 1) and np.any(labels == -1):
+        return None, np.column_stack([grid[int(np.argmax(labels == 1))],
+                                      grid[int(np.argmax(labels == -1))]])
+    ons = grid[labels == 0]
+    if ons.shape[0] == 0:
+        return ("empty", True, ""), None
+    if _fs_diameter(ons) <= 0.2:
+        return ("single_point", True, ""), None
+    return ("nonconforming", True,
+            f"one-sided ON set of diameter {_fs_diameter(ons):.3f}"), None
 
-    if not (has_u and has_v):
-        ons = grid[labels == 0]
-        if ons.shape[0] == 0:
-            return "empty", True, ""
-        if _fs_diameter(ons) <= 0.2:
-            return "single_point", True, ""
-        return "nonconforming", True, (
-            f"one-sided ON set of diameter {_fs_diameter(ons):.3f}")
 
-    p_u = grid[int(np.argmax(labels == 1))]
-    p_v = grid[int(np.argmax(labels == -1))]
-    zeros, _ = _trace_zeros(oracle, basis, p_u, p_v)
+def _circle_fit(zeros, chart_residual):
+    # (circle_frame of the circle through the traced zeros, "") or
+    # (None, why the zeros are not a circle)
     if zeros is None or zeros.shape[0] < 8:
-        return "nonconforming", True, "could not bracket the zero set"
+        return None, "could not bracket the zero set"
     m, _ = _fit_hermitian_through(zeros)
     if np.linalg.det(m).real >= 0:
-        return "nonconforming", True, "zero set fit is not mixed-signature"
+        return None, "zero set fit is not mixed-signature"
     frame = circle_frame(hermitian_eig(m))
     hom = np.linalg.solve(frame, zeros.T).T
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.abs(hom[:, 0] / hom[:, 1])
     residual = float(np.max(np.abs(r - 1.0)))
     if not np.isfinite(residual) or residual > chart_residual:
-        return "nonconforming", True, (
-            f"circle fit residual {residual:.3e} in chart units")
-    rings = side_rings(basis, frame)
-    inner, outer = oracle.labels(
-        rings.reshape(-1, basis.shape[0])).reshape(rings.shape[:2])
-    ok = (np.all(inner == inner[0]) and np.all(outer == outer[0])
-          and inner[0] != 0 and outer[0] != 0 and inner[0] != outer[0])
-    return "circle", bool(ok), ""
+        return None, f"circle fit residual {residual:.3e} in chart units"
+    return frame, ""
+
+
+def oracle_line_tags(oracle, bases, chart_residual):
+    """Shape of the oracle's ON set on each line of the (m, n+1, 2)
+    stack ``bases``, by membership alone, in the stages the module
+    docstring lists.
+
+    Returns one (tag, two_sides_ok, summary) per line: tag is one of
+    the four section names or "nonconforming"; two_sides_ok reports the
+    complementary-component check for circle fits (True when not
+    applicable); summary is a short text for nonconforming lines.
+    """
+    bases = np.asarray(bases, dtype=complex)
+    k = bases.shape[1]
+    grid = cp1_grid(_GRID)
+    tags = [None] * bases.shape[0]
+    two_sided, ends = [], []
+    for s in range(0, bases.shape[0], _STAGE1_LINES):
+        pts = grid @ bases[s:s + _STAGE1_LINES].transpose(0, 2, 1)
+        labels = oracle.labels(pts.reshape(-1, k)).reshape(-1, _GRID)
+        for i, lab in enumerate(labels, s):
+            tags[i], end = _grid_tag(oracle, bases[i], lab)
+            if end is not None:
+                two_sided.append(i)
+                ends.append(end)
+    zeros = _trace_zeros(oracle, bases[two_sided],
+                         np.array(ends, dtype=complex).reshape(-1, 2, 2))
+    fitted, rings = [], []
+    for i, z in zip(two_sided, zeros):
+        frame, summary = _circle_fit(z, chart_residual)
+        if frame is None:
+            tags[i] = ("nonconforming", True, summary)
+        else:
+            fitted.append(i)
+            rings.append(side_rings(bases[i], frame))
+    if fitted:
+        rows = np.concatenate(rings).reshape(-1, k)
+        sides = np.concatenate([oracle.labels(rows[j:j + _BLOCK])
+                                for j in range(0, rows.shape[0], _BLOCK)])
+        for i, (inner, outer) in zip(
+                fitted, sides.reshape(len(fitted), 2, -1)):
+            ok = (np.all(inner == inner[0]) and np.all(outer == outer[0])
+                  and inner[0] != 0 and outer[0] != 0
+                  and inner[0] != outer[0])
+            tags[i] = ("circle", bool(ok), "")
+    return tags
+
+
+def oracle_line_tag(oracle, basis, chart_residual=1e-4):
+    """``oracle_line_tags`` for the single line ``basis`` (n+1, 2)."""
+    return oracle_line_tags(oracle, np.asarray(basis, dtype=complex)[None],
+                            chart_residual)[0]
 
 
 _TALLY_KEYS = ("empty", "single_point", "circle", "full_line",
@@ -367,14 +427,15 @@ def verify_axioms(oracle, cfg=None):
     cfg = RunConfig() if cfg is None else cfg
     rng = np.random.default_rng(cfg.seed)
     chart_residual = float(cfg.tolerances.get("chart_residual", 1e-4))
+    bases = np.array([sample_line(rng, oracle.dim).basis()
+                      for _ in range(cfg.n_lines)], dtype=complex)
+    results = oracle_line_tags(oracle, bases.reshape(-1, oracle.dim + 1, 2),
+                               chart_residual)
     tallies = {k: 0 for k in _TALLY_KEYS}
     tags = []
     bad = []
     two_sides = 0
-    for i in range(cfg.n_lines):
-        line = sample_line(rng, oracle.dim)
-        tag, sides_ok, summary = oracle_line_tag(oracle, line.basis(),
-                                                 chart_residual)
+    for i, (tag, sides_ok, summary) in enumerate(results):
         tags.append(tag)
         tallies[tag] += 1
         if not sides_ok:
@@ -424,27 +485,25 @@ def verify_point_star(oracle, z, cfg=None):
         raise PreconditionError("base point lies on the set itself")
     rng = np.random.default_rng(cfg.seed)
     zp = ProjPoint(zv)
-    n_circle = n_low = n_other = 0
-    done = 0
-    while done < cfg.n_lines:
+    n_low = 0
+    bases = []
+    while len(bases) + n_low < cfg.n_lines:
         w = sample_point(rng, oracle.dim)
         if zp.isclose(w, 1e-9):
             continue
         line = line_through(zp, w)
-        done += 1
         if oracle.exact is not None:
             sec, _ = classify_line_section(oracle.exact, line,
                                            with_sides=False)
             if sec.low_confidence:
                 n_low += 1
                 continue
-        tag, _, _ = oracle_line_tag(
-            oracle, line.basis(),
-            float(cfg.tolerances.get("chart_residual", 1e-4)))
-        if tag == "circle":
-            n_circle += 1
-        else:
-            n_other += 1
+        bases.append(line.basis())
+    tags = oracle_line_tags(
+        oracle, np.array(bases, dtype=complex).reshape(-1, oracle.dim + 1, 2),
+        float(cfg.tolerances.get("chart_residual", 1e-4)))
+    n_circle = sum(tag == "circle" for tag, _, _ in tags)
+    n_other = len(tags) - n_circle
     verdict = "AllCircles" if n_other == 0 else "Violations"
     return PointStarReport(lines_tested=cfg.n_lines, circle=n_circle,
                            low_confidence=n_low, other=n_other,

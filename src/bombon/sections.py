@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ExpectationViolated, NotSmooth, PreconditionError
-from .linalg import circle_frame, hermitian_eig, nullspace, sym, zero_tol
+from .linalg import (circle_frame, hermitian_eig, max_abs, nullspace, sym,
+                     zero_tol)
 from .projective import ProjLine, ProjPoint, Subspace, proj_close
 from .quadrics import QuadricBombon, SideSign, SpecialKind, quad
 
@@ -176,7 +177,11 @@ def section_with_subspace(x, h):
     the semidefinite restriction vanishes (possibly empty).
     """
     m = restrict_form(x, h)
-    sig = hermitian_eig(m, tol=x.tol)
+    # The signature cut is never below the rounding error of B* A B for
+    # the orthonormal basis B, so that at a tiny tol a rounding residue
+    # does not count as a sign.
+    floor = 8 * (x.n + 1) * np.finfo(float).eps * max_abs(x.a)
+    sig = hermitian_eig(m, tol=max(x.tol, floor / max(1.0, max_abs(m))))
     if sig.n_pos >= 1 and sig.n_neg >= 1:
         return QuadricBombon(m, tol=x.tol)
     return Subspace(h.basis @ sig.kernel(), x.n, orthonormal=True)

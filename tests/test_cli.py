@@ -1,6 +1,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from bombon.cli import _build_parser, main
@@ -43,6 +44,13 @@ def test_tangent_at_exact_zero_with_tol_0(capsys, monkeypatch):
                          payload)
     assert code == 0
     assert len(obj["subspace"]["basis"]) == 2
+    # the tangent section of the elliptic quadric is the point itself,
+    # not a quadric signed by rounding residue
+    section = obj["section"]
+    assert section["kind"] == "subspace"
+    (point,) = section["subspace"]["basis"]
+    v = np.array([complex(*z) for z in point])
+    assert np.allclose(v / v[0], [1, 0, 1], atol=1e-12)
 
 
 def test_type_and_canonical(capsys, monkeypatch):

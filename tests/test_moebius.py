@@ -195,8 +195,9 @@ def _zero_sets(rng, count):
         lab = oracle.labels(grid @ basis.T)
         if not (np.any(lab == 1) and np.any(lab == -1)):
             continue
-        zeros, _ = _trace_zeros(oracle, basis, grid[np.argmax(lab == 1)],
-                                grid[np.argmax(lab == -1)])
+        ends = np.column_stack([grid[np.argmax(lab == 1)],
+                                grid[np.argmax(lab == -1)]])
+        zeros, = _trace_zeros(oracle, basis[None], ends[None])
         if zeros is not None:
             sets.append(zeros)
         t = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

@@ -1,5 +1,6 @@
 """Grid oracle, membership oracles and the Monte-Carlo axiom verifier."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,12 +12,13 @@ import bombon
 from bombon import oracles
 from bombon.errors import PreconditionError
 from bombon.jsonio import canonical_dumps
-from bombon.oracles import (RunConfig, bidisk_oracle, cp1_grid, fib_angles,
-                            grid_line_tag, oracle_from_quadric, verify_axioms,
+from bombon.oracles import (OracleSet, RunConfig, bidisk_oracle, cp1_grid,
+                            fib_angles, grid_line_tag, oracle_from_quadric,
+                            oracle_line_tag, oracle_line_tags, verify_axioms,
                             verify_point_star)
 from bombon.projective import ProjLine, ProjPoint, sample_line
 from bombon.quadrics import QuadricBombon, random_bombon, random_point_on
-from bombon.sections import SectionTag, classify_line_section
+from bombon.sections import _SIDE_ANGLES, SectionTag, classify_line_section
 from bombon.suite import classifier_vs_grid
 
 ELLIPTIC = QuadricBombon.from_epsilons([1, 1, -1])
@@ -174,6 +176,17 @@ def _line_through_grid_row(p, d, g):
     return np.outer(p, np.conj(g)) + np.outer(d, np.conj(g_perp))
 
 
+def _tangent_through_grid_row(rng, x, grid):
+    # A tangent line of x whose random grid row lands on a random point
+    # of x, so that the grid labels a point on the set.
+    p = random_point_on(rng, x).v
+    ap = x.a @ p
+    d = rng.standard_normal(x.n + 1) + 1j * rng.standard_normal(x.n + 1)
+    d = d - ap * (np.vdot(ap, d) / np.vdot(ap, ap))
+    g = grid[int(rng.integers(grid.shape[0]))]
+    return _line_through_grid_row(p, d, g)
+
+
 def test_grid_labels_blocked_equal_whole_grid():
     rng = np.random.default_rng(61)
     grid = cp1_grid(oracles._STAGE2)
@@ -184,13 +197,8 @@ def test_grid_labels_blocked_equal_whole_grid():
             x = random_bombon(rng, n, n_zero=n_zero)
             oracle = oracle_from_quadric(x)
             cases.append((oracle, sample_line(rng, n).basis(), False))
-            # a tangent line through a grid point that lies on the set
-            p = random_point_on(rng, x).v
-            ap = x.a @ p
-            d = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-            d = d - ap * (np.vdot(ap, d) / np.vdot(ap, ap))
-            g = grid[int(rng.integers(grid.shape[0]))]
-            cases.append((oracle, _line_through_grid_row(p, d, g), True))
+            cases.append((oracle, _tangent_through_grid_row(rng, x, grid),
+                          True))
     bidisk = bidisk_oracle()
     cases += [(bidisk, sample_line(rng, 2).basis(), False) for _ in range(4)]
     for oracle, basis, on_set in cases:
@@ -242,3 +250,90 @@ def test_verify_axioms_reports_pinned():
                  "2.538e-01", "1.585e-01")
     assert rep.to_dict() == _pinned_report(
         5, ["nonconforming"] * 10, enumerate(residuals))
+    # Longer runs, whose two-sided lines span several tracing chunks.
+    for oracle, cfg, digest in (
+            (bidisk_oracle(), RunConfig(seed=5, n_lines=200),
+             "6ebae69bccb0e91854b2651e2819d2adb0fcf766ca0b31da7a579e20df12510b"),
+            (oracle_from_quadric(QuadricBombon.from_epsilons([1, 1, -1, -1])),
+             RunConfig(seed=8, n_lines=60),
+             "d756092af25706d9403f05f1f12e196b5ad982c74ffba2325b88f318468406aa")):
+        text = canonical_dumps(verify_axioms(oracle, cfg).to_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _tag_corpus(rng):
+    # (oracle, (m, n+1, 2) bases) groups that reach every tag: sampled
+    # lines of quadrics on CP^1-CP^5 with every kernel size, full lines
+    # inside kernels of dimension 2 or more, tangent lines through a
+    # stage-2 grid point, and bidisk lines.
+    grid = cp1_grid(oracles._STAGE2)
+    groups = []
+    for n in range(1, 6):
+        for n_zero in range(n):
+            x = random_bombon(rng, n, n_zero=n_zero)
+            bases = [sample_line(rng, n).basis() for _ in range(6)]
+            kernel = x.sig.kernel()
+            if kernel.shape[1] >= 2:
+                bases.append(kernel @ (rng.standard_normal((n_zero, 2))
+                                       + 1j * rng.standard_normal((n_zero, 2))))
+            bases += [_tangent_through_grid_row(rng, x, grid)
+                      for _ in range(2)]
+            groups.append((oracle_from_quadric(x), np.array(bases)))
+    groups.append((bidisk_oracle(),
+                   np.array([sample_line(rng, 2).basis() for _ in range(90)])))
+    return groups
+
+
+def test_line_tags_batch_equals_single_lines():
+    rng = np.random.default_rng(67)
+    seen = set()
+    for oracle, bases in _tag_corpus(rng):
+        got = oracle_line_tags(oracle, bases, 1e-4)
+        assert got == [oracle_line_tag(oracle, b) for b in bases]
+        seen.update(tag for tag, _, _ in got)
+    assert seen == set(oracles._TALLY_KEYS)
+    assert oracle_line_tags(oracle_from_quadric(ELLIPTIC),
+                            np.empty((0, 3, 2), dtype=complex), 1e-4) == []
+
+
+def test_trace_zeros_batch_equals_single_lines():
+    rng = np.random.default_rng(69)
+    grid = cp1_grid(oracles._GRID)
+    for oracle, bases in _tag_corpus(rng):
+        pts = grid @ bases.transpose(0, 2, 1)
+        lab = oracle.labels(pts.reshape(-1, pts.shape[2])).reshape(
+            len(bases), -1)
+        keep = np.any(lab == 1, axis=1) & np.any(lab == -1, axis=1)
+        ends = np.array([np.column_stack([grid[np.argmax(row == 1)],
+                                          grid[np.argmax(row == -1)]])
+                         for row in lab[keep]]).reshape(-1, 2, 2)
+        batch = oracles._trace_zeros(oracle, bases[keep], ends)
+        assert len(batch) == len(ends)
+        if oracle.dim == 2 and oracle.exact is None:
+            assert len(ends) > oracles._TRACE_LINES
+        for z, basis, end in zip(batch, bases[keep], ends):
+            single, = oracles._trace_zeros(oracle, basis[None], end[None])
+            assert (z is None) == (single is None)
+            if z is not None:
+                assert z.shape == single.shape
+                assert z.tobytes() == single.tobytes()
+
+
+def test_line_tags_labels_calls_stay_within_block():
+    x = QuadricBombon.from_epsilons([1, 1, -1, -1])
+    inner = oracle_from_quadric(x)
+    sizes = []
+
+    def side(pts):
+        sizes.append(pts.shape[0])
+        return inner.side(pts)
+
+    spy = OracleSet(side=side, description="spy", dim=3)
+    rng = np.random.default_rng(71)
+    bases = np.array([sample_line(rng, 3).basis() for _ in range(300)])
+    tags = oracle_line_tags(spy, bases, 1e-4)
+    assert tags == oracle_line_tags(inner, bases, 1e-4)
+    # more circles than one ring-labelling call holds
+    assert sum(tag == "circle" for tag, _, _ in tags) \
+        > oracles._BLOCK // (2 * _SIDE_ANGLES)
+    assert max(sizes) == oracles._BLOCK
