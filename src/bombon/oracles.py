@@ -6,21 +6,25 @@ classifier: values of the Hermitian form on a spherical grid of a line
 (verify_axioms).  The two views are compared against the exact
 classifier by the regression suite.
 
-The verifier tags a stack of lines stage by stage, each stage across
-all its lines, and no labels call exceeds 4096 rows:
-- stage 1 labels the 128-point grids of 32 lines per call;
+The verifier reads its lines 32 at a time and tags them in stages, so
+that no labels call exceeds 4096 rows and a run's working memory does
+not grow with its number of lines:
+- stage 1 labels the 128-point grids of 32 lines in one call;
 - a line that shows only one side there is labelled again on the
   131072-point stage-2 grid, in blocks of 4096 rows so that each
   block's temporaries stay in cache;
-- the zero sets of the two-sided lines are bisected along 64 rays per
-  line, 64 lines per labels call and step;
-- each zero set gets its own circle fit, and the side rings of every
-  fitted line are labelled together.
+- two-sided lines wait until 64 of them (or the last ones) are there;
+  their zero sets are bisected along 64 rays per line, in one labels
+  call per step;
+- each zero set gets its own circle fit, and the side rings of the
+  fitted lines among those 64 are labelled in one call.
 Rows are labelled independently, so the tags do not depend on which
-lines share a call.
+lines share a call.  Every tag leaves through ``oracle_line_tag``, so
+a wrapper of that one function sees each tagged line.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -44,8 +48,8 @@ _BISECT_ITERS = 60
 # Rows per block when labelling a grid: big enough to amortize the
 # per-call cost, small enough that a block's temporaries stay in cache.
 _BLOCK = 4096
-# lines per labels call, so that no call exceeds _BLOCK rows
-_STAGE1_LINES = _BLOCK // _GRID
+# two-sided lines traced together: their rays fill one labels call per
+# bisection step
 _TRACE_LINES = _BLOCK // _RAYS
 # ON band of the bidisk oracle around its gauge level 1
 _BIDISK_BAND = 1e-9
@@ -269,54 +273,59 @@ def _fs_diameter(pts):
 
 
 def _trace_zeros(oracle, bases, ends):
-    """Zero sets of the lines ``bases`` (m, n+1, 2) by bisection.
+    """Zero sets of the lines ``bases`` (m, n+1, 2), 0 < m <=
+    _TRACE_LINES, by bisection.
 
     Line i is charted by the columns (p_u, p_v) of ends[i]: p_v sits at
     0 and p_u at infinity.  The side flip along each of _RAYS rays is
-    bisected in log10 |z| from [-8, 8], for _TRACE_LINES lines per
-    labels call.  Returns per line the (k, 2) CP^1 coordinates of its k
+    bisected in log10 |z| from [-8, 8], all lines in one labels call
+    per step.  Returns per line the (k, 2) CP^1 coordinates of its k
     bracketed zeros, or None when no ray brackets a flip.
     """
     ang = np.exp(2j * np.pi * np.arange(_RAYS) / _RAYS)
+    basis_t = bases.transpose(0, 2, 1)
+    ends_t = ends.transpose(0, 2, 1)
+    # chart coordinates (w, 1) of the ray points, w rewritten per step
+    chart = np.ones((bases.shape[0], _RAYS, 2), dtype=complex)
+
+    def lab(logr):
+        chart[..., 0] = np.power(10.0, logr) * ang
+        pts = (chart @ ends_t) @ basis_t
+        return oracle.labels(pts.reshape(-1, pts.shape[2])).reshape(
+            logr.shape)
+
+    lo = np.full(chart.shape[:2], -8.0)
+    hi = np.full(chart.shape[:2], 8.0)
+    lab_lo = lab(lo)
+    lab_hi = lab(hi)
+    valid = (lab_lo != 0) & (lab_hi != 0) & (lab_lo != lab_hi)
+    if np.any(valid):
+        for _ in range(_BISECT_ITERS):
+            mid = (lo + hi) / 2.0
+            lm = lab(mid)
+            on = lm == 0
+            take_lo = (lm == lab_lo) & ~on
+            lo = np.where(valid & (take_lo | on), mid, lo)
+            hi = np.where(valid & (~take_lo | on), mid, hi)
+    w = np.power(10.0, (lo + hi) / 2.0) * ang
+    return [np.column_stack([wi[vi], np.ones(int(vi.sum()))]) @ pi.T
+            if np.any(vi) else None for wi, vi, pi in zip(w, valid, ends)]
+
+
+def _grid_labels(oracle, grid, bases):
+    # (m, len(grid)) oracle labels of the points grid @ basis.T of each
+    # line of the (m, n+1, 2) stack ``bases``, in calls of _BLOCK rows:
+    # whole lines while a grid is smaller than a block, else one block
+    # of a line's grid at a time, so that a block's temporaries stay in
+    # cache.  Rows are labelled independently, so blocks change nothing.
+    per = max(1, _BLOCK // grid.shape[0])
     out = []
-    for s in range(0, bases.shape[0], _TRACE_LINES):
-        basis_t = bases[s:s + _TRACE_LINES].transpose(0, 2, 1)
-        p = ends[s:s + _TRACE_LINES]
-        p_t = p.transpose(0, 2, 1)
-        # chart coordinates (w, 1) of the ray points, w rewritten per step
-        chart = np.ones((p.shape[0], _RAYS, 2), dtype=complex)
-
-        def lab(logr):
-            chart[..., 0] = np.power(10.0, logr) * ang
-            pts = (chart @ p_t) @ basis_t
-            return oracle.labels(pts.reshape(-1, pts.shape[2])).reshape(
-                logr.shape)
-
-        lo = np.full((p.shape[0], _RAYS), -8.0)
-        hi = np.full((p.shape[0], _RAYS), 8.0)
-        lab_lo = lab(lo)
-        lab_hi = lab(hi)
-        valid = (lab_lo != 0) & (lab_hi != 0) & (lab_lo != lab_hi)
-        if np.any(valid):
-            for _ in range(_BISECT_ITERS):
-                mid = (lo + hi) / 2.0
-                lm = lab(mid)
-                on = lm == 0
-                take_lo = (lm == lab_lo) & ~on
-                lo = np.where(valid & (take_lo | on), mid, lo)
-                hi = np.where(valid & (~take_lo | on), mid, hi)
-        w = np.power(10.0, (lo + hi) / 2.0) * ang
-        for wi, vi, pi in zip(w, valid, p):
-            out.append(np.column_stack([wi[vi], np.ones(int(vi.sum()))])
-                       @ pi.T if np.any(vi) else None)
-    return out
-
-
-def _grid_labels(oracle, grid, basis):
-    # Oracle labels of the line points grid @ basis.T, one row block at
-    # a time; rows are labelled independently, so blocks change nothing.
-    return np.concatenate([oracle.labels(grid[i:i + _BLOCK] @ basis.T)
-                           for i in range(0, grid.shape[0], _BLOCK)])
+    for s in range(0, bases.shape[0], per):
+        basis_t = bases[s:s + per].transpose(0, 2, 1)
+        out += [oracle.labels((grid[i:i + _BLOCK] @ basis_t).reshape(
+                    -1, bases.shape[1]))
+                for i in range(0, grid.shape[0], _BLOCK)]
+    return np.concatenate(out).reshape(bases.shape[0], grid.shape[0])
 
 
 def _grid_tag(oracle, basis, labels):
@@ -329,7 +338,7 @@ def _grid_tag(oracle, basis, labels):
         return ("full_line", True, ""), None
     if not (np.any(labels == 1) and np.any(labels == -1)):
         grid = cp1_grid(_STAGE2)
-        labels = _grid_labels(oracle, grid, basis)
+        labels, = _grid_labels(oracle, grid, basis[None])
     if np.any(labels == 1) and np.any(labels == -1):
         return None, np.column_stack([grid[int(np.argmax(labels == 1))],
                                       grid[int(np.argmax(labels == -1))]])
@@ -360,56 +369,88 @@ def _circle_fit(zeros, chart_residual):
     return frame, ""
 
 
-def oracle_line_tags(oracle, bases, chart_residual):
-    """Shape of the oracle's ON set on each line of the (m, n+1, 2)
-    stack ``bases``, by membership alone, in the stages the module
-    docstring lists.
-
-    Returns one (tag, two_sides_ok, summary) per line: tag is one of
-    the four section names or "nonconforming"; two_sides_ok reports the
-    complementary-component check for circle fits (True when not
-    applicable); summary is a short text for nonconforming lines.
-    """
-    bases = np.asarray(bases, dtype=complex)
-    k = bases.shape[1]
-    grid = cp1_grid(_GRID)
-    tags = [None] * bases.shape[0]
-    two_sided, ends = [], []
-    for s in range(0, bases.shape[0], _STAGE1_LINES):
-        pts = grid @ bases[s:s + _STAGE1_LINES].transpose(0, 2, 1)
-        labels = oracle.labels(pts.reshape(-1, k)).reshape(-1, _GRID)
-        for i, lab in enumerate(labels, s):
-            tags[i], end = _grid_tag(oracle, bases[i], lab)
-            if end is not None:
-                two_sided.append(i)
-                ends.append(end)
-    zeros = _trace_zeros(oracle, bases[two_sided],
-                         np.array(ends, dtype=complex).reshape(-1, 2, 2))
-    fitted, rings = [], []
-    for i, z in zip(two_sided, zeros):
+def _circle_tags(oracle, pending, chart_residual):
+    # (index, basis, result) of each two-sided line of ``pending``, a
+    # list of at most _TRACE_LINES (index, basis, ends): traced zeros, a
+    # circle fit per line, and the side rings of all fitted lines in
+    # one labels call
+    idx, bases, ends = zip(*pending)
+    zeros = _trace_zeros(oracle, np.array(bases), np.array(ends))
+    out, fitted, rings = [], [], []
+    for i, basis, z in zip(idx, bases, zeros):
         frame, summary = _circle_fit(z, chart_residual)
         if frame is None:
-            tags[i] = ("nonconforming", True, summary)
+            out.append((i, basis, ("nonconforming", True, summary)))
         else:
-            fitted.append(i)
-            rings.append(side_rings(bases[i], frame))
+            fitted.append((i, basis))
+            rings.append(side_rings(basis, frame))
     if fitted:
-        rows = np.concatenate(rings).reshape(-1, k)
-        sides = np.concatenate([oracle.labels(rows[j:j + _BLOCK])
-                                for j in range(0, rows.shape[0], _BLOCK)])
-        for i, (inner, outer) in zip(
+        sides = oracle.labels(np.concatenate(rings).reshape(
+            -1, bases[0].shape[0]))
+        for (i, basis), (inner, outer) in zip(
                 fitted, sides.reshape(len(fitted), 2, -1)):
             ok = (np.all(inner == inner[0]) and np.all(outer == outer[0])
                   and inner[0] != 0 and outer[0] != 0
                   and inner[0] != outer[0])
-            tags[i] = ("circle", bool(ok), "")
-    return tags
+            out.append((i, basis, ("circle", bool(ok), "")))
+    return out
 
 
-def oracle_line_tag(oracle, basis, chart_residual=1e-4):
-    """``oracle_line_tags`` for the single line ``basis`` (n+1, 2)."""
-    return oracle_line_tags(oracle, np.asarray(basis, dtype=complex)[None],
-                            chart_residual)[0]
+def _tag_stream(oracle, lines, chart_residual):
+    # (index, basis, result) of each line of the iterable ``lines`` as
+    # soon as its result is known, in the stages the module docstring
+    # lists
+    it = iter(lines)
+    pending = []
+    count = 0
+    while True:
+        chunk = list(islice(it, _BLOCK // _GRID))
+        if chunk:
+            bases = np.array(chunk, dtype=complex)
+            for basis, labels in zip(
+                    bases, _grid_labels(oracle, cp1_grid(_GRID), bases)):
+                tag, ends = _grid_tag(oracle, basis, labels)
+                if tag is None:
+                    pending.append((count, basis, ends))
+                else:
+                    yield count, basis, tag
+                count += 1
+        while len(pending) >= _TRACE_LINES or (pending and not chunk):
+            yield from _circle_tags(oracle, pending[:_TRACE_LINES],
+                                    chart_residual)
+            del pending[:_TRACE_LINES]
+        if not chunk:
+            return
+
+
+def oracle_line_tags(oracle, lines, chart_residual):
+    """Shape of the oracle's ON set on each line, by membership alone.
+
+    ``lines`` is an iterable of (n+1, 2) bases, such as an (m, n+1, 2)
+    array or a generator, read in the stages the module docstring
+    lists.  Returns one (tag, two_sides_ok, summary) per line, in order,
+    each passed through ``oracle_line_tag``: tag is one of the four
+    section names or "nonconforming"; two_sides_ok reports the
+    complementary-component check for circle fits (True when not
+    applicable); summary is a short text for nonconforming lines.
+    """
+    tags = {}
+    for i, basis, result in _tag_stream(oracle, lines, chart_residual):
+        tags[i] = oracle_line_tag(oracle, basis, chart_residual,
+                                  tagged=result)
+    return [tags[i] for i in range(len(tags))]
+
+
+def oracle_line_tag(oracle, basis, chart_residual, tagged=None):
+    """``oracle_line_tags`` for the single line ``basis`` (n+1, 2).
+
+    ``oracle_line_tags`` passes each line's result, computed together
+    with other lines, as ``tagged`` and gets it back: every tagged line
+    goes through this one function, so a wrapper of it sees each line.
+    """
+    if tagged is None:
+        (_, _, tagged), = _tag_stream(oracle, [basis], chart_residual)
+    return tagged
 
 
 _TALLY_KEYS = ("empty", "single_point", "circle", "full_line",
@@ -426,11 +467,12 @@ def verify_axioms(oracle, cfg=None):
     """
     cfg = RunConfig() if cfg is None else cfg
     rng = np.random.default_rng(cfg.seed)
-    chart_residual = float(cfg.tolerances.get("chart_residual", 1e-4))
-    bases = np.array([sample_line(rng, oracle.dim).basis()
-                      for _ in range(cfg.n_lines)], dtype=complex)
-    results = oracle_line_tags(oracle, bases.reshape(-1, oracle.dim + 1, 2),
-                               chart_residual)
+    # tagging draws nothing from rng, so drawing the lines as they are
+    # tagged keeps the stream of drawing them all first
+    results = oracle_line_tags(
+        oracle, (sample_line(rng, oracle.dim).basis()
+                 for _ in range(cfg.n_lines)),
+        float(cfg.tolerances.get("chart_residual", 1e-4)))
     tallies = {k: 0 for k in _TALLY_KEYS}
     tags = []
     bad = []
@@ -486,22 +528,26 @@ def verify_point_star(oracle, z, cfg=None):
     rng = np.random.default_rng(cfg.seed)
     zp = ProjPoint(zv)
     n_low = 0
-    bases = []
-    while len(bases) + n_low < cfg.n_lines:
-        w = sample_point(rng, oracle.dim)
-        if zp.isclose(w, 1e-9):
-            continue
-        line = line_through(zp, w)
-        if oracle.exact is not None:
-            sec, _ = classify_line_section(oracle.exact, line,
-                                           with_sides=False)
-            if sec.low_confidence:
-                n_low += 1
+
+    def lines():
+        nonlocal n_low
+        kept = 0
+        while kept + n_low < cfg.n_lines:
+            w = sample_point(rng, oracle.dim)
+            if zp.isclose(w, 1e-9):
                 continue
-        bases.append(line.basis())
-    tags = oracle_line_tags(
-        oracle, np.array(bases, dtype=complex).reshape(-1, oracle.dim + 1, 2),
-        float(cfg.tolerances.get("chart_residual", 1e-4)))
+            line = line_through(zp, w)
+            if oracle.exact is not None:
+                sec, _ = classify_line_section(oracle.exact, line,
+                                               with_sides=False)
+                if sec.low_confidence:
+                    n_low += 1
+                    continue
+            kept += 1
+            yield line.basis()
+
+    tags = oracle_line_tags(oracle, lines(),
+                            float(cfg.tolerances.get("chart_residual", 1e-4)))
     n_circle = sum(tag == "circle" for tag, _, _ in tags)
     n_other = len(tags) - n_circle
     verdict = "AllCircles" if n_other == 0 else "Violations"

@@ -12,13 +12,14 @@ import bombon
 from bombon import oracles
 from bombon.errors import PreconditionError
 from bombon.jsonio import canonical_dumps
+from bombon.linalg import form_values, real_form, sq_norms
 from bombon.oracles import (OracleSet, RunConfig, bidisk_oracle, cp1_grid,
                             fib_angles, grid_line_tag, oracle_from_quadric,
                             oracle_line_tag, oracle_line_tags, verify_axioms,
                             verify_point_star)
 from bombon.projective import ProjLine, ProjPoint, sample_line
 from bombon.quadrics import QuadricBombon, random_bombon, random_point_on
-from bombon.sections import _SIDE_ANGLES, SectionTag, classify_line_section
+from bombon.sections import SectionTag, classify_line_section
 from bombon.suite import classifier_vs_grid
 
 ELLIPTIC = QuadricBombon.from_epsilons([1, 1, -1])
@@ -202,16 +203,17 @@ def test_grid_labels_blocked_equal_whole_grid():
     bidisk = bidisk_oracle()
     cases += [(bidisk, sample_line(rng, 2).basis(), False) for _ in range(4)]
     for oracle, basis, on_set in cases:
-        got = oracles._grid_labels(oracle, grid, basis)
+        got, = oracles._grid_labels(oracle, grid, basis[None])
         want = oracle.labels(grid @ basis.T)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         if on_set:
             assert np.any(got == 0)
-    # stage-1 size: a single block
-    basis = sample_line(rng, 3).basis()
+    # stage-1 size: whole lines per block, over more lines than a block
+    bases = np.array([sample_line(rng, 3).basis() for _ in range(70)])
     oracle = oracle_from_quadric(random_bombon(rng, 3))
-    assert np.array_equal(oracles._grid_labels(oracle, cp1_grid(128), basis),
-                          oracle.labels(cp1_grid(128) @ basis.T))
+    assert np.array_equal(
+        oracles._grid_labels(oracle, cp1_grid(128), bases),
+        [oracle.labels(cp1_grid(128) @ basis.T) for basis in bases])
 
 
 def _pinned_report(seed, tags, bad=()):
@@ -274,24 +276,43 @@ def _tag_corpus(rng):
             bases = [sample_line(rng, n).basis() for _ in range(6)]
             kernel = x.sig.kernel()
             if kernel.shape[1] >= 2:
-                bases.append(kernel @ (rng.standard_normal((n_zero, 2))
-                                       + 1j * rng.standard_normal((n_zero, 2))))
+                coef = rng.standard_normal((n_zero, 2))
+                bases.append(kernel @ (coef + 1j * rng.standard_normal(
+                    (n_zero, 2))))
             bases += [_tangent_through_grid_row(rng, x, grid)
                       for _ in range(2)]
             groups.append((oracle_from_quadric(x), np.array(bases)))
     groups.append((bidisk_oracle(),
                    np.array([sample_line(rng, 2).basis() for _ in range(90)])))
+    groups.append((_shell_oracle(),
+                   np.array([sample_line(rng, 2).basis() for _ in range(90)])))
     return groups
+
+
+def _shell_oracle():
+    # ELLIPTIC's side oracle with the part of U where the normalized form
+    # exceeds 0.7 labelled V: some lines then fit a circle whose side
+    # rings fail the two-sides check, and others pass it.
+    base = oracle_from_quadric(ELLIPTIC)
+    rform = real_form(ELLIPTIC.a)
+
+    def side(pts):
+        deep = form_values(pts, rform) / sq_norms(pts) > 0.7
+        return np.where(deep, -1, base.side(pts))
+
+    return OracleSet(side=side, description="shell", dim=2)
 
 
 def test_line_tags_batch_equals_single_lines():
     rng = np.random.default_rng(67)
-    seen = set()
+    seen, circle_sides = set(), set()
     for oracle, bases in _tag_corpus(rng):
         got = oracle_line_tags(oracle, bases, 1e-4)
-        assert got == [oracle_line_tag(oracle, b) for b in bases]
+        assert got == [oracle_line_tag(oracle, b, 1e-4) for b in bases]
         seen.update(tag for tag, _, _ in got)
+        circle_sides.update(ok for tag, ok, _ in got if tag == "circle")
     assert seen == set(oracles._TALLY_KEYS)
+    assert circle_sides == {True, False}
     assert oracle_line_tags(oracle_from_quadric(ELLIPTIC),
                             np.empty((0, 3, 2), dtype=complex), 1e-4) == []
 
@@ -307,7 +328,10 @@ def test_trace_zeros_batch_equals_single_lines():
         ends = np.array([np.column_stack([grid[np.argmax(row == 1)],
                                           grid[np.argmax(row == -1)]])
                          for row in lab[keep]]).reshape(-1, 2, 2)
-        batch = oracles._trace_zeros(oracle, bases[keep], ends)
+        batch = [z for s in range(0, len(ends), oracles._TRACE_LINES)
+                 for z in oracles._trace_zeros(
+                     oracle, bases[keep][s:s + oracles._TRACE_LINES],
+                     ends[s:s + oracles._TRACE_LINES])]
         assert len(batch) == len(ends)
         if oracle.dim == 2 and oracle.exact is None:
             assert len(ends) > oracles._TRACE_LINES
@@ -319,21 +343,63 @@ def test_trace_zeros_batch_equals_single_lines():
                 assert z.tobytes() == single.tobytes()
 
 
-def test_line_tags_labels_calls_stay_within_block():
+def test_line_tags_labels_calls_stay_within_block(monkeypatch):
+    # No labels call exceeds _BLOCK rows, and fewer than
+    # _TRACE_LINES + 32 lines are ever read but not yet tagged, so a
+    # run's working memory does not grow with its number of lines.
     x = QuadricBombon.from_epsilons([1, 1, -1, -1])
     inner = oracle_from_quadric(x)
-    sizes = []
+    rng = np.random.default_rng(71)
+    bases = np.array([sample_line(rng, 3).basis() for _ in range(300)])
+    want = oracle_line_tags(inner, bases, 1e-4)
+    sizes, open_lines, read, done = [], [], [], []
 
     def side(pts):
         sizes.append(pts.shape[0])
+        open_lines.append(len(read) - len(done))
         return inner.side(pts)
 
+    def lines():
+        for b in bases:
+            read.append(b)
+            yield b
+
+    original = oracles.oracle_line_tag
+
+    def counted(*args, **kwargs):
+        done.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "oracle_line_tag", counted)
     spy = OracleSet(side=side, description="spy", dim=3)
-    rng = np.random.default_rng(71)
-    bases = np.array([sample_line(rng, 3).basis() for _ in range(300)])
-    tags = oracle_line_tags(spy, bases, 1e-4)
-    assert tags == oracle_line_tags(inner, bases, 1e-4)
-    # more circles than one ring-labelling call holds
-    assert sum(tag == "circle" for tag, _, _ in tags) \
-        > oracles._BLOCK // (2 * _SIDE_ANGLES)
+    assert oracle_line_tags(spy, lines(), 1e-4) == want
+    assert len(done) == 300
     assert max(sizes) == oracles._BLOCK
+    assert max(open_lines) < (oracles._TRACE_LINES
+                              + oracles._BLOCK // oracles._GRID)
+
+
+def test_verify_tags_pass_through_oracle_line_tag(monkeypatch):
+    # A wrapper of oracle_line_tag sees every line both verifiers tag.
+    swap = {"circle": "empty", "empty": "circle"}
+    original = oracles.oracle_line_tag
+    seen = []
+
+    def swapped(*args, **kwargs):
+        tag, ok, summary = original(*args, **kwargs)
+        seen.append(tag)
+        return swap.get(tag, tag), ok, summary
+
+    oracle = oracle_from_quadric(ELLIPTIC)
+    cfg = RunConfig(seed=5, n_lines=150)
+    plain = verify_axioms(oracle, cfg).to_dict()
+    star = verify_point_star(oracle, np.array([0.0, 0.0, 1.0]), cfg)
+    monkeypatch.setattr(oracles, "oracle_line_tag", swapped)
+    rep = verify_axioms(oracle, cfg).to_dict()
+    assert len(seen) == 150
+    assert rep["line_tags"] == [swap.get(t, t) for t in plain["line_tags"]]
+    assert rep["tallies"]["empty"] == plain["tallies"]["circle"] > 0
+    seen.clear()
+    swapped_star = verify_point_star(oracle, np.array([0.0, 0.0, 1.0]), cfg)
+    assert len(seen) == star.circle + star.other
+    assert (swapped_star.circle, swapped_star.other) == (0, star.circle)
