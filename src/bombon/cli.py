@@ -1,9 +1,9 @@
 """Command-line front door.
 
-Every subcommand reads one JSON object (from --input FILE or stdin),
-prints one JSON object (or a plain-text rendering with --format text)
-and exits 0 on success, 1 when a verified property fails, 2 on bad
-input.
+Every subcommand but suite reads one JSON object (from --input FILE or
+stdin), prints one JSON object (or a plain-text rendering with --format
+text) and exits 0 on success, 1 when a verified property fails, 2 on
+bad input.  Each takes only the flags its handler reads.
 """
 
 import argparse
@@ -66,10 +66,8 @@ def _text_lines(obj, indent=""):
 
 
 def _emit(payload, fmt):
-    if fmt == "text":
-        print("\n".join(_text_lines(payload)))
-    else:
-        print(jsonio.canonical_dumps(payload))
+    print("\n".join(_text_lines(payload)) if fmt == "text"
+          else jsonio.canonical_dumps(payload))
 
 
 def _quadric_from(obj, key, tol):
@@ -247,8 +245,7 @@ def _cmd_disksect(args):
 
 def _oracle_from_spec(obj, tol):
     if isinstance(obj, dict) and "quadric" in obj and "oracle" not in obj:
-        return oracle_from_quadric(jsonio.decode_quadric(obj["quadric"],
-                                                         tol=tol))
+        obj = {"oracle": {"type": "quadric", "quadric": obj["quadric"]}}
     spec = obj.get("oracle") if isinstance(obj, dict) else None
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError('verify input needs "quadric" or '
@@ -273,12 +270,10 @@ def _cmd_verify(args):
                     output_format=args.format)
     if isinstance(obj, dict) and "star" in obj:
         p = jsonio.decode_point(obj["star"], oracle.dim + 1)
-        rep = verify_point_star(oracle, p, cfg)
-        code = _EXIT_OK if rep.verdict == "AllCircles" else _EXIT_FAILED
-        return rep.to_dict(), code
-    rep = verify_axioms(oracle, cfg)
-    code = _EXIT_OK if rep.verdict == "ConsistentWithBombon" else _EXIT_FAILED
-    return rep.to_dict(), code
+        rep, passed = verify_point_star(oracle, p, cfg), "AllCircles"
+    else:
+        rep, passed = verify_axioms(oracle, cfg), "ConsistentWithBombon"
+    return rep.to_dict(), _EXIT_OK if rep.verdict == passed else _EXIT_FAILED
 
 
 def _cmd_suite(args):
@@ -287,8 +282,7 @@ def _cmd_suite(args):
     names = None
     if args.names:
         names = tuple(t.strip() for t in args.names.split(",") if t.strip())
-    report, code = theorem_suite(cfg, corrupt=args.corrupt, names=names)
-    return report, code
+    return theorem_suite(cfg, corrupt=args.corrupt, names=names)
 
 
 _HANDLERS = {
@@ -313,19 +307,41 @@ _HANDLERS = {
 }
 
 
+# Every flag a subcommand may take.
+_FLAGS = {
+    "--seed": dict(type=int, default=7,
+                   help="RNG seed for randomized subcommands"),
+    "--tol": dict(type=float, default=DEFAULT_TOL,
+                  help="relative zero tolerance"),
+    "--format": dict(choices=("json", "text"), default="json",
+                     help="output format"),
+    "--input": dict(metavar="FILE", help="JSON input file (default: stdin)"),
+    "--lines": dict(type=int, default=200,
+                    help="number of random lines / size scale"),
+    "--corrupt": dict(choices=("classifier",),
+                      help="inject a fault to prove the suite notices"),
+    "--names": dict(help="comma-separated property subset"),
+    "--samples": dict(type=int, default=16,
+                      help="orbit sample count when no thetas given"),
+    "--eps": dict(type=float, default=1e-6, help="duality gap target"),
+    "--disk-tol": dict(type=float, default=1e-3,
+                       help="relative roundness tolerance"),
+}
+# The flags each subcommand's handler reads; it takes no others.
+_SUBCOMMAND_FLAGS = dict.fromkeys(_HANDLERS, "--tol --format --input") | {
+    "orbit": "--tol --format --input --samples",
+    "rotate": "--format --input",
+    "mvee": "--format --input --eps",
+    "disksect": "--seed --format --input --disk-tol",
+    "verify": "--seed --tol --format --input --lines",
+    "suite": "--seed --format --lines --corrupt --names",
+}
+
+
 # Built once per process: parse_args never mutates the parser, and the
 # subparser tree costs more to build than a typical request takes.
 @functools.cache
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=7,
-                        help="RNG seed for randomized subcommands")
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="relative zero tolerance")
-    common.add_argument("--format", choices=("json", "text"), default="json",
-                        help="output format")
-    common.add_argument("--input", default=None, metavar="FILE",
-                        help="JSON input file (default: stdin)")
     parser = argparse.ArgumentParser(
         prog="bombon",
         description="quadrics with circular line sections: classification, "
@@ -334,41 +350,24 @@ def _build_parser():
                         version=f"%(prog)s {VERSION}")
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (handler, blurb) in _HANDLERS.items():
-        sp = subs.add_parser(name, parents=[common], help=blurb)
+        sp = subs.add_parser(name, help=blurb)
         sp.set_defaults(handler=handler)
-        if name in ("verify", "suite"):
-            sp.add_argument("--lines", type=int, default=200,
-                            help="number of random lines / size scale")
-        if name == "suite":
-            sp.add_argument("--corrupt", choices=("classifier",),
-                            default=None, help="inject a fault to prove "
-                                               "the suite notices")
-            sp.add_argument("--names", default=None,
-                            help="comma-separated property subset")
-        if name == "orbit":
-            sp.add_argument("--samples", type=int, default=16,
-                            help="orbit sample count when no thetas given")
-        if name == "mvee":
-            sp.add_argument("--eps", type=float, default=1e-6,
-                            help="duality gap target")
-        if name == "disksect":
-            sp.add_argument("--disk-tol", type=float, default=1e-3,
-                            help="relative roundness tolerance")
+        for flag in _SUBCOMMAND_FLAGS[name].split():
+            sp.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    fmt = getattr(args, "format", "json")
     try:
         payload, code = args.handler(args)
     except (ExpectationViolated, OracleInconsistent, NoConvergence) as exc:
-        _emit({"error": str(exc)}, fmt)
+        _emit({"error": str(exc)}, args.format)
         return _EXIT_FAILED
     except (ValueError, KeyError, TypeError, BombonError) as exc:
-        _emit({"error": str(exc)}, fmt)
+        _emit({"error": str(exc)}, args.format)
         return _EXIT_BAD_INPUT
-    _emit(payload, fmt)
+    _emit(payload, args.format)
     return code
 
 

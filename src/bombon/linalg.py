@@ -280,19 +280,9 @@ def congruence_to_signs(m, tol=DEFAULT_TOL):
     pos = np.where(lam > sig.zero_threshold)[0]
     neg = np.where(lam < -sig.zero_threshold)[0]
     zer = np.where(np.abs(lam) <= sig.zero_threshold)[0]
-    cols = []
-    signs = []
-    for idx in pos:
-        cols.append(q[:, idx] / np.sqrt(lam[idx]))
-        signs.append(1)
-    for idx in neg:
-        cols.append(q[:, idx] / np.sqrt(-lam[idx]))
-        signs.append(-1)
-    for idx in zer:
-        cols.append(q[:, idx])
-        signs.append(0)
-    t = np.column_stack(cols) if cols else np.zeros((m.shape[0], 0), dtype=complex)
-    return t, np.array(signs, dtype=int)
+    t = np.concatenate([q[:, pos] / np.sqrt(lam[pos]),
+                        q[:, neg] / np.sqrt(-lam[neg]), q[:, zer]], axis=1)
+    return t, np.repeat([1, -1, 0], [pos.size, neg.size, zer.size])
 
 
 def circle_frame(sig):

@@ -23,24 +23,26 @@ lines share a call.  Every tag leaves through ``oracle_line_tag``, so
 a wrapper of that one function sees each tagged line.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
 
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import (circle_frame, form_values, hermitian_eig, max_abs,
-                     real_form, sq_norms, zero_tol)
+from .linalg import (DEFAULT_TOL, circle_frame, form_values, hermitian_eig,
+                     max_abs, real_form, sq_norms, zero_tol)
 from .moebius import _fit_hermitian_through
-from .projective import sample_line
-from .sections import SectionTag, side_rings
+from .projective import ProjPoint, line_through, sample_line, sample_point
+from .sections import SectionTag, classify_line_section, side_rings
 from .version import VERSION
 
 _GOLDEN = (1.0 + 5.0 ** 0.5) / 2.0
 # CP^1 grid sizes: the grid oracle and the first labelling stage, then
 # the fallback stage for one-sided lines
 _GRID = 128
+# relative value that counts as a sign on the grid oracle's raw grid
+_GRID_SIGN = 1e-6
 _STAGE2 = 131072
 # zero tracing: rays and bisection steps
 _RAYS = 64
@@ -51,6 +53,8 @@ _BLOCK = 4096
 # two-sided lines traced together: their rays fill one labels call per
 # bisection step
 _TRACE_LINES = _BLOCK // _RAYS
+# largest |r - 1| of the traced zeros in the chart of a fitted circle
+_CHART_RESIDUAL = 1e-4
 # ON band of the bidisk oracle around its gauge level 1
 _BIDISK_BAND = 1e-9
 _angle_cache = {}
@@ -108,7 +112,7 @@ def grid_line_tag(a, basis):
     a = np.asarray(a, dtype=complex)
     basis = np.asarray(basis, dtype=complex)
     scale = max(1.0, max_abs(a))
-    sign_tol = 1e-6 * scale
+    sign_tol = _GRID_SIGN * scale
     flat_tol = 1e-12 * scale
     ztol = 1e-10 * scale
 
@@ -177,7 +181,6 @@ class OracleSet:
     side: Callable[[np.ndarray], np.ndarray]
     description: str
     dim: int
-    band: float = 0.0
     exact: object = None
 
     def labels(self, pts):
@@ -199,7 +202,7 @@ def oracle_from_quadric(x):
         return np.where(np.abs(vals) <= thr, 0, np.sign(vals)).astype(int)
 
     return OracleSet(side=side, description=f"quadric(n={x.n})", dim=x.n,
-                     band=thr, exact=x)
+                     exact=x)
 
 
 def bidisk_oracle(radii=(1.0, 1.0)):
@@ -220,18 +223,16 @@ def bidisk_oracle(radii=(1.0, 1.0)):
         out = np.where(g < 1.0, 1, -1)
         return np.where(np.abs(g - 1.0) <= _BIDISK_BAND, 0, out).astype(int)
 
-    return OracleSet(side=side, description=f"bidisk(r=({r1}, {r2}))", dim=2,
-                     band=_BIDISK_BAND)
+    return OracleSet(side=side, description=f"bidisk(r=({r1}, {r2}))", dim=2)
 
 
 @dataclass
 class RunConfig:
-    """Explicit knobs of a verification run; reports embed the config."""
+    """Explicit knobs of a verification run; reports embed the config
+    together with the package's fixed tolerances."""
 
     seed: int = 7
     n_lines: int = 200
-    tolerances: dict = field(default_factory=lambda: {
-        "zero": 1e-9, "grid": 1e-6, "chart_residual": 1e-4})
     output_format: str = "json"
 
     def __post_init__(self):
@@ -240,8 +241,8 @@ class RunConfig:
 
     def to_dict(self):
         return {"seed": int(self.seed), "n_lines": int(self.n_lines),
-                "tolerances": {k: self.tolerances[k]
-                               for k in sorted(self.tolerances)},
+                "tolerances": {"chart_residual": _CHART_RESIDUAL,
+                               "grid": _GRID_SIGN, "zero": DEFAULT_TOL},
                 "output_format": self.output_format}
 
 
@@ -267,9 +268,16 @@ class AxiomReport:
 
 
 def _fs_diameter(pts):
+    # largest Fubini-Study distance arccos |<u_i, u_j>| of the points:
+    # the smallest overlap, taken over row blocks of the Gram matrix of
+    # at most _BLOCK * _GRID entries, so that memory does not grow with
+    # the square of the number of points
     u = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    g = np.abs(u @ u.conj().T)
-    return float(np.max(np.arccos(np.clip(g, 0.0, 1.0))))
+    uh = u.conj().T
+    per = max(1, _BLOCK * _GRID // u.shape[0])
+    g = min(float(np.min(np.abs(u[s:s + per] @ uh)))
+            for s in range(0, u.shape[0], per))
+    return float(np.arccos(np.clip(g, 0.0, 1.0)))
 
 
 def _trace_zeros(oracle, bases, ends):
@@ -345,13 +353,14 @@ def _grid_tag(oracle, basis, labels):
     ons = grid[labels == 0]
     if ons.shape[0] == 0:
         return ("empty", True, ""), None
-    if _fs_diameter(ons) <= 0.2:
+    diameter = _fs_diameter(ons)
+    if diameter <= 0.2:
         return ("single_point", True, ""), None
     return ("nonconforming", True,
-            f"one-sided ON set of diameter {_fs_diameter(ons):.3f}"), None
+            f"one-sided ON set of diameter {diameter:.3f}"), None
 
 
-def _circle_fit(zeros, chart_residual):
+def _circle_fit(zeros):
     # (circle_frame of the circle through the traced zeros, "") or
     # (None, why the zeros are not a circle)
     if zeros is None or zeros.shape[0] < 8:
@@ -364,12 +373,12 @@ def _circle_fit(zeros, chart_residual):
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.abs(hom[:, 0] / hom[:, 1])
     residual = float(np.max(np.abs(r - 1.0)))
-    if not np.isfinite(residual) or residual > chart_residual:
+    if not np.isfinite(residual) or residual > _CHART_RESIDUAL:
         return None, f"circle fit residual {residual:.3e} in chart units"
     return frame, ""
 
 
-def _circle_tags(oracle, pending, chart_residual):
+def _circle_tags(oracle, pending):
     # (index, basis, result) of each two-sided line of ``pending``, a
     # list of at most _TRACE_LINES (index, basis, ends): traced zeros, a
     # circle fit per line, and the side rings of all fitted lines in
@@ -378,7 +387,7 @@ def _circle_tags(oracle, pending, chart_residual):
     zeros = _trace_zeros(oracle, np.array(bases), np.array(ends))
     out, fitted, rings = [], [], []
     for i, basis, z in zip(idx, bases, zeros):
-        frame, summary = _circle_fit(z, chart_residual)
+        frame, summary = _circle_fit(z)
         if frame is None:
             out.append((i, basis, ("nonconforming", True, summary)))
         else:
@@ -396,7 +405,7 @@ def _circle_tags(oracle, pending, chart_residual):
     return out
 
 
-def _tag_stream(oracle, lines, chart_residual):
+def _tag_stream(oracle, lines):
     # (index, basis, result) of each line of the iterable ``lines`` as
     # soon as its result is known, in the stages the module docstring
     # lists
@@ -416,14 +425,13 @@ def _tag_stream(oracle, lines, chart_residual):
                     yield count, basis, tag
                 count += 1
         while len(pending) >= _TRACE_LINES or (pending and not chunk):
-            yield from _circle_tags(oracle, pending[:_TRACE_LINES],
-                                    chart_residual)
+            yield from _circle_tags(oracle, pending[:_TRACE_LINES])
             del pending[:_TRACE_LINES]
         if not chunk:
             return
 
 
-def oracle_line_tags(oracle, lines, chart_residual):
+def oracle_line_tags(oracle, lines):
     """Shape of the oracle's ON set on each line, by membership alone.
 
     ``lines`` is an iterable of (n+1, 2) bases, such as an (m, n+1, 2)
@@ -435,13 +443,12 @@ def oracle_line_tags(oracle, lines, chart_residual):
     applicable); summary is a short text for nonconforming lines.
     """
     tags = {}
-    for i, basis, result in _tag_stream(oracle, lines, chart_residual):
-        tags[i] = oracle_line_tag(oracle, basis, chart_residual,
-                                  tagged=result)
+    for i, basis, result in _tag_stream(oracle, lines):
+        tags[i] = oracle_line_tag(oracle, basis, tagged=result)
     return [tags[i] for i in range(len(tags))]
 
 
-def oracle_line_tag(oracle, basis, chart_residual, tagged=None):
+def oracle_line_tag(oracle, basis, tagged=None):
     """``oracle_line_tags`` for the single line ``basis`` (n+1, 2).
 
     ``oracle_line_tags`` passes each line's result, computed together
@@ -449,7 +456,7 @@ def oracle_line_tag(oracle, basis, chart_residual, tagged=None):
     goes through this one function, so a wrapper of it sees each line.
     """
     if tagged is None:
-        (_, _, tagged), = _tag_stream(oracle, [basis], chart_residual)
+        (_, _, tagged), = _tag_stream(oracle, [basis])
     return tagged
 
 
@@ -471,8 +478,7 @@ def verify_axioms(oracle, cfg=None):
     # tagged keeps the stream of drawing them all first
     results = oracle_line_tags(
         oracle, (sample_line(rng, oracle.dim).basis()
-                 for _ in range(cfg.n_lines)),
-        float(cfg.tolerances.get("chart_residual", 1e-4)))
+                 for _ in range(cfg.n_lines)))
     tallies = {k: 0 for k in _TALLY_KEYS}
     tags = []
     bad = []
@@ -518,9 +524,6 @@ def verify_point_star(oracle, z, cfg=None):
     quadric, lines the classifier marks as low confidence are counted
     separately instead of against the circle tally.
     """
-    from .projective import ProjPoint, line_through, sample_point
-    from .sections import classify_line_section
-
     cfg = RunConfig() if cfg is None else cfg
     zv = z.v if isinstance(z, ProjPoint) else np.asarray(z, complex)
     if oracle.labels(zv) == 0:
@@ -546,8 +549,7 @@ def verify_point_star(oracle, z, cfg=None):
             kept += 1
             yield line.basis()
 
-    tags = oracle_line_tags(oracle, lines(),
-                            float(cfg.tolerances.get("chart_residual", 1e-4)))
+    tags = oracle_line_tags(oracle, lines())
     n_circle = sum(tag == "circle" for tag, _, _ in tags)
     n_other = len(tags) - n_circle
     verdict = "AllCircles" if n_other == 0 else "Violations"

@@ -22,8 +22,10 @@ import numpy as np
 from .errors import (NotABombon, NotComplementary, NotOnQuadric,
                      TypeMismatch, ZeroVector)
 from .linalg import (DEFAULT_TOL, congruence_to_signs, finite_nonnegative,
-                     hermitian_eig, hermitize, max_abs, sym, zero_tol)
-from .projective import ProjPoint, Subspace, form_value, meet
+                     hermitian_eig, hermitize, max_abs, random_unitary, sym,
+                     zero_tol)
+from .projective import (ProjLine, ProjPoint, Subspace, form_value, meet,
+                         sample_point)
 
 
 class SideSign(enum.Enum):
@@ -264,8 +266,6 @@ def random_smooth_bombon(rng, n, n_pos=None):
 
     Convenient for tests: well conditioned, mixed by construction.
     """
-    from .linalg import random_unitary
-
     if n_pos is None:
         n_pos = int(rng.integers(1, n + 1))
     if not 1 <= n_pos <= n:
@@ -281,8 +281,6 @@ def random_bombon(rng, n, n_pos=None, n_zero=None):
     Eigenvalue magnitudes are spread log-uniformly in [0.3, 3] so the
     forms are well conditioned away from the kernel.
     """
-    from .linalg import random_unitary
-
     dim = n + 1
     if n_zero is None:
         n_zero = int(rng.integers(0, dim - 1))
@@ -306,8 +304,7 @@ def random_point_on(rng, x):
     isotropic vector of the circle the section classifier finds on that
     line.  Raises ZeroVector after 10000 pairs without a point.
     """
-    from .projective import ProjLine, sample_point
-    from .sections import classify_line_section
+    from .sections import classify_line_section  # sections imports this module
 
     for _ in range(10000):
         p = sample_point(rng, x.n)

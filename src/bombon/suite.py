@@ -831,8 +831,7 @@ def prop_linear_closure_laws(rng, ctx):
 
 def prop_report_determinism(rng, ctx):
     cfg = RunConfig(seed=int(rng.integers(2 ** 31)),
-                    n_lines=min(ctx.cfg.n_lines, 60),
-                    tolerances=dict(ctx.cfg.tolerances))
+                    n_lines=min(ctx.cfg.n_lines, 60))
     x = random_smooth_bombon(rng, 2)
     r1 = verify_axioms(oracle_from_quadric(x), cfg)
     r2 = verify_axioms(oracle_from_quadric(x), cfg)
@@ -843,8 +842,7 @@ def prop_report_determinism(rng, ctx):
 
 def prop_verifier_matches_classifier(rng, ctx):
     cfg = RunConfig(seed=int(rng.integers(2 ** 31)),
-                    n_lines=min(ctx.cfg.n_lines, 120),
-                    tolerances=dict(ctx.cfg.tolerances))
+                    n_lines=min(ctx.cfg.n_lines, 120))
     x = random_smooth_bombon(rng, 2)
     rep = verify_axioms(oracle_from_quadric(x), cfg)
     mirror = np.random.default_rng(cfg.seed)
@@ -868,8 +866,7 @@ def prop_verifier_matches_classifier(rng, ctx):
 def prop_exit_code_contract(rng, ctx):
     if ctx.corrupt is not None:
         return True, 0, "skipped under fault injection (would recurse)"
-    cfg = RunConfig(seed=ctx.cfg.seed + 101, n_lines=10,
-                    tolerances=dict(ctx.cfg.tolerances))
+    cfg = RunConfig(seed=ctx.cfg.seed + 101, n_lines=10)
     good, code_good = theorem_suite(cfg, names=("canonicalize_idempotent",
                                                 "evaluate_scale_invariance"))
     if code_good != 0 or good["failures"] != 0:

@@ -244,6 +244,45 @@ def test_cached_parser_survives_usage_error(capsys, monkeypatch):
     assert fresh[0] == 0
 
 
+# The flags of each subcommand, as docs/formats.md lists them: each
+# takes exactly the flags its handler reads.
+QUADRIC_FLAGS = {"--tol", "--format", "--input"}
+FLAGS = {
+    **dict.fromkeys(("classify", "section", "type", "canonical", "equiv",
+                     "join", "tangent", "cores", "transport"), QUADRIC_FLAGS),
+    "orbit": QUADRIC_FLAGS | {"--samples"},
+    "rotate": {"--format", "--input"},
+    "mvee": {"--format", "--input", "--eps"},
+    "disksect": {"--seed", "--format", "--input", "--disk-tol"},
+    "verify": QUADRIC_FLAGS | {"--seed", "--lines"},
+    "suite": {"--seed", "--format", "--lines", "--corrupt", "--names"},
+}
+# (subcommand, flag) pairs no handler reads, each with a value to pass
+DROPPED = ([(cmd, "--seed", "3") for cmd in FLAGS
+            if cmd not in ("verify", "suite", "disksect")]
+           + [("rotate", "--tol", "-5"), ("mvee", "--tol", "1e-3"),
+              ("disksect", "--tol", "1e-3"), ("suite", "--tol", "nan"),
+              ("suite", "--input", "/nonexistent")])
+
+
+def test_each_subcommand_takes_only_its_flags():
+    subs = _build_parser()._subparsers._group_actions[0].choices
+    assert set(subs) == set(FLAGS)
+    for name, sp in subs.items():
+        got = {s for a in sp._actions for s in a.option_strings}
+        assert got - {"-h", "--help"} == FLAGS[name], name
+    assert sum(map(len, FLAGS.values())) == 50
+    assert len(DROPPED) == 17
+
+
+@pytest.mark.parametrize("cmd, flag, value", DROPPED)
+def test_dropped_flag_is_a_usage_error(capsys, cmd, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 # --- malformed input: exit 2 with a JSON error, never a traceback --------
 
 

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,14 +308,14 @@ def test_line_tags_batch_equals_single_lines():
     rng = np.random.default_rng(67)
     seen, circle_sides = set(), set()
     for oracle, bases in _tag_corpus(rng):
-        got = oracle_line_tags(oracle, bases, 1e-4)
-        assert got == [oracle_line_tag(oracle, b, 1e-4) for b in bases]
+        got = oracle_line_tags(oracle, bases)
+        assert got == [oracle_line_tag(oracle, b) for b in bases]
         seen.update(tag for tag, _, _ in got)
         circle_sides.update(ok for tag, ok, _ in got if tag == "circle")
     assert seen == set(oracles._TALLY_KEYS)
     assert circle_sides == {True, False}
     assert oracle_line_tags(oracle_from_quadric(ELLIPTIC),
-                            np.empty((0, 3, 2), dtype=complex), 1e-4) == []
+                            np.empty((0, 3, 2), dtype=complex)) == []
 
 
 def test_trace_zeros_batch_equals_single_lines():
@@ -351,7 +352,7 @@ def test_line_tags_labels_calls_stay_within_block(monkeypatch):
     inner = oracle_from_quadric(x)
     rng = np.random.default_rng(71)
     bases = np.array([sample_line(rng, 3).basis() for _ in range(300)])
-    want = oracle_line_tags(inner, bases, 1e-4)
+    want = oracle_line_tags(inner, bases)
     sizes, open_lines, read, done = [], [], [], []
 
     def side(pts):
@@ -372,11 +373,28 @@ def test_line_tags_labels_calls_stay_within_block(monkeypatch):
 
     monkeypatch.setattr(oracles, "oracle_line_tag", counted)
     spy = OracleSet(side=side, description="spy", dim=3)
-    assert oracle_line_tags(spy, lines(), 1e-4) == want
+    assert oracle_line_tags(spy, lines()) == want
     assert len(done) == 300
     assert max(sizes) == oracles._BLOCK
     assert max(open_lines) < (oracles._TRACE_LINES
                               + oracles._BLOCK // oracles._GRID)
+
+
+def test_fs_diameter_memory_is_bounded():
+    # The diameter of a one-sided line's ON points takes no N x N Gram
+    # matrix (96 MB for these 2000 points) and keeps its exact value.
+    rng = np.random.default_rng(73)
+    pts = rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2))
+    tracemalloc.start()
+    try:
+        got = oracles._fs_diameter(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    u = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    gram = np.abs(u @ u.conj().T)
+    assert abs(got - np.max(np.arccos(np.clip(gram, 0.0, 1.0)))) <= 1e-12
 
 
 def test_verify_tags_pass_through_oracle_line_tag(monkeypatch):
