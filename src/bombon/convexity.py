@@ -4,8 +4,9 @@ touching points, and linear closures on the unit sphere.
 Bodies are membership oracles (vectorized over batches of points) with
 a known bounding radius about the origin.  Complex ellipsoids are
 {x : (x - c)* H (x - c) <= 1} with H Hermitian positive definite; their
-sections by complex affine lines are round disks, and the minimum
-volume ellipsoid of a finite sample is computed by a Khachiyan-style
+sections by complex affine lines are round disks, which the oracle line
+tagger finds in the chart z0 = 1 of CP^n.  The minimum volume ellipsoid
+of a finite sample is computed by a Khachiyan-style
 multiplicative-weights iteration on lifted Hermitian outer products,
 with away steps for fast convergence at tight duality gaps.
 """
@@ -20,10 +21,10 @@ from .errors import (DegenerateSpan, NoConvergence, NotOnSphere,
                      OracleInconsistent)
 from .linalg import (finite_nonnegative, form_values, hermitian_eig,
                      orthonormal_columns, real_form, sym)
+from .oracles import OracleSet, _grid_tag, _traced_fits
 
+# sections wider than 2 * bounding_radius / _GRID hold stage-2 grid points
 _GRID = 64
-_RAYS = 256
-_BISECT_ITERS = 60
 _MVEE_MAX_ITER = 100000
 
 
@@ -121,89 +122,88 @@ class DiskVerdict:
     deviation: float = 0.0
 
 
-def _fit_circle_2d(zs):
-    # Kasa least-squares circle through planar points given as complex.
-    a = np.column_stack([2.0 * zs.real, 2.0 * zs.imag, np.ones(zs.size)])
-    rhs = np.abs(zs) ** 2
-    sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    center = complex(sol[0], sol[1])
-    r2 = sol[2] + abs(center) ** 2
-    radius = float(np.sqrt(max(r2, 0.0)))
-    return center, radius
+def _chart_oracle(body):
+    # the body on CP^n in the chart z0 = 1: +1 inside, -1 outside or at
+    # z0 = 0; the (n, m) product loops along rows, not coordinates
+    def side(pts):
+        far = pts[:, 0] == 0
+        aff = np.empty((pts.shape[1] - 1, pts.shape[0]), dtype=complex)
+        np.multiply(pts[:, 1:].T, 1.0 / np.where(far, 1.0, pts[:, 0]), out=aff)
+        return np.where(body.inside(aff.T) & ~far, 1, -1)
+
+    return OracleSet(side, f"chart({body.description})", body.dim)
+
+
+def disk_sections(body, lines, tol=1e-3, rng=None):
+    """``disk_section_test`` of each of ``lines`` through ``body``; the
+    lines are traced together, spot-check pairs drawn in line order."""
+    tol = finite_nonnegative(tol, "tol")
+    rng = np.random.default_rng(0) if rng is None else rng
+    big_r = body.bounding_radius
+    oracle = _chart_oracle(body)
+    out, todo, bases, ends = [], [], [], []
+    for line in lines:
+        out.append(DiskVerdict(DiskTag.EMPTY))
+        t0 = -complex(np.vdot(line.direction, line.base))
+        p = line.base + t0 * line.direction
+        dmin = float(np.linalg.norm(p))
+        if dmin > big_r:
+            continue
+        chord = float(np.sqrt(big_r ** 2 - dmin ** 2)) + 1e-12
+        basis = np.column_stack([np.append(1.0, p),
+                                 np.append(0.0, chord * line.direction)])
+        _, grid, labels = _grid_tag(oracle, basis)
+        inside = labels == 1
+        if not np.any(inside):
+            continue
+        ws = grid[inside, 1] / grid[inside, 0]
+        wc = np.mean(ws)
+        ia, ib = rng.integers(0, ws.size, size=(2, min(40, ws.size)))
+        if not np.all(body.inside(line.at(
+                t0 + chord * np.append((ws[ia] + ws[ib]) / 2.0, wc)))):
+            raise OracleInconsistent("a midpoint or the centroid of member "
+                                     "points left the body")
+        if not np.all(inside):
+            todo.append((len(out) - 1, t0, chord))
+            bases.append(basis)
+            # trace columns (p_u, p_v): the centroid and the point at
+            # infinity, so that the rays run straight out of the centroid
+            ends.append(np.array([[1.0, 0.0], [wc, 1.0]]))
+        elif 2.0 * chord <= tol * big_r:
+            out[-1] = DiskVerdict(DiskTag.POINT, center=t0)
+        else:
+            raise OracleInconsistent("member points outside the bounding ball")
+    fits = _traced_fits(oracle, np.array(bases), np.array(ends))
+    for (i, t0, chord), (m, zeros) in zip(todo, fits):
+        det = 0.0 if m is None else float(np.linalg.det(m).real)
+        if det >= 0 or m[1, 1] == 0:
+            raise OracleInconsistent("section boundary fits no circle")
+        center = t0 + chord * complex(-m[1, 0] / m[1, 1])
+        radius = chord * float(np.sqrt(-det)) / abs(m[1, 1])
+        ts = t0 + chord * (zeros[:, 1] / zeros[:, 0])
+        rel = float(np.max(np.abs(np.abs(ts - center) - radius))) / radius
+        tag = (DiskTag.POINT if 2.0 * radius <= tol * big_r else
+               DiskTag.DISK if rel <= tol else DiskTag.NOT_A_DISK)
+        out[i] = DiskVerdict(tag, center, radius, rel)
+    return out
 
 
 def disk_section_test(body, line, tol=1e-3, rng=None):
     """Decide whether a convex body cuts the complex line in a disk.
 
-    The planar section is located by a membership grid over the chord
-    allowed by the bounding ball, its boundary is traced by bisection
-    along rays from an interior point, and a least-squares circle fit
-    decides Disk versus NotADisk at relative tolerance ``tol``.  Returns
-    Empty when no section point is found (sections thinner than the
-    grid pitch are invisible) and Point when the boundary extent stays
-    below tol * bounding_radius.  Convexity of the oracle is spot
-    checked on midpoints; violations raise OracleInconsistent.  A
-    negative or non-finite tol raises ValueError.
+    The oracle line tagger labels the body on the line's CP^1, charted
+    so that the bounding-ball chord about the point t0 nearest the
+    origin is the unit disk, and traces the section's boundary.  The
+    circle fitted through it gives center, radius and deviation
+    max | |t - center| - radius | / radius.  Point when 2 * radius (or,
+    inside at every grid point, 2 * chord) <= tol * bounding_radius,
+    else Disk when deviation <= ``tol``, else NotADisk; Empty when no
+    grid point is inside.  Raises OracleInconsistent when a midpoint or
+    the centroid of member points (pairs drawn from ``rng``) is outside,
+    the whole grid is inside a long chord, or the boundary fits no
+    circle, and ValueError for a negative or non-finite tol.
     """
-    tol = finite_nonnegative(tol, "tol")
-    rng = np.random.default_rng(0) if rng is None else rng
-    t0 = -complex(np.vdot(line.direction, line.base))
-    dmin = float(np.linalg.norm(line.base + t0 * line.direction))
-    big_r = body.bounding_radius
-    if dmin > big_r:
-        return DiskVerdict(DiskTag.EMPTY)
-    chord = float(np.sqrt(max(big_r ** 2 - dmin ** 2, 0.0))) + 1e-12
-
-    def inside_t(ts):
-        return body.inside(line.at(np.asarray(ts, dtype=complex)))
-
-    hits = np.zeros(0, dtype=complex)
-    for npts in (_GRID, _GRID * 4):
-        ax = np.linspace(-chord, chord, npts)
-        re, im = np.meshgrid(ax, ax)
-        ts = t0 + (re + 1j * im).ravel()
-        mask = inside_t(ts)
-        hits = ts[mask]
-        if hits.size:
-            break
-    if hits.size == 0:
-        return DiskVerdict(DiskTag.EMPTY)
-
-    if hits.size >= 2:
-        k = min(40, hits.size)
-        ia = rng.integers(0, hits.size, size=k)
-        ib = rng.integers(0, hits.size, size=k)
-        mids = (hits[ia] + hits[ib]) / 2.0
-        if not np.all(inside_t(mids)):
-            raise OracleInconsistent("midpoint of member points left the body")
-
-    t_in = complex(np.mean(hits))
-    if not inside_t([t_in])[0]:
-        raise OracleInconsistent("centroid of member points left the body")
-
-    angles = np.exp(2j * np.pi * np.arange(_RAYS) / _RAYS)
-    lo = np.zeros(_RAYS)
-    hi = np.full(_RAYS, 2.0 * (big_r + abs(t_in) + 1.0))
-    for _ in range(_BISECT_ITERS):
-        mid = (lo + hi) / 2.0
-        ok = inside_t(t_in + mid * angles)
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
-    boundary = t_in + lo * angles
-
-    diffs = boundary[:, None] - boundary[None, :]
-    extent = float(np.max(np.abs(diffs)))
-    if extent <= tol * big_r:
-        return DiskVerdict(DiskTag.POINT, center=complex(np.mean(boundary)))
-
-    center, radius = _fit_circle_2d(boundary)
-    deviation = float(np.max(np.abs(np.abs(boundary - center) - radius)))
-    rel = deviation / max(radius, 1e-300)
-    if rel <= tol:
-        return DiskVerdict(DiskTag.DISK, center=center, radius=radius,
-                           deviation=rel)
-    return DiskVerdict(DiskTag.NOT_A_DISK, center=center, radius=radius,
-                       deviation=rel)
+    return disk_sections(body, [line], tol, rng)[0]
 
 
 @dataclass

@@ -32,7 +32,7 @@ def as_cvector(v):
     a = np.asarray(v, dtype=complex)
     if a.ndim != 1:
         raise ValueError("expected a 1-d coordinate vector")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError("coordinates must be finite")
     return a
 
@@ -41,7 +41,7 @@ def as_cmatrix(m):
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 

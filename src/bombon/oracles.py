@@ -21,6 +21,8 @@ not grow with its number of lines:
 Rows are labelled independently, so the tags do not depend on which
 lines share a call.  Every tag leaves through ``oracle_line_tag``, so
 a wrapper of that one function sees each tagged line.
+``convexity.disk_sections`` runs convex-body charts through the same
+stages and circle fit.
 """
 
 from dataclasses import dataclass
@@ -268,11 +270,15 @@ class AxiomReport:
 
 
 def _fs_diameter(pts):
-    # largest Fubini-Study distance arccos |<u_i, u_j>| of the points:
-    # the smallest overlap, taken over row blocks of the Gram matrix of
-    # at most _BLOCK * _GRID entries, so that memory does not grow with
-    # the square of the number of points
+    # largest Fubini-Study distance arccos |<u_i, u_j>| of the points,
+    # or 2 r <= 0.2 when all lie within r of the first (a metric bound
+    # that decides a single point): the smallest overlap, taken over row
+    # blocks of the Gram matrix of at most _BLOCK * _GRID entries, so
+    # that memory does not grow with the square of the number of points
     u = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    r = float(np.arccos(np.clip(np.min(np.abs(u @ u[0].conj())), 0.0, 1.0)))
+    if r <= 0.1:
+        return 2.0 * r
     uh = u.conj().T
     per = max(1, _BLOCK * _GRID // u.shape[0])
     g = min(float(np.min(np.abs(u[s:s + per] @ uh)))
@@ -336,36 +342,46 @@ def _grid_labels(oracle, grid, bases):
     return np.concatenate(out).reshape(bases.shape[0], grid.shape[0])
 
 
-def _grid_tag(oracle, basis, labels):
-    # (tag, None) of a line its grid labels decide, or (None, ends) of a
-    # two-sided line: the columns (p_u, p_v) of a U and a V grid point.
-    # ``labels`` are the stage-1 labels; a one-sided line is labelled
-    # again on the stage-2 grid.
+def _grid_tag(oracle, basis, labels=None):
+    # (tag, grid, labels) of a line: the grid whose labels decide it,
+    # those labels and the line's tag, or None for the tag when they show
+    # both sides.  ``labels`` are the stage-1 labels, labelled here when
+    # None; a one-sided line is labelled again on the stage-2 grid.
     grid = cp1_grid(_GRID)
+    if labels is None:
+        labels, = _grid_labels(oracle, grid, basis[None])
     if bool(np.all(labels == 0)):
-        return ("full_line", True, ""), None
+        return ("full_line", True, ""), grid, labels
     if not (np.any(labels == 1) and np.any(labels == -1)):
         grid = cp1_grid(_STAGE2)
         labels, = _grid_labels(oracle, grid, basis[None])
     if np.any(labels == 1) and np.any(labels == -1):
-        return None, np.column_stack([grid[int(np.argmax(labels == 1))],
-                                      grid[int(np.argmax(labels == -1))]])
+        return None, grid, labels
     ons = grid[labels == 0]
     if ons.shape[0] == 0:
-        return ("empty", True, ""), None
+        return ("empty", True, ""), grid, labels
     diameter = _fs_diameter(ons)
     if diameter <= 0.2:
-        return ("single_point", True, ""), None
+        return ("single_point", True, ""), grid, labels
     return ("nonconforming", True,
-            f"one-sided ON set of diameter {diameter:.3f}"), None
+            f"one-sided ON set of diameter {diameter:.3f}"), grid, labels
 
 
-def _circle_fit(zeros):
-    # (circle_frame of the circle through the traced zeros, "") or
+def _traced_fits(oracle, bases, ends):
+    # (m, zeros) per two-sided line: its traced zeros and the form fitted
+    # through them, m None below 8 zeros; _TRACE_LINES lines per trace
+    zeros = [z for s in range(0, len(bases), _TRACE_LINES)
+             for z in _trace_zeros(oracle, bases[s:s + _TRACE_LINES],
+                                   ends[s:s + _TRACE_LINES])]
+    return [(None, z) if z is None or len(z) < 8
+            else (_fit_hermitian_through(z)[0], z) for z in zeros]
+
+
+def _circle_fit(m, zeros):
+    # (circle_frame of the form m fitted through the traced zeros, "") or
     # (None, why the zeros are not a circle)
-    if zeros is None or zeros.shape[0] < 8:
+    if m is None:
         return None, "could not bracket the zero set"
-    m, _ = _fit_hermitian_through(zeros)
     if np.linalg.det(m).real >= 0:
         return None, "zero set fit is not mixed-signature"
     frame = circle_frame(hermitian_eig(m))
@@ -384,10 +400,10 @@ def _circle_tags(oracle, pending):
     # circle fit per line, and the side rings of all fitted lines in
     # one labels call
     idx, bases, ends = zip(*pending)
-    zeros = _trace_zeros(oracle, np.array(bases), np.array(ends))
+    fits = _traced_fits(oracle, np.array(bases), np.array(ends))
     out, fitted, rings = [], [], []
-    for i, basis, z in zip(idx, bases, zeros):
-        frame, summary = _circle_fit(z)
+    for i, basis, (m, z) in zip(idx, bases, fits):
+        frame, summary = _circle_fit(m, z)
         if frame is None:
             out.append((i, basis, ("nonconforming", True, summary)))
         else:
@@ -418,9 +434,12 @@ def _tag_stream(oracle, lines):
             bases = np.array(chunk, dtype=complex)
             for basis, labels in zip(
                     bases, _grid_labels(oracle, cp1_grid(_GRID), bases)):
-                tag, ends = _grid_tag(oracle, basis, labels)
+                tag, grid, labels = _grid_tag(oracle, basis, labels)
                 if tag is None:
-                    pending.append((count, basis, ends))
+                    # the columns (p_u, p_v) of a U and a V grid point
+                    pending.append((count, basis, np.column_stack([
+                        grid[int(np.argmax(labels == 1))],
+                        grid[int(np.argmax(labels == -1))]])))
                 else:
                     yield count, basis, tag
                 count += 1

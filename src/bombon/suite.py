@@ -13,8 +13,8 @@ import numpy as np
 from .actions import (CoreSplit, bundle_projection, homogeneity_transport,
                       pseudo_unitary_check, s1_action)
 from .convexity import (AffineComplexLine, DiskTag, disk_section_test,
-                        ellipsoid_body, john_touchpoint_check, linear_closure,
-                        mvee_complex, polydisk_body)
+                        disk_sections, ellipsoid_body, john_touchpoint_check,
+                        linear_closure, mvee_complex, polydisk_body)
 from .jsonio import canonical_dumps
 from .linalg import (hermitian_eig, max_abs, orthonormal_columns,
                      random_hermitian, random_unitary, sym, zero_tol)
@@ -725,15 +725,12 @@ def bidisk_lenses(rng, count):
     (a failure as text when no section is a lens, else None; the number
     of lens sections).
     """
-    body = polydisk_body((1.0, 1.0))
-    found = 0
-    for _ in range(count):
-        base = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        d = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        verdict = disk_section_test(body, AffineComplexLine(base, d),
-                                    tol=1e-3, rng=rng)
-        if verdict.tag is DiskTag.NOT_A_DISK:
-            found += 1
+    lines = [AffineComplexLine(
+        0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)),
+        rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        for _ in range(count)]
+    found = sum(v.tag is DiskTag.NOT_A_DISK for v in disk_sections(
+        polydisk_body((1.0, 1.0)), lines, tol=1e-3, rng=rng))
     return (None if found else "no lens section found on the bidisk"), found
 
 

@@ -183,6 +183,6 @@ def test_criterion_11_suite_deterministic():
     # sha256 of the report text as this numpy/LAPACK build prints it;
     # another build may round the reported figures differently
     assert hashlib.sha256(canonical_dumps(first).encode()).hexdigest() == (
-        "0f81fbc3e303e3d4198837aa019992fba6f1c9f78b4038f65f77be96bffb1470")
+        "abd5e5171fabe294b9b0f670816f837aac3289c852494e59fc8de3612e331a88")
     print(f"criterion 11: PASS (full suite green in {elapsed:.1f}s, "
           f"byte-identical on rerun)")

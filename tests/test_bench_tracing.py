@@ -10,7 +10,7 @@ import inspect
 import pathlib
 import sys
 
-import bombon  # noqa: F401  (loads every bombon module the tracer patches)
+import bombon  # loads every bombon module the tracer patches
 import bombon.cli  # noqa: F401
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -54,8 +54,11 @@ def test_tracer_patches_resolve_and_restore():
     for target in (("bombon.linalg", "congruence_to_signs"),
                    ("GenCircle", "to_unit_chart"),
                    ("QuadricBombon", "side"),
-                   ("bombon.sections", "classify_line_section")):
+                   ("bombon.sections", "classify_line_section"),
+                   ("bombon.convexity", "disk_section_test")):
         assert target in patched, target
+    # bench/workloads.py sizes its disk-section lines by this pitch
+    assert isinstance(bombon.convexity._GRID, int)
     after = _snapshot()
     assert after.keys() == before.keys()
     changed = [k for k in before if after[k] is not before[k]]

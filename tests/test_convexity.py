@@ -1,12 +1,17 @@
 """Convex bodies, disk sections, MVEE and abstract linear spans."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from bombon.convexity import (AffineComplexLine, DiskTag, abstract_line_points,
-                              ball_body, disk_section_test, ellipsoid_body,
-                              linear_closure, mvee_complex, polydisk_body)
-from bombon.errors import DegenerateSpan, NotOnSphere
+from bombon import convexity
+from bombon.convexity import (AffineComplexLine, ConvexBodyOracle, DiskTag,
+                              abstract_line_points, ball_body,
+                              disk_section_test, disk_sections,
+                              ellipsoid_body, linear_closure, mvee_complex,
+                              polydisk_body)
+from bombon.errors import DegenerateSpan, NotOnSphere, OracleInconsistent
 from bombon.linalg import max_abs, sym
 from bombon.suite import mvee_violation
 
@@ -77,6 +82,118 @@ def test_bidisk_centered_line_is_disk():
     v = disk_section_test(body, line, rng=np.random.default_rng(3))
     assert v.tag is DiskTag.DISK
     assert v.radius == pytest.approx(np.sqrt(2.0), rel=1e-3)
+
+
+def _cgauss(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _ellipsoid_corpus(rng, count):
+    # (body, line, exact) of ellipsoid lines in C^2 and C^3 that are
+    # clearly empty (exact None) or cut a disk exact = (center, radius)
+    # of radius above four pitches 2R / _GRID: with e = base - c and the
+    # unit direction d, the section is |t - center| <= radius, where
+    # a = d*Hd, b = d*He, low = e*He - |b|^2 / a, center = -b / a and
+    # radius = sqrt((1 - low) / a)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(2, 4))
+        m = _cgauss(rng, n, n)
+        h = m @ m.conj().T + 0.3 * np.eye(n)
+        c = 0.3 * _cgauss(rng, n)
+        body = ellipsoid_body(c, h)
+        line = AffineComplexLine(0.8 * _cgauss(rng, n), _cgauss(rng, n))
+        d, e = line.direction, line.base - c
+        a = float(np.real(np.vdot(d, h @ d)))
+        b = complex(np.vdot(d, h @ e))
+        low = float(np.real(np.vdot(e, h @ e))) - abs(b) ** 2 / a
+        pitch = 2.0 * body.bounding_radius / convexity._GRID
+        if low > 1.1:
+            out.append((body, line, None))
+        elif low < 0.8 and np.sqrt((1.0 - low) / a) > 4.0 * pitch:
+            out.append((body, line, (-b / a, float(np.sqrt((1.0 - low) / a)))))
+    return out
+
+
+def test_ellipsoid_sections_match_exact_disks():
+    corpus = _ellipsoid_corpus(np.random.default_rng(211), 200)
+    assert sum(exact is not None for _, _, exact in corpus) >= 30
+    for k, (body, line, exact) in enumerate(corpus):
+        v = disk_section_test(body, line, rng=np.random.default_rng(k))
+        if exact is None:
+            assert v.tag is DiskTag.EMPTY, k
+            continue
+        center, radius = exact
+        assert v.tag is DiskTag.DISK, k
+        assert abs(v.center - center) <= 1e-6 * radius, k
+        assert abs(v.radius - radius) <= 1e-6 * radius, k
+        assert v.deviation <= 1e-6
+
+
+def _bidisk_corpus(rng, count):
+    # (line, tag) of unit-bidisk lines: |base_i + t dir_i| <= 1 is the
+    # disk about -base_i / dir_i of radius 1 / |dir_i| in the t-plane,
+    # and the section is the meet of the two disks: the smaller one
+    # inside the other, the two apart, or a lens well away from both
+    pitch = 2.0 * np.sqrt(2.0) / convexity._GRID
+    out = []
+    while len(out) < count:
+        line = AffineComplexLine(0.5 * _cgauss(rng, 2), _cgauss(rng, 2))
+        (c1, r1), (c2, r2) = sorted(
+            ((-line.base[i] / line.direction[i], 1.0 / abs(line.direction[i]))
+             for i in (0, 1)), key=lambda disk: disk[1])
+        dist = abs(c1 - c2)
+        if r1 < 4.0 * pitch:
+            continue
+        if dist + r1 < r2 - 0.05 * r1:
+            out.append((line, DiskTag.DISK))
+        elif dist > r1 + r2 + 0.05 * r1:
+            out.append((line, DiskTag.EMPTY))
+        elif r2 - r1 + 0.2 * r1 < dist < r1 + r2 - 0.5 * r1:
+            out.append((line, DiskTag.NOT_A_DISK))
+    return out
+
+
+def test_bidisk_sections_match_their_shape():
+    corpus = _bidisk_corpus(np.random.default_rng(223), 120)
+    body = polydisk_body((1.0, 1.0))
+    got = disk_sections(body, [line for line, _ in corpus])
+    assert [v.tag for v in got] == [tag for _, tag in corpus]
+    assert {tag for _, tag in corpus} == set(DiskTag) - {DiskTag.POINT}
+
+
+def test_disk_sections_equal_single_lines():
+    # lines of one body share labels calls; each verdict is the one its
+    # line gets alone, bit for bit
+    rng = np.random.default_rng(227)
+    lines = [line for line, _ in _bidisk_corpus(rng, 90)]
+    bidisk = polydisk_body((1.0, 1.0))
+    ell = ellipsoid_body(0.2 * _cgauss(rng, 3), np.diag([1.0, 2.0, 3.0]))
+    lines3 = [AffineComplexLine(0.6 * _cgauss(rng, 3), _cgauss(rng, 3))
+              for _ in range(40)]
+    for body, batch in ((bidisk, lines), (ell, lines3)):
+        got = disk_sections(body, batch, rng=np.random.default_rng(1))
+        want = [disk_section_test(body, line, rng=np.random.default_rng(1))
+                for line in batch]
+        assert got == want
+    assert len({v.tag for v in got}) >= 2
+
+
+def test_chart_oracle_row_at_infinity_is_outside_without_warning():
+    oracle = convexity._chart_oracle(ball_body(2))
+    pts = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.5, 0.0],
+                    [1.0, 3.0, 0.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert oracle.labels(pts).tolist() == [-1, -1, 1, -1]
+
+
+def test_body_beyond_its_bounding_ball_is_inconsistent():
+    # every point inside, yet the chord through the origin is long
+    everything = ConvexBodyOracle(lambda pts: np.ones(len(pts), bool), 1.0, 2)
+    line = AffineComplexLine(np.zeros(2), np.array([1.0, 0.0]))
+    with pytest.raises(OracleInconsistent, match="bounding ball"):
+        disk_section_test(everything, line)
 
 
 def test_mvee_symmetric_frozen():

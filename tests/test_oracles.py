@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -395,6 +396,22 @@ def test_fs_diameter_memory_is_bounded():
     u = pts / np.linalg.norm(pts, axis=1, keepdims=True)
     gram = np.abs(u @ u.conj().T)
     assert abs(got - np.max(np.arccos(np.clip(gram, 0.0, 1.0)))) <= 1e-12
+
+
+def test_fs_diameter_of_a_tight_cluster_is_linear_time():
+    # Every point within 0.1 of the first bounds the diameter by twice
+    # that distance, which decides a single point; 30000 ON points skip
+    # the pass over all pairs, which takes seconds.
+    rng = np.random.default_rng(79)
+    w = 0.01 * (rng.standard_normal(30000) + 1j * rng.standard_normal(30000))
+    pts = np.column_stack([np.ones(30000), w])
+    start = time.perf_counter()
+    got = oracles._fs_diameter(pts)
+    assert time.perf_counter() - start < 0.5
+    assert got <= 0.2
+    u = pts[:2000] / np.linalg.norm(pts[:2000], axis=1, keepdims=True)
+    gram = np.abs(u @ u.conj().T)
+    assert np.max(np.arccos(np.clip(gram, 0.0, 1.0))) <= got
 
 
 def test_verify_tags_pass_through_oracle_line_tag(monkeypatch):
