@@ -11,10 +11,15 @@ phases are pinned so results are reproducible on a given numpy/LAPACK
 build.  The pinning is one vectorized step over all columns and gives
 bit for bit what pinning each column in turn gives.
 
-Values ``Re(p* A p)`` of a fixed Hermitian form over large stacks of
-rows go through one real-arithmetic kernel: ``real_form`` builds the
-2k x 2k real symmetric form of ``A`` once, and ``form_values`` applies
-it to the rows viewed as interleaved float pairs.
+Large stacks of complex rows are worked on as real rows of interleaved
+(Re, Im) float pairs, so that each step is one real matmul:
+- ``real_map(b)`` is the real matrix of ``p -> p @ b``, for a whole
+  stack of ``b`` at once;
+- values ``Re(p* A p)`` of a fixed Hermitian form go through one
+  kernel: ``real_form`` factors the 2k x 2k real symmetric form of ``A``
+  once, by one ``eigh``, into ``q, lam``, and ``form_values`` is
+  ``((x @ q) ** 2) @ lam``.  Because ``q`` is orthogonal, weights
+  ``[lam, 1]`` give each row's value and squared norm in one product.
 """
 
 import math
@@ -107,14 +112,29 @@ _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def real_form(a):
-    """2k x 2k real symmetric matrix R of the Hermitian form ``a``.
+    """Factored real form ``(q, lam)`` of the Hermitian form ``a``.
 
     With a complex row p viewed as interleaved (Re, Im) float64 pairs x,
-    ``x @ R @ x`` equals ``Re(p* a p)``.  Only the Hermitian part of
-    ``a`` contributes, as it does to that real part.
+    ``((x @ q) ** 2) @ lam`` equals ``Re(p* a p)``: ``lam`` and the
+    orthogonal ``q`` are the eigenpairs of the 2k x 2k real symmetric
+    matrix of that form.  Only the Hermitian part of ``a`` contributes,
+    as it does to that real part.
     """
     h = sym(a)
-    return np.kron(h.real, np.eye(2)) + np.kron(h.imag, _J2)
+    lam, q = np.linalg.eigh(np.kron(h.real, np.eye(2))
+                            + np.kron(h.imag, _J2))
+    return q, lam
+
+
+def real_map(b):
+    """Real matrices of ``p -> p @ b`` for a (..., r, k) complex stack:
+    (..., 2r, 2k), acting on rows viewed as interleaved float pairs."""
+    b = np.asarray(b, dtype=complex)
+    out = np.empty(b.shape[:-2] + (b.shape[-2], 2, b.shape[-1], 2))
+    out[..., 0, :, 0] = out[..., 1, :, 1] = b.real
+    out[..., 0, :, 1] = b.imag
+    out[..., 1, :, 0] = -b.imag
+    return out.reshape(b.shape[:-2] + (2 * b.shape[-2], 2 * b.shape[-1]))
 
 
 def _float_rows(rows):
@@ -123,15 +143,15 @@ def _float_rows(rows):
 
 def form_values(rows, rform):
     """``Re(p* A p)`` for every row p of a (..., k) complex stack, given
-    ``rform = real_form(A)``: one real matmul and a row dot."""
-    x = _float_rows(rows)
-    return np.einsum("...j,...j->...", x @ rform, x)
+    ``rform = real_form(A)``: ``((x @ q) ** 2) @ lam``.
 
-
-def sq_norms(rows):
-    """Squared norm of every row of a (..., k) complex stack."""
-    x = _float_rows(rows)
-    return np.einsum("...j,...j->...", x, x)
+    Weights ``w`` of shape (2k, j) in place of ``lam`` give j values per
+    row; with ``w = [lam, 1]`` the second is the squared norm |p|^2.
+    """
+    q, w = rform
+    y = _float_rows(rows) @ q
+    y *= y
+    return y @ w
 
 
 @dataclass(frozen=True)

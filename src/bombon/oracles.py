@@ -18,6 +18,11 @@ not grow with its number of lines:
   call per step;
 - each zero set gets its own circle fit, and the side rings of the
   fitted lines among those 64 are labelled in one call.
+Grid and ray points are built in real arithmetic: each block is one
+real matmul of the grid's (or the rays') interleaved float rows with
+``linalg.real_map`` of the line basis, and is handed to the oracle as
+a complex view of the product.  The quadric oracle takes each row's
+value and squared norm from one ``linalg.form_values`` product.
 Rows are labelled independently, so the tags do not depend on which
 lines share a call.  Every tag leaves through ``oracle_line_tag``, so
 a wrapper of that one function sees each tagged line.
@@ -31,9 +36,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ZeroVector
 from .linalg import (DEFAULT_TOL, circle_frame, form_values, hermitian_eig,
-                     max_abs, real_form, sq_norms, zero_tol)
+                     max_abs, real_form, real_map, zero_tol)
 from .moebius import _fit_hermitian_through
 from .projective import ProjPoint, line_through, sample_line, sample_point
 from .sections import SectionTag, classify_line_section, side_rings
@@ -59,6 +64,8 @@ _TRACE_LINES = _BLOCK // _RAYS
 _CHART_RESIDUAL = 1e-4
 # ON band of the bidisk oracle around its gauge level 1
 _BIDISK_BAND = 1e-9
+# smallest normal float: a squared norm below it has lost digits
+_TINY = np.finfo(float).tiny
 _angle_cache = {}
 _grid_cache = {}
 
@@ -94,10 +101,17 @@ def cp1_grid(k):
     return _grid_cache[k]
 
 
-def _line_values(rform, basis, spinors):
+def _value_form(a):
+    # real_form(a) with weights [lam, 1]: form_values then gives each
+    # row's value and squared norm
+    q, lam = real_form(a)
+    return q, np.column_stack([lam, np.ones_like(lam)])
+
+
+def _line_values(vform, basis, spinors):
     # form values at the unit points of the line, normalized once
-    pts = np.asarray(spinors, dtype=complex) @ basis.T
-    return form_values(pts, rform) / sq_norms(pts)
+    vn = form_values(np.asarray(spinors, dtype=complex) @ basis.T, vform)
+    return vn[..., 0] / vn[..., 1]
 
 
 def grid_line_tag(a, basis):
@@ -118,9 +132,9 @@ def grid_line_tag(a, basis):
     flat_tol = 1e-12 * scale
     ztol = 1e-10 * scale
 
-    rform = real_form(a)
+    vform = _value_form(a)
     theta, phi = fib_angles(_GRID)
-    vals = _line_values(rform, basis, cp1_grid(_GRID))
+    vals = _line_values(vform, basis, cp1_grid(_GRID))
     if float(np.max(np.abs(vals))) <= flat_tol:
         return SectionTag.FULL_LINE
     if np.any(vals > sign_tol) and np.any(vals < -sign_tol):
@@ -141,7 +155,7 @@ def grid_line_tag(a, basis):
             break
         tt = th[:, None, None] + step[:, None, None] * off[None, :, None]
         pp = ph[:, None, None] + step[:, None, None] * off[None, None, :]
-        v = sgn[:, None, None] * _line_values(rform, basis, spinor(tt, pp))
+        v = sgn[:, None, None] * _line_values(vform, basis, spinor(tt, pp))
         flat = v.reshape(th.size, -1)
         j = np.argmax(flat, axis=1)
         vbest = flat[np.arange(th.size), j]
@@ -195,13 +209,33 @@ class OracleSet:
 
 
 def oracle_from_quadric(x):
-    """Side oracle of an algebraic bombon, banded by its zero tolerance."""
+    """Side oracle of an algebraic bombon, banded by its zero tolerance.
+
+    Raises ZeroVector for a zero row and ValueError for a non-finite one.
+    """
     thr = zero_tol(x.a, x.tol)
-    rform = real_form(x.a)
+    vform = _value_form(x.a)
 
     def side(pts):
-        vals = form_values(pts, rform) / sq_norms(pts)
-        return np.where(np.abs(vals) <= thr, 0, np.sign(vals)).astype(int)
+        with np.errstate(all="ignore"):
+            vn = form_values(pts, vform)
+            vals = vn[:, 0] / vn[:, 1]
+        if (not np.isfinite(vals).all()
+                or vn[:, 1].min(initial=np.inf) < _TINY):
+            # zero or non-finite rows, and rows whose squares under- or
+            # overflow, which are labelled again at unit scale
+            bad = ~np.isfinite(vals) | (vn[:, 1] < _TINY)
+            rows = pts[bad]
+            if not np.isfinite(rows).all():
+                raise ValueError("coordinates must be finite")
+            big = np.abs(rows).max(axis=1, keepdims=True)
+            if np.any(big == 0):
+                raise ZeroVector("zero vector has no side")
+            vn = form_values(rows / big, vform)
+            vals[bad] = vn[:, 0] / vn[:, 1]
+        out = (vals > thr).astype(int)
+        out -= vals < -thr
+        return out
 
     return OracleSet(side=side, description=f"quadric(n={x.n})", dim=x.n,
                      exact=x)
@@ -297,14 +331,15 @@ def _trace_zeros(oracle, bases, ends):
     bracketed zeros, or None when no ray brackets a flip.
     """
     ang = np.exp(2j * np.pi * np.arange(_RAYS) / _RAYS)
-    basis_t = bases.transpose(0, 2, 1)
-    ends_t = ends.transpose(0, 2, 1)
-    # chart coordinates (w, 1) of the ray points, w rewritten per step
+    # chart coordinates (w, 1) of the ray points, w rewritten per step,
+    # and the real map of (w, 1) -> (w, 1) @ ends_t @ basis_t per line
     chart = np.ones((bases.shape[0], _RAYS, 2), dtype=complex)
+    chart_x = chart.view(np.float64)
+    to_pts = real_map(ends.transpose(0, 2, 1) @ bases.transpose(0, 2, 1))
 
     def lab(logr):
         chart[..., 0] = np.power(10.0, logr) * ang
-        pts = (chart @ ends_t) @ basis_t
+        pts = (chart_x @ to_pts).view(complex)
         return oracle.labels(pts.reshape(-1, pts.shape[2])).reshape(
             logr.shape)
 
@@ -314,13 +349,15 @@ def _trace_zeros(oracle, bases, ends):
     lab_hi = lab(hi)
     valid = (lab_lo != 0) & (lab_hi != 0) & (lab_lo != lab_hi)
     if np.any(valid):
+        # a midpoint's label times lab_lo is > 0 on lo's side, < 0 on
+        # hi's side and 0 on the set, where both ends move; NaN keeps the
+        # ends of the rays without a bracket
+        ref = np.where(valid, lab_lo, np.nan)
         for _ in range(_BISECT_ITERS):
             mid = (lo + hi) / 2.0
-            lm = lab(mid)
-            on = lm == 0
-            take_lo = (lm == lab_lo) & ~on
-            lo = np.where(valid & (take_lo | on), mid, lo)
-            hi = np.where(valid & (~take_lo | on), mid, hi)
+            t = lab(mid) * ref
+            lo = np.where(t >= 0, mid, lo)
+            hi = np.where(t <= 0, mid, hi)
     w = np.power(10.0, (lo + hi) / 2.0) * ang
     return [np.column_stack([wi[vi], np.ones(int(vi.sum()))]) @ pi.T
             if np.any(vi) else None for wi, vi, pi in zip(w, valid, ends)]
@@ -332,12 +369,14 @@ def _grid_labels(oracle, grid, bases):
     # whole lines while a grid is smaller than a block, else one block
     # of a line's grid at a time, so that a block's temporaries stay in
     # cache.  Rows are labelled independently, so blocks change nothing.
+    # Each block is one real matmul of the grid's float rows.
     per = max(1, _BLOCK // grid.shape[0])
+    grid_x = grid.view(np.float64)
+    to_pts = real_map(bases.transpose(0, 2, 1))
     out = []
     for s in range(0, bases.shape[0], per):
-        basis_t = bases[s:s + per].transpose(0, 2, 1)
-        out += [oracle.labels((grid[i:i + _BLOCK] @ basis_t).reshape(
-                    -1, bases.shape[1]))
+        out += [oracle.labels((grid_x[i:i + _BLOCK] @ to_pts[s:s + per])
+                              .view(complex).reshape(-1, bases.shape[1]))
                 for i in range(0, grid.shape[0], _BLOCK)]
     return np.concatenate(out).reshape(bases.shape[0], grid.shape[0])
 

@@ -1,5 +1,6 @@
 """Convex bodies, disk sections, MVEE and abstract linear spans."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -177,6 +178,21 @@ def test_disk_sections_equal_single_lines():
                 for line in batch]
         assert got == want
     assert len({v.tag for v in got}) >= 2
+
+
+def test_disk_section_tags_pinned():
+    # the tags of 500 ellipsoid and 500 bidisk lines, as computed with
+    # the complex-arithmetic points and values before the real kernels
+    rng = np.random.default_rng(1009)
+    tags = [disk_section_test(body, line, rng=np.random.default_rng(k)).tag
+            for k, (body, line, _) in enumerate(_ellipsoid_corpus(rng, 500))]
+    tags += [v.tag for v in disk_sections(
+        polydisk_body((1.0, 1.0)),
+        [line for line, _ in _bidisk_corpus(rng, 500)],
+        rng=np.random.default_rng(0))]
+    text = " ".join(tag.value for tag in tags)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "21640db73df2a2efb93293e950eb8c24edbbf8e54e139b56463c3d876335ce8d")
 
 
 def test_chart_oracle_row_at_infinity_is_outside_without_warning():

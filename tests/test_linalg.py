@@ -12,7 +12,7 @@ from bombon.errors import NoConvergence
 from bombon.linalg import (DEFAULT_TOL, as_cvector, congruence_to_signs,
                            form_values, hermitian_eig, hermitize, max_abs,
                            nullspace, orthonormal_columns, random_hermitian,
-                           random_unitary, real_form, sq_norms, sym,
+                           random_unitary, real_form, real_map, sym,
                            zero_tol)
 
 
@@ -219,6 +219,11 @@ def _cgauss(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _value_norm_form(a):
+    q, lam = real_form(a)
+    return q, np.column_stack([lam, np.ones_like(lam)])
+
+
 def _check_form_values(a, rows):
     ref = np.real(np.einsum("...j,jk,...k->...", rows.conj(), a, rows))
     norms2 = np.real(np.einsum("...j,...j->...", rows.conj(), rows))
@@ -226,15 +231,40 @@ def _check_form_values(a, rows):
     got = form_values(rows, real_form(a))
     assert got.shape == rows.shape[:-1]
     assert np.all(np.abs(got - ref) <= 1e-12 * scale)
-    assert np.all(np.abs(sq_norms(rows) - norms2) <= 1e-12 * norms2)
+    # weights [lam, 1]: the value and the squared norm in one product
+    vn = form_values(rows, _value_norm_form(a))
+    assert vn.shape == rows.shape[:-1] + (2,)
+    assert np.all(np.abs(vn[..., 0] - ref) <= 1e-12 * scale)
+    assert np.all(np.abs(vn[..., 1] - norms2) <= 1e-12 * norms2)
 
 
 def test_real_form_is_symmetric_and_real():
+    # The factored form q diag(lam) q^T is real and symmetric by
+    # construction; q is orthogonal and the product is the real form of
+    # the Hermitian matrix, kron(Re a, I) + kron(Im a, J).
     rng = np.random.default_rng(41)
+    j2 = np.array([[0.0, -1.0], [1.0, 0.0]])
     for k in range(1, 8):
-        r = real_form(random_hermitian(rng, k))
-        assert r.shape == (2 * k, 2 * k) and r.dtype == np.float64
-        assert np.array_equal(r, r.T)
+        a = random_hermitian(rng, k)
+        q, lam = real_form(a)
+        assert q.shape == (2 * k, 2 * k) and q.dtype == np.float64
+        assert lam.shape == (2 * k,) and lam.dtype == np.float64
+        assert max_abs(q.T @ q - np.eye(2 * k)) <= 1e-12
+        r = np.kron(a.real, np.eye(2)) + np.kron(a.imag, j2)
+        assert max_abs((q * lam) @ q.T - r) <= 1e-12 * np.linalg.norm(a, 2)
+
+
+def test_real_map_is_the_complex_product():
+    rng = np.random.default_rng(49)
+    for r, k in ((2, 2), (2, 5), (3, 4)):
+        b = _cgauss(rng, 6, r, k)
+        rows = _cgauss(rng, 6, 11, r)
+        got = (rows.view(np.float64) @ real_map(b)).view(complex)
+        want = rows @ b
+        assert got.shape == want.shape == (6, 11, k)
+        assert np.all(np.abs(got - want)
+                      <= 1e-14 * np.abs(rows) @ np.abs(b))
+    assert real_map(b[0]).shape == (2 * r, 2 * k)
 
 
 def test_form_values_match_einsum():
@@ -307,3 +337,44 @@ def test_eig_matches_high_precision_reference():
             thr = sig.zero_threshold
             assert (sig.n_pos, sig.n_neg) == (int(np.sum(ref > thr)),
                                               int(np.sum(ref < -thr)))
+
+
+def _singular(rng, k):
+    # exactly singular: a Hermitian (k-1) x (k-1) block bordered by a
+    # zero row and column, moved to a random index; returns the form and
+    # that index, whose unit vector spans the exact kernel
+    a = np.zeros((k, k), dtype=complex)
+    a[1:, 1:] = random_hermitian(rng, k - 1)
+    perm = rng.permutation(k)
+    return a[np.ix_(perm, perm)], int(np.argmin(perm))
+
+
+def _reference_values(a, rows):
+    with mpmath.workdps(40):
+        am = mpmath.matrix(a.tolist())
+        out = []
+        for p in rows:
+            pm = mpmath.matrix(p.tolist())
+            out.append(float(mpmath.re((pm.H * am * pm)[0])))
+        return np.array(out)
+
+
+def test_form_values_match_high_precision_reference():
+    # |got - exact| <= c eps |A|_2 |p|^2 for graded, clustered and exactly
+    # singular forms scaled from 1e-150 to 1e150, on contiguous and
+    # strided rows; kernel rows of the singular forms read at most that
+    rng = np.random.default_rng(59)
+    eps = np.finfo(float).eps
+    for k in (2, 3, 6, 12):
+        sing, zero = _singular(rng, k)
+        for base in (_graded(rng, k), _clustered(rng, k), sing):
+            rows = _cgauss(rng, 6, 2 * k)[:, ::2]
+            rows[0] = 0.0
+            rows[0, zero] = rng.standard_normal() + 1j
+            for scale in (1e-150, 1e-50, 1.0, 1e50, 1e150):
+                a = base * scale
+                got = form_values(rows, real_form(a))
+                ref = _reference_values(a, rows)
+                norms2 = np.sum(np.abs(rows) ** 2, axis=1)
+                bound = 16 * k * eps * np.linalg.norm(a, 2) * norms2
+                assert np.all(np.abs(got - ref) <= bound)

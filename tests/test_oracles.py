@@ -6,15 +6,16 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import bombon
 from bombon import oracles
-from bombon.errors import PreconditionError
+from bombon.errors import PreconditionError, ZeroVector
 from bombon.jsonio import canonical_dumps
-from bombon.linalg import form_values, real_form, sq_norms
+from bombon.linalg import form_values
 from bombon.oracles import (OracleSet, RunConfig, bidisk_oracle, cp1_grid,
                             fib_angles, grid_line_tag, oracle_from_quadric,
                             oracle_line_tag, oracle_line_tags, verify_axioms,
@@ -137,6 +138,40 @@ def test_point_star_precondition():
         verify_point_star(oracle_from_quadric(flat),
                           ProjPoint([0.0, 0.0, 1.0]),
                           RunConfig(seed=3, n_lines=10))
+
+
+def test_point_star_zero_base_point():
+    with pytest.raises(ZeroVector):
+        verify_point_star(oracle_from_quadric(ELLIPTIC), np.zeros(3),
+                          RunConfig(seed=3, n_lines=10))
+
+
+def test_quadric_oracle_rejects_bad_rows():
+    # a zero row has no side and a non-finite row no value: typed errors,
+    # not a label and not a RuntimeWarning
+    oracle = oracle_from_quadric(ELLIPTIC)
+    good = np.eye(3, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroVector):
+            oracle.labels(np.vstack([good, np.zeros(3)]))
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            with pytest.raises(ValueError, match="coordinates must be finite"):
+                oracle.labels(np.vstack([good, [1.0, bad, 0.0]]))
+
+
+def test_quadric_oracle_labels_at_extreme_scales():
+    # rows whose squared norm under- or overflows keep their labels
+    oracle = oracle_from_quadric(ELLIPTIC)
+    pts = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1.0],
+                    [1.0, 0.5j, 0.3]], dtype=complex)
+    base = oracle.labels(pts)
+    assert base.tolist() == [1, -1, 0, 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-300, 1e-160, 1e160, 1e300):
+            got = oracle.labels(np.vstack([pts * scale, pts]))
+            assert got.tolist() == base.tolist() * 2
 
 
 def test_cp1_grid_cached_read_only():
@@ -296,10 +331,11 @@ def _shell_oracle():
     # exceeds 0.7 labelled V: some lines then fit a circle whose side
     # rings fail the two-sides check, and others pass it.
     base = oracle_from_quadric(ELLIPTIC)
-    rform = real_form(ELLIPTIC.a)
+    vform = oracles._value_form(ELLIPTIC.a)
 
     def side(pts):
-        deep = form_values(pts, rform) / sq_norms(pts) > 0.7
+        vn = form_values(pts, vform)
+        deep = vn[:, 0] / vn[:, 1] > 0.7
         return np.where(deep, -1, base.side(pts))
 
     return OracleSet(side=side, description="shell", dim=2)
@@ -317,6 +353,18 @@ def test_line_tags_batch_equals_single_lines():
     assert circle_sides == {True, False}
     assert oracle_line_tags(oracle_from_quadric(ELLIPTIC),
                             np.empty((0, 3, 2), dtype=complex)) == []
+
+
+def test_line_tags_pinned():
+    # the (tag, two_sides_ok, summary) of every line of the corpus, as
+    # computed with the complex-arithmetic points and values before the
+    # real kernels
+    tags = []
+    for oracle, bases in _tag_corpus(np.random.default_rng(67)):
+        tags += oracle_line_tags(oracle, bases)
+    assert len(tags) == 306
+    assert hashlib.sha256(repr(tags).encode()).hexdigest() == (
+        "cec2e5991c7e043e3bdf2a904de51dbddde0ab020ea09d4a190a050bbbbb479b")
 
 
 def test_trace_zeros_batch_equals_single_lines():

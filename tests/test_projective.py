@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bombon.errors import CoincidentPoints, ZeroVector
-from bombon.linalg import form_values, real_form, sq_norms
+from bombon.linalg import form_values, real_form
 from bombon.projective import (ProjLine, ProjPoint, Subspace, canonicalize,
                                form_value, line_through, meet, perp,
                                proj_close, sample_line, sample_point, span,
@@ -45,7 +45,10 @@ def test_form_value_rule():
     m = m + m.conj().T
     for scale in (1e-250, 1.0, 1e250):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        want = form_values(v, real_form(m)) / sq_norms(v)
+        q, lam = real_form(m)
+        value, norm2 = form_values(
+            v, (q, np.column_stack([lam, np.ones_like(lam)])))
+        want = value / norm2
         assert form_value(m, scale * v) == pytest.approx(want, rel=1e-12)
     with pytest.raises(ZeroVector):
         form_value(a, np.zeros(3))
