@@ -129,7 +129,7 @@ def _chart_oracle(body):
         far = pts[:, 0] == 0
         aff = np.empty((pts.shape[1] - 1, pts.shape[0]), dtype=complex)
         np.multiply(pts[:, 1:].T, 1.0 / np.where(far, 1.0, pts[:, 0]), out=aff)
-        return np.where(body.inside(aff.T) & ~far, 1, -1)
+        return np.where(body.inside(aff.T) & ~far, np.int8(1), np.int8(-1))
 
     return OracleSet(side, f"chart({body.description})", body.dim)
 
@@ -198,7 +198,11 @@ def disk_section_test(body, line, tol=1e-3, rng=None):
     max | |t - center| - radius | / radius.  Point when 2 * radius (or,
     inside at every grid point, 2 * chord) <= tol * bounding_radius,
     else Disk when deviation <= ``tol``, else NotADisk; Empty when no
-    grid point is inside.  Raises OracleInconsistent when a midpoint or
+    grid point is inside.  The boundary is sampled along 64 rays out of
+    the centroid of the member grid points, so a lens cap narrower than
+    about one ray spacing can miss every ray, and a lens can then read
+    as a disk with a deviation near ``tol``.
+    Raises OracleInconsistent when a midpoint or
     the centroid of member points (pairs drawn from ``rng``) is outside,
     the whole grid is inside a long chord, or the boundary fits no
     circle, and ValueError for a negative or non-finite tol.

@@ -150,7 +150,9 @@ def _fit_hermitian_through(points):
     xy = np.conj(x) * y
     a = np.column_stack([np.hypot(x.real, x.imag) ** 2, 2.0 * xy.real,
                          -2.0 * xy.imag, np.hypot(y.real, y.imag) ** 2])
-    _, s, vt = np.linalg.svd(a)
+    # the m x m U is never read; below 4 rows only the full vt holds a
+    # null vector
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < 4)
     coef = vt[-1]
     resid = float(s[-1]) if a.shape[0] >= 4 else 0.0
     m = np.array([[coef[0], coef[1] + 1j * coef[2]],

@@ -12,7 +12,8 @@ not grow with its number of lines:
 - stage 1 labels the 128-point grids of 32 lines in one call;
 - a line that shows only one side there is labelled again on the
   131072-point stage-2 grid, in blocks of 4096 rows so that each
-  block's temporaries stay in cache;
+  block's temporaries stay in cache.  That grid is built once, a block
+  at a time, into the one 4.2 MB array it is held in;
 - two-sided lines wait until 64 of them (or the last ones) are there;
   their zero sets are bisected along 64 rays per line, in one labels
   call per step;
@@ -23,9 +24,11 @@ real matmul of the grid's (or the rays') interleaved float rows with
 ``linalg.real_map`` of the line basis, and is handed to the oracle as
 a complex view of the product.  The quadric oracle takes each row's
 value and squared norm from one ``linalg.form_values`` product.
-Rows are labelled independently, so the tags do not depend on which
-lines share a call.  Every tag leaves through ``oracle_line_tag``, so
-a wrapper of that one function sees each tagged line.
+Labels are int8; a grid's labels are written block by block into one
+preallocated (lines, grid) array.  Rows are labelled independently, so
+the tags do not depend on which lines share a call.  Every tag leaves
+through ``oracle_line_tag``, so a wrapper of that one function sees
+each tagged line.
 ``convexity.disk_sections`` runs convex-body charts through the same
 stages and circle fit.
 """
@@ -70,13 +73,19 @@ _angle_cache = {}
 _grid_cache = {}
 
 
+def _fib_point(i, k):
+    # sphere angles of the points of index i of the k-point grid, each
+    # from its own index, so that a block of indices gets the same values
+    # as the whole grid
+    theta = np.arccos(1.0 - 2.0 * (i + 0.5) / k)
+    phi = 2.0 * np.pi * i / _GOLDEN
+    return theta, phi
+
+
 def fib_angles(k):
     """Colatitude/longitude pairs of a k-point Fibonacci sphere grid."""
     if k not in _angle_cache:
-        i = np.arange(k)
-        theta = np.arccos(1.0 - 2.0 * (i + 0.5) / k)
-        phi = 2.0 * np.pi * i / _GOLDEN
-        _angle_cache[k] = (theta, phi)
+        _angle_cache[k] = _fib_point(np.arange(k), k)
     return _angle_cache[k]
 
 
@@ -91,11 +100,15 @@ def spinor(theta, phi):
 def cp1_grid(k):
     """The k-point Fibonacci grid of CP^1 as a (k, 2) spinor array.
 
-    Built on first use and cached per k; the array is read-only and
-    shared by every caller, so copy it before writing.
+    Built on first use, _BLOCK rows at a time into the one array, and
+    cached per k; the array is read-only and shared by every caller, so
+    copy it before writing.
     """
     if k not in _grid_cache:
-        grid = spinor(*fib_angles(k))
+        grid = np.empty((k, 2), dtype=complex)
+        for s in range(0, k, _BLOCK):
+            grid[s:s + _BLOCK] = spinor(*_fib_point(
+                np.arange(s, min(s + _BLOCK, k)), k))
         grid.flags.writeable = False
         _grid_cache[k] = grid
     return _grid_cache[k]
@@ -188,7 +201,11 @@ class OracleSet:
     ``side`` maps a batch (m, dim+1) of homogeneous vectors, which need
     not be unit vectors, to labels +1 (component U), 0 (on the set,
     within the oracle's own band) and -1 (component V); each row's label
-    must not depend on the other rows of the batch.  ``exact``
+    must not depend on the other rows of the batch.  ``labels`` returns
+    them as int8 (an int for a single point).  A ``side`` that returns
+    another dtype is checked: any value other than -1, 0 and 1 raises
+    ValueError, where a cast would wrap it.  The built-in oracles return
+    int8, which skips the check.  ``exact``
     optionally carries the quadric the oracle was built from; the
     verifier never consults it for classification, only for
     LowConfidence bookkeeping.
@@ -204,7 +221,13 @@ class OracleSet:
         single = arr.ndim == 1
         if single:
             arr = arr[None, :]
-        out = np.asarray(self.side(arr), dtype=int)
+        out = np.asarray(self.side(arr))
+        if out.dtype != np.int8:
+            # a cast to int8 would wrap a value outside the three labels
+            if not np.isin(out, (-1, 0, 1)).all():
+                raise ValueError(f"{self.description}: side labels must be "
+                                 "-1, 0 or 1")
+            out = out.astype(np.int8)
         return int(out[0]) if single else out
 
 
@@ -233,7 +256,7 @@ def oracle_from_quadric(x):
                 raise ZeroVector("zero vector has no side")
             vn = form_values(rows / big, vform)
             vals[bad] = vn[:, 0] / vn[:, 1]
-        out = (vals > thr).astype(int)
+        out = (vals > thr).astype(np.int8)
         out -= vals < -thr
         return out
 
@@ -257,7 +280,8 @@ def bidisk_oracle(radii=(1.0, 1.0)):
             g = np.where(np.abs(pts[:, 0]) == 0, np.inf,
                          g / np.abs(pts[:, 0]))
         out = np.where(g < 1.0, 1, -1)
-        return np.where(np.abs(g - 1.0) <= _BIDISK_BAND, 0, out).astype(int)
+        return np.where(np.abs(g - 1.0) <= _BIDISK_BAND, 0,
+                        out).astype(np.int8)
 
     return OracleSet(side=side, description=f"bidisk(r=({r1}, {r2}))", dim=2)
 
@@ -373,12 +397,15 @@ def _grid_labels(oracle, grid, bases):
     per = max(1, _BLOCK // grid.shape[0])
     grid_x = grid.view(np.float64)
     to_pts = real_map(bases.transpose(0, 2, 1))
-    out = []
+    out = np.empty((bases.shape[0], grid.shape[0]), dtype=np.int8)
     for s in range(0, bases.shape[0], per):
-        out += [oracle.labels((grid_x[i:i + _BLOCK] @ to_pts[s:s + per])
-                              .view(complex).reshape(-1, bases.shape[1]))
-                for i in range(0, grid.shape[0], _BLOCK)]
-    return np.concatenate(out).reshape(bases.shape[0], grid.shape[0])
+        for i in range(0, grid.shape[0], _BLOCK):
+            block = out[s:s + per, i:i + _BLOCK]
+            block[...] = oracle.labels(
+                (grid_x[i:i + _BLOCK] @ to_pts[s:s + per])
+                .view(complex).reshape(-1, bases.shape[1])).reshape(
+                    block.shape)
+    return out
 
 
 def _grid_tag(oracle, basis, labels=None):

@@ -202,6 +202,7 @@ def test_chart_oracle_row_at_infinity_is_outside_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert oracle.labels(pts).tolist() == [-1, -1, 1, -1]
+    assert oracle.side(pts).dtype == np.int8
 
 
 def test_body_beyond_its_bounding_ball_is_inconsistent():

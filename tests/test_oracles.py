@@ -18,8 +18,8 @@ from bombon.jsonio import canonical_dumps
 from bombon.linalg import form_values
 from bombon.oracles import (OracleSet, RunConfig, bidisk_oracle, cp1_grid,
                             fib_angles, grid_line_tag, oracle_from_quadric,
-                            oracle_line_tag, oracle_line_tags, verify_axioms,
-                            verify_point_star)
+                            oracle_line_tag, oracle_line_tags, spinor,
+                            verify_axioms, verify_point_star)
 from bombon.projective import ProjLine, ProjPoint, sample_line
 from bombon.quadrics import QuadricBombon, random_bombon, random_point_on
 from bombon.sections import SectionTag, classify_line_section
@@ -180,6 +180,66 @@ def test_cp1_grid_cached_read_only():
     assert not grid.flags.writeable
     with pytest.raises(ValueError):
         grid[0, 0] = 0.0
+
+
+def test_cp1_grid_pinned_and_built_in_blocks(monkeypatch):
+    # The grids as the whole-grid angle arrays gave them.  The stage-2
+    # grid is built a block at a time, caching no angles; a size that is
+    # no multiple of a block matches the whole-grid formula bit for bit.
+    monkeypatch.setattr(oracles, "_grid_cache", {})
+    monkeypatch.setattr(oracles, "_angle_cache", {})
+    for k, digest in (
+            (oracles._STAGE2,
+             "72048264c80ba2d9ac2f27f5851e40d9e0b0cbc4782f63ccd05f51a2f20673b8"),
+            (128,
+             "9ef5594b8018210a1f55ec0943936a8615be6cbabfa2959233c1ca7661e809e7")):
+        assert hashlib.sha256(cp1_grid(k).tobytes()).hexdigest() == digest
+    assert oracles._STAGE2 not in oracles._angle_cache
+    k = 2 * oracles._BLOCK + 1000
+    assert cp1_grid(k).tobytes() == spinor(*fib_angles(k)).tobytes()
+
+
+def test_stage2_working_memory_is_the_grid(monkeypatch):
+    # One empty line needs the stage-2 grid.  With cold grid caches the
+    # call's peak stays within a quarter of the grid's size above the
+    # grid itself: the grid is built and labelled a block at a time.
+    oracle = oracle_from_quadric(QuadricBombon.from_epsilons([1, 1, 1, -1]))
+    cfg = RunConfig(seed=3, n_lines=1)
+    verify_axioms(oracle, RunConfig(seed=1, n_lines=1))  # lazy imports
+    monkeypatch.setattr(oracles, "_grid_cache", {})
+    monkeypatch.setattr(oracles, "_angle_cache", {})
+    tracemalloc.start()
+    try:
+        rep = verify_axioms(oracle, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.line_tags == ("empty",)
+    assert peak < 1.25 * cp1_grid(oracles._STAGE2).nbytes
+
+
+def test_labels_are_int8_and_range_checked():
+    # Built-in oracles label in int8; another dtype is read as the same
+    # labels when its values are -1, 0 and 1, and is refused otherwise,
+    # where a U labelled 2 would read as neither side.
+    base = oracle_from_quadric(ELLIPTIC)
+    pts = np.eye(3, dtype=complex)
+    assert base.side(pts).dtype == np.int8
+    assert bidisk_oracle().side(pts).dtype == np.int8
+    cfg = RunConfig(seed=3, n_lines=20)
+    want = verify_axioms(base, cfg).to_dict()
+    wide = OracleSet(side=lambda p: base.side(p).astype(float),
+                     description="wide", dim=2)
+    assert wide.labels(pts).dtype == np.int8
+    assert verify_axioms(wide, cfg).to_dict() == want
+
+    def side(p):
+        lab = base.side(p).astype(int)
+        return np.where(lab == 1, 2, lab)
+
+    two = OracleSet(side=side, description="two", dim=2)
+    with pytest.raises(ValueError, match="side labels must be -1, 0 or 1"):
+        verify_axioms(two, cfg)
 
 
 def test_import_leaves_grid_cache_empty():
