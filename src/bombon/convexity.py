@@ -41,6 +41,11 @@ class ConvexBodyOracle:
     bounding_radius: float
     dim: int
     description: str = ""
+    # Hermitian F of a body that is {x : (1, x)* F (1, x) <= 0}, set by
+    # its builder, so that its chart oracle labels lines from their 2x2
+    # forms; not copied by ``dataclasses.replace``
+    _chart_form: np.ndarray = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def inside(self, pts):
         arr = np.asarray(pts, dtype=complex)
@@ -62,6 +67,14 @@ def ball_body(n, radius=1.0, center=None):
 
 
 def ellipsoid_body(center, h):
+    """The ellipsoid {x : (x - c)* H (x - c) <= 1}, H positive definite.
+
+    Its membership reads one factored form per batch of points.  In the
+    chart z0 = 1 of CP^n it is p* E p <= 0 for the homogeneous form
+    E = [[c* H c - 1, -(H c)*], [-H c, H]], which is positive at
+    z0 = 0, so the row at infinity is outside: the chart oracle labels
+    the points of a line from the line's 2x2 restriction of E.
+    """
     c = np.asarray(center, dtype=complex)
     hm = sym(np.asarray(h, dtype=complex))
     sig = hermitian_eig(hm)
@@ -73,8 +86,12 @@ def ellipsoid_body(center, h):
     def member(pts):
         return form_values(pts - c, rform) <= 1.0
 
-    return ConvexBodyOracle(member, r + float(np.linalg.norm(c)), c.size,
+    body = ConvexBodyOracle(member, r + float(np.linalg.norm(c)), c.size,
                             "ellipsoid")
+    hc = hm @ c
+    body._chart_form = np.block([[np.vdot(c, hc).real - 1.0, -hc.conj()],
+                                 [-hc[:, None], hm]])
+    return body
 
 
 def polydisk_body(radii):
@@ -122,6 +139,11 @@ class DiskVerdict:
     deviation: float = 0.0
 
 
+def _inside(vals):
+    # chart labels of the values p* F p / |p|^2 of a body's chart form
+    return np.where(vals <= 0.0, np.int8(1), np.int8(-1))
+
+
 def _chart_oracle(body):
     # the body on CP^n in the chart z0 = 1: +1 inside, -1 outside or at
     # z0 = 0; the (n, m) product loops along rows, not coordinates
@@ -131,7 +153,10 @@ def _chart_oracle(body):
         np.multiply(pts[:, 1:].T, 1.0 / np.where(far, 1.0, pts[:, 0]), out=aff)
         return np.where(body.inside(aff.T) & ~far, np.int8(1), np.int8(-1))
 
-    return OracleSet(side, f"chart({body.description})", body.dim)
+    oracle = OracleSet(side, f"chart({body.description})", body.dim)
+    if body._chart_form is not None:
+        oracle._form = (body._chart_form, _inside)
+    return oracle
 
 
 def disk_sections(body, lines, tol=1e-3, rng=None):

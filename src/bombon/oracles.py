@@ -7,23 +7,26 @@ classifier: values of the Hermitian form on a spherical grid of a line
 classifier by the regression suite.
 
 The verifier reads its lines 32 at a time and tags them in stages, so
-that no labels call exceeds 4096 rows and a run's working memory does
-not grow with its number of lines:
+that no labelling call exceeds 4096 rows and a run's working memory
+does not grow with its number of lines:
 - stage 1 labels the 128-point grids of 32 lines in one call;
 - a line that shows only one side there is labelled again on the
   131072-point stage-2 grid, in blocks of 4096 rows so that each
   block's temporaries stay in cache.  That grid is built once, a block
   at a time, into the one 4.2 MB array it is held in;
 - two-sided lines wait until 64 of them (or the last ones) are there;
-  their zero sets are bisected along 64 rays per line, in one labels
-  call per step;
+  their zero sets are bisected along 64 rays per line, in one
+  labelling call per step;
 - each zero set gets its own circle fit, and the side rings of the
   fitted lines among those 64 are labelled in one call.
-Grid and ray points are built in real arithmetic: each block is one
-real matmul of the grid's (or the rays') interleaved float rows with
-``linalg.real_map`` of the line basis, and is handed to the oracle as
-a complex view of the product.  The quadric oracle takes each row's
-value and squared norm from one ``linalg.form_values`` product.
+Every line point is labelled through ``OracleSet.on_lines``, which
+labels rows of the line's CP^1: the grids' rows, shared by all lines,
+and the rays' chart rows, one set per line.  By default each block is
+one real matmul of the rows' floats with ``linalg.real_map`` of the line
+bases, handed to ``labels`` as a complex view of the product.  The
+quadric oracle and the chart of an ellipsoid label a row from its line's
+own 2x2 form instead (``_line_form``): one ``linalg.form_values``
+product on the row's four floats gives its value and squared norm.
 Labels are int8; a grid's labels are written block by block into one
 preallocated (lines, grid) array.  Rows are labelled independently, so
 the tags do not depend on which lines share a call.  Every tag leaves
@@ -33,7 +36,7 @@ each tagged line.
 stages and circle fit.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable
 
@@ -60,8 +63,8 @@ _BISECT_ITERS = 60
 # Rows per block when labelling a grid: big enough to amortize the
 # per-call cost, small enough that a block's temporaries stay in cache.
 _BLOCK = 4096
-# two-sided lines traced together: their rays fill one labels call per
-# bisection step
+# two-sided lines traced together: their rays fill one labelling call
+# per bisection step
 _TRACE_LINES = _BLOCK // _RAYS
 # largest |r - 1| of the traced zeros in the chart of a fitted circle
 _CHART_RESIDUAL = 1e-4
@@ -121,10 +124,44 @@ def _value_form(a):
     return q, np.column_stack([lam, np.ones_like(lam)])
 
 
-def _line_values(vform, basis, spinors):
-    # form values at the unit points of the line, normalized once
-    vn = form_values(np.asarray(spinors, dtype=complex) @ basis.T, vform)
-    return vn[..., 0] / vn[..., 1]
+def _line_form(a, bases):
+    """Factored real forms of the 2x2 restrictions of ``a`` to lines.
+
+    ``bases`` is an (m, k, 2) stack of line bases B.  Each B is scaled
+    to largest entry 1 and written B = Q R in an orthonormal
+    (Gram-Schmidt) frame Q; with Q* a Q = V diag(lam) V*, the result
+    ``(g, w)`` holds g = real_map(R^T conj(V)) and the weights
+    w = [lam, 1] of each float pair, per line.  For CP^1 rows s, of
+    shape (r, 2) or (m, r, 2), ``form_values(s, (g, w))`` is then
+    (Re(p* a p), |p|^2) at p = B s, both over the square of B's scale,
+    so that their ratio does not depend on it.  Returns ``((g, w), ok)``:
+    a line not ok, whose second column lies within the rank cut of the
+    first, gets the zero form, so that each of its rows reads a squared
+    norm of 0.
+    """
+    b = np.asarray(bases, dtype=complex)
+    with np.errstate(all="ignore"):
+        b = b / np.abs(b).max(axis=(1, 2), keepdims=True)
+        r00 = np.linalg.norm(b[:, :, 0], axis=1)
+        q0 = b[:, :, 0] / r00[:, None]
+        u = b[:, :, 1]
+        r01 = 0.0
+        # Gram-Schmidt: the second column is orthogonalized twice
+        for _ in range(2):
+            c = (q0.conj() * u).sum(axis=1)
+            u = u - q0 * c[:, None]
+            r01 = r01 + c
+        r11 = np.linalg.norm(u, axis=1)
+        ok = r11 > DEFAULT_TOL * np.maximum(r00, np.hypot(np.abs(r01), r11))
+        q = np.stack([q0, u / r11[:, None]], axis=2)
+    rt = np.zeros((b.shape[0], 2, 2), dtype=complex)
+    rt[:, 0, 0], rt[:, 1, 0], rt[:, 1, 1] = r00, r01, r11
+    q[~ok] = rt[~ok] = 0.0
+    m = q.conj().transpose(0, 2, 1) @ np.asarray(a, dtype=complex) @ q
+    lam, v = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2.0)
+    w = np.ones((b.shape[0], 4, 2))
+    w[:, :, 0] = np.repeat(lam, 2, axis=1)
+    return (real_map(rt @ v.conj()), w), ok
 
 
 def grid_line_tag(a, basis):
@@ -137,6 +174,10 @@ def grid_line_tag(a, basis):
     function has no extrema besides its global pair, so the searches
     recover the exact range and with it circles far too small for the
     coarse grid, semidefinite contact points and definite emptiness.
+    The values come from the line's own 2x2 form (``_line_form``),
+    computed here and not by ``sections.restrict_form``, so that a
+    fault there cannot reach both the classifier and this judge.
+    Raises ValueError for a ``basis`` (n+1, 2) of rank one.
     """
     a = np.asarray(a, dtype=complex)
     basis = np.asarray(basis, dtype=complex)
@@ -145,9 +186,17 @@ def grid_line_tag(a, basis):
     flat_tol = 1e-12 * scale
     ztol = 1e-10 * scale
 
-    vform = _value_form(a)
+    lform, ok = _line_form(a, basis[None])
+    if not ok[0]:
+        raise ValueError("a line basis must have rank two")
+    lform = [f[0] for f in lform]
+
+    def values(spinors):
+        vn = form_values(spinors, lform)
+        return vn[..., 0] / vn[..., 1]
+
     theta, phi = fib_angles(_GRID)
-    vals = _line_values(vform, basis, cp1_grid(_GRID))
+    vals = values(cp1_grid(_GRID))
     if float(np.max(np.abs(vals))) <= flat_tol:
         return SectionTag.FULL_LINE
     if np.any(vals > sign_tol) and np.any(vals < -sign_tol):
@@ -168,7 +217,7 @@ def grid_line_tag(a, basis):
             break
         tt = th[:, None, None] + step[:, None, None] * off[None, :, None]
         pp = ph[:, None, None] + step[:, None, None] * off[None, None, :]
-        v = sgn[:, None, None] * _line_values(vform, basis, spinor(tt, pp))
+        v = sgn[:, None, None] * values(spinor(tt, pp))
         flat = v.reshape(th.size, -1)
         j = np.argmax(flat, axis=1)
         vbest = flat[np.arange(th.size), j]
@@ -209,12 +258,21 @@ class OracleSet:
     optionally carries the quadric the oracle was built from; the
     verifier never consults it for classification, only for
     LowConfidence bookkeeping.
+
+    ``on_lines`` labels points of lines by their CP^1 rows, and a row's
+    label equals ``labels`` of its point.
     """
 
     side: Callable[[np.ndarray], np.ndarray]
     description: str
     dim: int
     exact: object = None
+    # (F, sides) of an oracle whose label of p is sides(Re(p* F p) /
+    # |p|^2), set by its builder: ``on_lines`` then reads rows from each
+    # line's 2x2 form.  Not copied by ``dataclasses.replace``, so an
+    # oracle made with another ``side`` labels its points.
+    _form: tuple = field(default=None, init=False, repr=False,
+                         compare=False)
 
     def labels(self, pts):
         arr = np.asarray(pts, dtype=complex)
@@ -229,6 +287,57 @@ class OracleSet:
                                  "-1, 0 or 1")
             out = out.astype(np.int8)
         return int(out[0]) if single else out
+
+    def on_lines(self, bases):
+        """Labeller of the points p = B s of the lines ``bases``.
+
+        ``bases`` is an (m, dim+1, 2) stack of line bases B.  The
+        labeller maps CP^1 rows s, an (r, 2) array shared by all lines
+        or an (m, r, 2) array of one set per line, to the (m, r) int8
+        labels of their points; each equals ``labels`` of the point.  By
+        default the points of a call are one real matmul of the rows'
+        floats with ``real_map`` of the bases, labelled by ``labels``.
+        An oracle built from a form (``_form``) reads each row's value
+        and squared norm from its line's ``_line_form`` instead.  Rows
+        whose squared norm there is not a normal float, and so every
+        row of a line of rank one, take the point path.
+        """
+        bases = np.asarray(bases, dtype=complex)
+        to_pts = real_map(bases.transpose(0, 2, 1))
+
+        def points(rows):
+            return (np.ascontiguousarray(rows, dtype=complex).view(np.float64)
+                    @ to_pts).view(complex)
+
+        def from_points(rows):
+            pts = points(rows)
+            return self.labels(pts.reshape(-1, bases.shape[1])).reshape(
+                pts.shape[:-1])
+
+        if self._form is None:
+            return from_points
+        form, sides = self._form
+        lform, _ = _line_form(form, bases)
+
+        def from_form(rows):
+            with np.errstate(all="ignore"):
+                vn = form_values(rows, lform)
+                vals = vn[..., 0] / vn[..., 1]
+            out = sides(vals)
+            if (not np.isfinite(vals).all()
+                    or vn[..., 1].min(initial=np.inf) < _TINY):
+                bad = ~np.isfinite(vals) | (vn[..., 1] < _TINY)
+                out[bad] = self.labels(points(rows)[bad])
+            return out
+
+        return from_form
+
+
+def _band(vals, thr):
+    # +1 above the band [-thr, thr], 0 in it, -1 below
+    out = (vals > thr).astype(np.int8)
+    out -= vals < -thr
+    return out
 
 
 def oracle_from_quadric(x):
@@ -256,12 +365,12 @@ def oracle_from_quadric(x):
                 raise ZeroVector("zero vector has no side")
             vn = form_values(rows / big, vform)
             vals[bad] = vn[:, 0] / vn[:, 1]
-        out = (vals > thr).astype(np.int8)
-        out -= vals < -thr
-        return out
+        return _band(vals, thr)
 
-    return OracleSet(side=side, description=f"quadric(n={x.n})", dim=x.n,
-                     exact=x)
+    oracle = OracleSet(side=side, description=f"quadric(n={x.n})", dim=x.n,
+                       exact=x)
+    oracle._form = (x.a, lambda vals: _band(vals, thr))
+    return oracle
 
 
 def bidisk_oracle(radii=(1.0, 1.0)):
@@ -350,22 +459,20 @@ def _trace_zeros(oracle, bases, ends):
 
     Line i is charted by the columns (p_u, p_v) of ends[i]: p_v sits at
     0 and p_u at infinity.  The side flip along each of _RAYS rays is
-    bisected in log10 |z| from [-8, 8], all lines in one labels call
+    bisected in log10 |z| from [-8, 8], all lines in one labelling call
     per step.  Returns per line the (k, 2) CP^1 coordinates of its k
     bracketed zeros, or None when no ray brackets a flip.
     """
     ang = np.exp(2j * np.pi * np.arange(_RAYS) / _RAYS)
     # chart coordinates (w, 1) of the ray points, w rewritten per step,
-    # and the real map of (w, 1) -> (w, 1) @ ends_t @ basis_t per line
+    # on each line's basis (p_u, p_v), the transpose of ends_t @ basis_t
     chart = np.ones((bases.shape[0], _RAYS, 2), dtype=complex)
-    chart_x = chart.view(np.float64)
-    to_pts = real_map(ends.transpose(0, 2, 1) @ bases.transpose(0, 2, 1))
+    label = oracle.on_lines(np.swapaxes(
+        ends.transpose(0, 2, 1) @ bases.transpose(0, 2, 1), 1, 2))
 
     def lab(logr):
         chart[..., 0] = np.power(10.0, logr) * ang
-        pts = (chart_x @ to_pts).view(complex)
-        return oracle.labels(pts.reshape(-1, pts.shape[2])).reshape(
-            logr.shape)
+        return label(chart)
 
     lo = np.full(chart.shape[:2], -8.0)
     hi = np.full(chart.shape[:2], 8.0)
@@ -393,18 +500,12 @@ def _grid_labels(oracle, grid, bases):
     # whole lines while a grid is smaller than a block, else one block
     # of a line's grid at a time, so that a block's temporaries stay in
     # cache.  Rows are labelled independently, so blocks change nothing.
-    # Each block is one real matmul of the grid's float rows.
     per = max(1, _BLOCK // grid.shape[0])
-    grid_x = grid.view(np.float64)
-    to_pts = real_map(bases.transpose(0, 2, 1))
     out = np.empty((bases.shape[0], grid.shape[0]), dtype=np.int8)
     for s in range(0, bases.shape[0], per):
+        label = oracle.on_lines(bases[s:s + per])
         for i in range(0, grid.shape[0], _BLOCK):
-            block = out[s:s + per, i:i + _BLOCK]
-            block[...] = oracle.labels(
-                (grid_x[i:i + _BLOCK] @ to_pts[s:s + per])
-                .view(complex).reshape(-1, bases.shape[1])).reshape(
-                    block.shape)
+            out[s:s + per, i:i + _BLOCK] = label(grid[i:i + _BLOCK])
     return out
 
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bombon import convexity
+from bombon import convexity, oracles
 from bombon.convexity import (AffineComplexLine, ConvexBodyOracle, DiskTag,
                               abstract_line_points, ball_body,
                               disk_section_test, disk_sections,
@@ -203,6 +203,52 @@ def test_chart_oracle_row_at_infinity_is_outside_without_warning():
         warnings.simplefilter("error")
         assert oracle.labels(pts).tolist() == [-1, -1, 1, -1]
     assert oracle.side(pts).dtype == np.int8
+
+
+def test_ellipsoid_chart_line_labels_equal_point_labels():
+    # An ellipsoid's chart oracle labels a line's rows from the line's
+    # 2x2 restriction of its homogeneous form, and each label is that of
+    # the row's point, which membership decides: sampled lines, lines
+    # tangent to the ellipsoid, lines through the point at infinity
+    # (the row [1, 0]) and a line at infinity; both grids and ray rows.
+    rng = np.random.default_rng(229)
+    grids = (np.vstack([oracles.cp1_grid(oracles._GRID), [[1.0, 0.0]]]),
+             oracles.cp1_grid(oracles._STAGE2))
+    seen = set()
+    for n in (1, 2, 3, 4):
+        m = _cgauss(rng, n, n)
+        h = m @ m.conj().T + 0.3 * np.eye(n)
+        c = 0.3 * _cgauss(rng, n)
+        body = ellipsoid_body(c, h)
+        oracle = convexity._chart_oracle(body)
+        bases = [_cgauss(rng, n + 1, 2) for _ in range(3)]
+        for _ in range(3):
+            # x0 on the boundary and d in its complex tangent hyperplane:
+            # the line x0 + t d meets the body in x0 alone
+            u = _cgauss(rng, n)
+            x0 = c + np.linalg.solve(np.linalg.cholesky(h).conj().T,
+                                     u / np.sqrt(np.vdot(u, h @ u).real))
+            g = h @ (x0 - c)
+            d = _cgauss(rng, n)
+            d -= g * (np.vdot(g, d) / np.vdot(g, g))
+            tangent = np.column_stack([np.append(1.0, x0), np.append(0.0, d)])
+            bases.append(tangent @ _cgauss(rng, 2, 2))
+        bases.append(np.column_stack([np.append(0.0, _cgauss(rng, n)),
+                                      np.append(1.0, _cgauss(rng, n))]))
+        bases.append(np.vstack([np.zeros((1, 2)), _cgauss(rng, n, 2)]))
+        bases = np.array(bases)
+        ang = np.exp(2j * np.pi * np.arange(oracles._RAYS) / oracles._RAYS)
+        w = 10.0 ** rng.uniform(-8.0, 8.0, (len(bases), oracles._RAYS)) * ang
+        rays = np.stack([w, np.ones_like(w)], axis=-1)
+        for rows in grids + (rays,):
+            got = oracle.on_lines(bases)(rows)
+            per_line = np.broadcast_to(rows, (len(bases),) + rows.shape[-2:])
+            want = [oracle.labels(r @ b.T) for r, b in zip(per_line, bases)]
+            assert got.dtype == np.int8 and np.array_equal(got, want)
+            assert np.all(got[-1] == -1)
+            seen.update(got.ravel().tolist())
+        assert got[:3].min() == -1
+    assert seen == {-1, 1}
 
 
 def test_body_beyond_its_bounding_ball_is_inconsistent():

@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from bombon.oracles import (OracleSet, RunConfig, bidisk_oracle, cp1_grid,
                             verify_axioms, verify_point_star)
 from bombon.projective import ProjLine, ProjPoint, sample_line
 from bombon.quadrics import QuadricBombon, random_bombon, random_point_on
-from bombon.sections import SectionTag, classify_line_section
+from bombon import sections
+from bombon.sections import (SectionClass, SectionTag, classify_line_section,
+                             restrict_form)
 from bombon.suite import classifier_vs_grid
 
 ELLIPTIC = QuadricBombon.from_epsilons([1, 1, -1])
@@ -50,6 +53,12 @@ def test_grid_line_tag_frozen():
     big = QuadricBombon.from_epsilons([1, 1, -1, -1])
     full_line = ProjLine([1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0])
     assert grid_line_tag(big.a, full_line.basis()) is SectionTag.FULL_LINE
+
+
+def test_grid_line_tag_needs_a_line():
+    v = np.array([1.0, 0.5j, 0.3])
+    with pytest.raises(ValueError, match="rank two"):
+        grid_line_tag(ELLIPTIC.a, np.column_stack([v, 2j * v]))
 
 
 def test_grid_agrees_with_classifier():
@@ -172,6 +181,163 @@ def test_quadric_oracle_labels_at_extreme_scales():
         for scale in (1e-300, 1e-160, 1e160, 1e300):
             got = oracle.labels(np.vstack([pts * scale, pts]))
             assert got.tolist() == base.tolist() * 2
+
+
+def _rays(rng, m):
+    # (m, _RAYS, 2) chart rows (w, 1) of the zero tracer's rays, one set
+    # per line, at radii across the bisection's range 1e-8..1e8
+    ang = np.exp(2j * np.pi * np.arange(oracles._RAYS) / oracles._RAYS)
+    w = 10.0 ** rng.uniform(-8.0, 8.0, (m, oracles._RAYS)) * ang
+    return np.stack([w, np.ones_like(w)], axis=-1)
+
+
+def _point_labels(oracle, bases, rows):
+    # labels of the points p = B s of each line, built one line at a time
+    rows = np.broadcast_to(rows, (len(bases),) + rows.shape[-2:])
+    return np.array([oracle.labels(r @ b.T) for r, b in zip(rows, bases)])
+
+
+def test_line_labels_at_extreme_scales_and_degenerate_lines():
+    # A line's labels do not move when its representatives are scaled by
+    # 1e-150 or 1e150.  A basis of rank one, and rows whose squared norm
+    # on the line under- or overflows, take the point path and keep the
+    # labels of their points; a zero row or basis has no side.
+    rng = np.random.default_rng(97)
+    grid = cp1_grid(oracles._GRID)
+    for x in (ELLIPTIC, random_bombon(rng, 4, n_zero=1)):
+        oracle = oracle_from_quadric(x)
+        bases = np.array([sample_line(rng, x.n).basis() for _ in range(6)]
+                         + [_tangent_through_grid_row(rng, x, grid)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rows in (grid, _rays(rng, len(bases))):
+                want = oracle.on_lines(bases)(rows)
+                assert np.array_equal(want, _point_labels(oracle, bases, rows))
+                for scale in (1e-150, 1e150):
+                    lam = scale * np.exp(2j * np.pi * rng.random(len(bases)))
+                    got = oracle.on_lines(bases * lam[:, None, None])(rows)
+                    assert np.array_equal(got, want)
+            v = random_point_on(rng, x).v + 0.1 * bases[0, :, 0]
+            for rank_one in (np.column_stack([v, 2j * v]),
+                             np.column_stack([v, np.zeros_like(v)])):
+                got, = oracle.on_lines(rank_one[None])(grid)
+                assert np.array_equal(got, oracle.labels(grid @ rank_one.T))
+            tiled = np.vstack([grid * 1e-160, grid * 1e160, grid])
+            assert np.array_equal(oracle.on_lines(bases)(tiled),
+                                  np.tile(oracle.on_lines(bases)(grid), 3))
+        with pytest.raises(ZeroVector):
+            oracle.on_lines(bases)(np.vstack([grid, np.zeros(2)]))
+        with pytest.raises(ZeroVector):
+            oracle.on_lines(np.zeros((1, x.n + 1, 2)))(grid)
+        # the row [1, 1] of the rank-one basis (v, -v) is the zero point,
+        # whatever rounding leaves of the basis's second column
+        with pytest.raises(ZeroVector):
+            oracle.on_lines(np.column_stack([v, -v])[None])(
+                np.vstack([grid, [1.0, 1.0]]))
+
+
+def test_line_labels_equal_point_labels():
+    # The quadric oracle labels a line's rows from the line's 2x2 form,
+    # and each label is that of the row's point: CP^1-CP^5, every kernel
+    # size, forms at scales 1e-3..1e3, sampled lines, tangent lines
+    # through a row of either grid, lines inside kernels; both grids and
+    # ray rows.
+    rng = np.random.default_rng(89)
+    grids = (cp1_grid(oracles._GRID), cp1_grid(oracles._STAGE2))
+    seen = Counter()
+    for n in range(1, 6):
+        for n_zero in range(n):
+            x = random_bombon(rng, n, n_zero=n_zero)
+            x = QuadricBombon(x.a * 10.0 ** rng.uniform(-3.0, 3.0))
+            oracle = oracle_from_quadric(x)
+            bases = [sample_line(rng, n).basis() for _ in range(2)]
+            bases += [_tangent_through_grid_row(rng, x, g) for g in grids]
+            kernel = x.sig.kernel()
+            if kernel.shape[1] >= 2:
+                bases.append(kernel @ (rng.standard_normal((n_zero, 2))
+                                       + 1j * rng.standard_normal(
+                                           (n_zero, 2))))
+            bases = np.array(bases)
+            for rows in grids + (_rays(rng, len(bases)),):
+                got = oracle.on_lines(bases)(rows)
+                want = _point_labels(oracle, bases, rows)
+                assert got.dtype == np.int8 and np.array_equal(got, want)
+                seen.update(got.ravel().tolist())
+    assert set(seen) == {-1, 0, 1}
+
+
+def test_oracles_do_not_read_the_classifier(monkeypatch):
+    # A restricted form or a section tag gone wrong in the classifier
+    # changes neither the quadric oracle's verify reports nor the grid
+    # judge's tags, so one fault cannot reach both sides of the suite's
+    # classifier-against-oracle comparisons.
+    rng = np.random.default_rng(101)
+    cases = [(oracle_from_quadric(x), RunConfig(seed=seed, n_lines=40))
+             for x, seed in ((ELLIPTIC, 5),
+                             (QuadricBombon.from_epsilons([1, 1, -1, -1]), 8),
+                             (QuadricBombon.from_epsilons([1, -1, -1, 0]), 9))]
+    judged = _judge_corpus(rng, 150)
+
+    def outputs():
+        return ([verify_axioms(o, cfg).to_dict() for o, cfg in cases],
+                [grid_line_tag(a, b) for a, b in judged])
+
+    want = outputs()
+    swap = {SectionTag.CIRCLE: SectionTag.EMPTY,
+            SectionTag.EMPTY: SectionTag.CIRCLE}
+    classify = sections.classify_line_section
+
+    def swapped(*args, **kwargs):
+        sec, rep = classify(*args, **kwargs)
+        return SectionClass(swap.get(sec.tag, sec.tag)), rep
+
+    # a zero restricted form, which reads as a full line, and swapped
+    # tags, wherever a bombon module holds the two functions
+    fakes = ((restrict_form, lambda x, s: np.zeros((2, 2), dtype=complex)),
+             (classify_line_section, swapped))
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "bombon":
+            for attr, value in list(vars(mod).items()):
+                for real, fake in fakes:
+                    if value is real:
+                        monkeypatch.setattr(mod, attr, fake)
+    circle_line = ProjLine([1.0, 0.0, 1.0], [0.0, 1.0, 1.0])
+    assert sections.classify_line_section(ELLIPTIC, circle_line)[0].tag \
+        is SectionTag.FULL_LINE
+    assert outputs() == want
+
+
+def _judge_corpus(rng, count):
+    # (a, basis) lines for the grid judge: forms on CP^1-CP^5 with every
+    # kernel size at scales 1e-3..1e3, and sampled lines, tangent lines
+    # through a grid row and lines inside kernels of dimension >= 2
+    grid = cp1_grid(oracles._GRID)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(1, 6))
+        x = random_bombon(rng, n, n_zero=int(rng.integers(0, n)))
+        kind = int(rng.integers(0, 4))
+        kernel = x.sig.kernel()
+        if kind == 3 and kernel.shape[1] >= 2:
+            coef = rng.standard_normal((kernel.shape[1], 2, 2))
+            basis = kernel @ (coef[..., 0] + 1j * coef[..., 1])
+        elif kind >= 2 and n >= 2:
+            basis = _tangent_through_grid_row(rng, x, grid)
+        else:
+            basis = sample_line(rng, n).basis()
+        out.append((x.a * 10.0 ** rng.uniform(-3.0, 3.0), basis))
+    return out
+
+
+def test_grid_line_tags_pinned():
+    # The judge's tags on the first 1000 lines of its 5000-line gate
+    # corpus, as computed from ambient points and the 2k x 2k real form
+    # of the whole space before the judge read line forms.
+    tags = [grid_line_tag(a, b).value
+            for a, b in _judge_corpus(np.random.default_rng(103), 1000)]
+    assert set(tags) == {tag.value for tag in SectionTag}
+    assert hashlib.sha256(" ".join(tags).encode()).hexdigest() == (
+        "45388cf364cd21852f2a5135e48dac8ae80936ec6dd5570452f3288994d3a3da")
 
 
 def test_cp1_grid_cached_read_only():
@@ -454,15 +620,32 @@ def test_trace_zeros_batch_equals_single_lines():
 
 
 def test_line_tags_labels_calls_stay_within_block(monkeypatch):
-    # No labels call exceeds _BLOCK rows, and fewer than
-    # _TRACE_LINES + 32 lines are ever read but not yet tagged, so a
-    # run's working memory does not grow with its number of lines.
+    # No labels call and no line-labeller call exceeds _BLOCK rows, and
+    # fewer than _TRACE_LINES + 32 lines are ever read but not yet
+    # tagged, so a run's working memory does not grow with its number of
+    # lines.
     x = QuadricBombon.from_epsilons([1, 1, -1, -1])
     inner = oracle_from_quadric(x)
     rng = np.random.default_rng(71)
     bases = np.array([sample_line(rng, 3).basis() for _ in range(300)])
     want = oracle_line_tags(inner, bases)
-    sizes, open_lines, read, done = [], [], [], []
+    sizes, line_sizes, open_lines, read, done = [], [], [], [], []
+    on_lines = OracleSet.on_lines
+
+    def spy_on_lines(self, line_bases):
+        label = on_lines(self, line_bases)
+
+        def spy(rows):
+            out = label(rows)
+            line_sizes.append(out.size)
+            return out
+
+        return spy
+
+    monkeypatch.setattr(OracleSet, "on_lines", spy_on_lines)
+    assert oracle_line_tags(inner, bases) == want
+    assert max(line_sizes) == oracles._BLOCK
+    line_sizes.clear()
 
     def side(pts):
         sizes.append(pts.shape[0])
@@ -485,6 +668,7 @@ def test_line_tags_labels_calls_stay_within_block(monkeypatch):
     assert oracle_line_tags(spy, lines()) == want
     assert len(done) == 300
     assert max(sizes) == oracles._BLOCK
+    assert max(line_sizes) == oracles._BLOCK
     assert max(open_lines) < (oracles._TRACE_LINES
                               + oracles._BLOCK // oracles._GRID)
 
