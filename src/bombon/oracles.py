@@ -146,7 +146,8 @@ def _line_form(a, bases):
         q0 = b[:, :, 0] / r00[:, None]
         u = b[:, :, 1]
         r01 = 0.0
-        # Gram-Schmidt: the second column is orthogonalized twice
+        # Gram-Schmidt, twice for the second column, so that Q stays
+        # orthonormal when the columns are nearly dependent
         for _ in range(2):
             c = (q0.conj() * u).sum(axis=1)
             u = u - q0 * c[:, None]
@@ -260,7 +261,9 @@ class OracleSet:
     LowConfidence bookkeeping.
 
     ``on_lines`` labels points of lines by their CP^1 rows, and a row's
-    label equals ``labels`` of its point.
+    label equals ``labels`` of its point.  An oracle built from a form
+    computes the row's value in other arithmetic than its point's, so
+    the two can differ only where a value lies within rounding of a cut.
     """
 
     side: Callable[[np.ndarray], np.ndarray]
@@ -335,9 +338,7 @@ class OracleSet:
 
 def _band(vals, thr):
     # +1 above the band [-thr, thr], 0 in it, -1 below
-    out = (vals > thr).astype(np.int8)
-    out -= vals < -thr
-    return out
+    return (vals > thr).view(np.int8) - (vals < -thr).view(np.int8)
 
 
 def oracle_from_quadric(x):
