@@ -127,17 +127,14 @@ def _value_form(a):
 def _line_form(a, bases):
     """Factored real forms of the 2x2 restrictions of ``a`` to lines.
 
-    ``bases`` is an (m, k, 2) stack of line bases B.  Each B is scaled
-    to largest entry 1 and written B = Q R in an orthonormal
-    (Gram-Schmidt) frame Q; with Q* a Q = V diag(lam) V*, the result
-    ``(g, w)`` holds g = real_map(R^T conj(V)) and the weights
-    w = [lam, 1] of each float pair, per line.  For CP^1 rows s, of
-    shape (r, 2) or (m, r, 2), ``form_values(s, (g, w))`` is then
-    (Re(p* a p), |p|^2) at p = B s, both over the square of B's scale,
-    so that their ratio does not depend on it.  Returns ``((g, w), ok)``:
-    a line not ok, whose second column lies within the rank cut of the
-    first, gets the zero form, so that each of its rows reads a squared
-    norm of 0.
+    Each basis B of the (m, k, 2) stack ``bases`` is scaled to largest
+    entry 1 and written B = Q R in a Gram-Schmidt frame Q.  With
+    Q* a Q = V diag(lam) V*, g = real_map(R^T conj(V)) and the weights
+    w = [lam, 1] of each float pair make ``form_values(s, (g, w))`` the
+    pair (Re(p* a p), |p|^2) at p = B s, over the square of B's scale,
+    for CP^1 rows s of shape (r, 2) or (m, r, 2).  Returns
+    ((g, w), ok); a line not ok, of rank one by the rank cut, gets the
+    zero form, so that each of its rows reads a squared norm of 0.
     """
     b = np.asarray(bases, dtype=complex)
     with np.errstate(all="ignore"):
@@ -271,9 +268,8 @@ class OracleSet:
     dim: int
     exact: object = None
     # (F, sides) of an oracle whose label of p is sides(Re(p* F p) /
-    # |p|^2), set by its builder: ``on_lines`` then reads rows from each
-    # line's 2x2 form.  Not copied by ``dataclasses.replace``, so an
-    # oracle made with another ``side`` labels its points.
+    # |p|^2), set by its builder; ``dataclasses.replace`` drops it, so
+    # that an oracle made with another ``side`` labels its points
     _form: tuple = field(default=None, init=False, repr=False,
                          compare=False)
 
@@ -294,16 +290,14 @@ class OracleSet:
     def on_lines(self, bases):
         """Labeller of the points p = B s of the lines ``bases``.
 
-        ``bases`` is an (m, dim+1, 2) stack of line bases B.  The
-        labeller maps CP^1 rows s, an (r, 2) array shared by all lines
-        or an (m, r, 2) array of one set per line, to the (m, r) int8
-        labels of their points; each equals ``labels`` of the point.  By
-        default the points of a call are one real matmul of the rows'
-        floats with ``real_map`` of the bases, labelled by ``labels``.
-        An oracle built from a form (``_form``) reads each row's value
-        and squared norm from its line's ``_line_form`` instead.  Rows
-        whose squared norm there is not a normal float, and so every
-        row of a line of rank one, take the point path.
+        ``bases`` is an (m, dim+1, 2) stack of bases B; the labeller maps
+        CP^1 rows s, (r, 2) for all lines or (m, r, 2) per line, to the
+        (m, r) int8 labels of their points.  The points are one real
+        matmul of the rows' floats with ``real_map`` of the bases, unless
+        the oracle has a ``_form``: then each row's value and squared
+        norm come from its line's ``_line_form``, and only the rows whose
+        squared norm there is not a normal float (every row of a line of
+        rank one) are built as points.
         """
         bases = np.asarray(bases, dtype=complex)
         to_pts = real_map(bases.transpose(0, 2, 1))
