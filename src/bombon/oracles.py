@@ -13,7 +13,10 @@ does not grow with its number of lines:
 - a line that shows only one side there is labelled again on the
   131072-point stage-2 grid, in blocks of 4096 rows so that each
   block's temporaries stay in cache.  That grid is built once, a block
-  at a time, into the one 4.2 MB array it is held in;
+  at a time, into the one 4.2 MB array it is held in.  An oracle built
+  from a form settles a line whose 2x2 line form is definite, beyond
+  rounding, on that side from the form's eigenvalues (``_line_label``):
+  every grid row would get that label, so the grid is not labelled;
 - two-sided lines wait until 64 of them (or the last ones) are there;
   their zero sets are bisected along 64 rays per line, in one
   labelling call per step;
@@ -72,6 +75,9 @@ _CHART_RESIDUAL = 1e-4
 _BIDISK_BAND = 1e-9
 # smallest normal float: a squared norm below it has lost digits
 _TINY = np.finfo(float).tiny
+# machine epsilon and smallest subnormal, for _line_label's error bound
+_EPS = np.finfo(float).eps
+_SUB = np.finfo(float).smallest_subnormal
 _angle_cache = {}
 _grid_cache = {}
 
@@ -175,10 +181,13 @@ def grid_line_tag(a, basis):
     The values come from the line's own 2x2 form (``_line_form``),
     computed here and not by ``sections.restrict_form``, so that a
     fault there cannot reach both the classifier and this judge.
-    Raises ValueError for a ``basis`` (n+1, 2) of rank one.
+    Raises ValueError for a ``basis`` (n+1, 2) that is not finite or
+    of rank one.
     """
     a = np.asarray(a, dtype=complex)
     basis = np.asarray(basis, dtype=complex)
+    if not np.isfinite(basis).all():
+        raise ValueError("coordinates must be finite")
     scale = max(1.0, max_abs(a))
     sign_tol = _GRID_SIGN * scale
     flat_tol = 1e-12 * scale
@@ -268,8 +277,10 @@ class OracleSet:
     dim: int
     exact: object = None
     # (F, sides) of an oracle whose label of p is sides(Re(p* F p) /
-    # |p|^2), set by its builder; ``dataclasses.replace`` drops it, so
-    # that an oracle made with another ``side`` labels its points
+    # |p|^2), set by its builder; ``sides`` must be monotone in the
+    # value, which ``_line_label`` relies on.  ``dataclasses.replace``
+    # drops it, so that an oracle made with another ``side`` labels its
+    # points
     _form: tuple = field(default=None, init=False, repr=False,
                          compare=False)
 
@@ -504,11 +515,48 @@ def _grid_labels(oracle, grid, bases):
     return out
 
 
+def _line_label(oracle, basis):
+    # The label that ``on_lines`` gives every unit row of the line
+    # ``basis`` when the line form makes it certain, else 0.  A row's
+    # value is v = fl(N / S), where N = sum lam_j z_j and S = sum z_j
+    # over the same squares z_j >= 0, so N / S is a weighted mean of lam.
+    # With fl(a op b) = (a op b)(1 + d) + e, |d| <= eps / 2 and |e| <=
+    # t / 2 for t the smallest subnormal (Higham, ch. 2-3):
+    # - N's 7 operations leave it within gamma_4 max|lam| S + 7 t / 2;
+    # - S, a sum of 4 nonnegative terms, is within a factor gamma_3;
+    # - the division adds eps / 2 relative and t / 2;
+    # so to first order |v - N / S| <= 4 eps max|lam| + 4 t / S + t / 2.
+    # lo is g's smallest singular value less 64 eps |g|_F, above the
+    # normwise errors of the SVD and of a row's product with g: every
+    # unit row has S >= lo^2 / 2, and lo^2 >= 4 _TINY keeps fl(S)
+    # normal, so no row takes the point path.  kappa is twice the bound
+    # above, and ``sides`` is monotone: equal labels at both ends of
+    # [min lam - kappa, max lam + kappa] are every row's label.
+    if oracle._form is None:
+        return 0
+    form, sides = oracle._form
+    (g, w), ok = _line_form(form, basis[None])
+    g, lam = g[0], w[0, ::2, 0]
+    mx, gf = float(np.abs(lam).max()), float(np.square(g).sum())
+    # 4 mx gf bounds every partial sum of N: finite, it also rules out a
+    # non-finite g or lam
+    if not (ok[0] and np.isfinite(4.0 * mx * gf)):
+        return 0
+    lo = np.linalg.svd(g, compute_uv=False)[-1] - 64.0 * _EPS * gf ** 0.5
+    s2 = lo * lo
+    if lo <= 0.0 or s2 < 4.0 * _TINY:
+        return 0
+    kappa = 16.0 * _EPS * mx + 16.0 * _SUB / s2 + 2.0 * _SUB
+    ends = sides(np.array([lam.min() - kappa, lam.max() + kappa]))
+    return int(ends[0]) if ends[0] == ends[1] else 0
+
+
 def _grid_tag(oracle, basis, labels=None):
     # (tag, grid, labels) of a line: the grid whose labels decide it,
     # those labels and the line's tag, or None for the tag when they show
     # both sides.  ``labels`` are the stage-1 labels, labelled here when
-    # None; a one-sided line is labelled again on the stage-2 grid.
+    # None; a one-sided line is labelled again on the stage-2 grid, unless
+    # its line form settles that grid's labels as its stage-1 side.
     grid = cp1_grid(_GRID)
     if labels is None:
         labels, = _grid_labels(oracle, grid, basis[None])
@@ -516,6 +564,9 @@ def _grid_tag(oracle, basis, labels=None):
         return ("full_line", True, ""), grid, labels
     if not (np.any(labels == 1) and np.any(labels == -1)):
         grid = cp1_grid(_STAGE2)
+        side = _line_label(oracle, basis)
+        if side != 0 and np.any(labels == side):
+            return ("empty", True, ""), grid, np.full(_STAGE2, side, np.int8)
         labels, = _grid_labels(oracle, grid, basis[None])
     if np.any(labels == 1) and np.any(labels == -1):
         return None, grid, labels

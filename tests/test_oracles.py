@@ -1,5 +1,6 @@
 """Grid oracle, membership oracles and the Monte-Carlo axiom verifier."""
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 
 import bombon
-from bombon import oracles
+from bombon import convexity, oracles
 from bombon.errors import PreconditionError, ZeroVector
 from bombon.jsonio import canonical_dumps
-from bombon.linalg import form_values
+from bombon.linalg import form_values, zero_tol
 from bombon.oracles import (OracleSet, RunConfig, bidisk_oracle, cp1_grid,
                             fib_angles, grid_line_tag, oracle_from_quadric,
                             oracle_line_tag, oracle_line_tags, spinor,
@@ -59,6 +60,12 @@ def test_grid_line_tag_needs_a_line():
     v = np.array([1.0, 0.5j, 0.3])
     with pytest.raises(ValueError, match="rank two"):
         grid_line_tag(ELLIPTIC.a, np.column_stack([v, 2j * v]))
+    # a basis holding NaN is refused as not finite, as the oracles do
+    nan = np.column_stack([v, [np.nan, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        grid_line_tag(ELLIPTIC.a, nan)
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        oracle_line_tag(oracle_from_quadric(ELLIPTIC), nan)
 
 
 def test_grid_agrees_with_classifier():
@@ -384,6 +391,98 @@ def test_stage2_working_memory_is_the_grid(monkeypatch):
     assert peak < 1.25 * cp1_grid(oracles._STAGE2).nbytes
 
 
+def test_stage2_working_memory_is_the_grid_when_labelled(monkeypatch):
+    # The same bound when the empty line's stage-2 grid is labelled a
+    # block at a time: an oracle made with ``dataclasses.replace`` has no
+    # form, so it labels the grid's points.
+    base = oracle_from_quadric(QuadricBombon.from_epsilons([1, 1, 1, -1]))
+    oracle = dataclasses.replace(base, side=base.side)
+    assert oracle._form is None
+    cfg = RunConfig(seed=3, n_lines=1)
+    verify_axioms(oracle, RunConfig(seed=1, n_lines=1))  # lazy imports
+    monkeypatch.setattr(oracles, "_grid_cache", {})
+    monkeypatch.setattr(oracles, "_angle_cache", {})
+    stage2 = _spy_stage2(monkeypatch)
+    tracemalloc.start()
+    try:
+        rep = verify_axioms(oracle, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.line_tags == ("empty",) and stage2 == [1]
+    assert peak < 1.25 * cp1_grid(oracles._STAGE2).nbytes
+
+
+def _spy_stage2(monkeypatch):
+    # the number of lines of each 131072-row _grid_labels call, in a list
+    # that fills as the calls are made
+    calls = []
+    grid_labels = oracles._grid_labels
+
+    def spy(oracle, grid, bases):
+        if grid.shape[0] == oracles._STAGE2:
+            calls.append(len(bases))
+        return grid_labels(oracle, grid, bases)
+
+    monkeypatch.setattr(oracles, "_grid_labels", spy)
+    return calls
+
+
+def _one_sided(oracle, bases):
+    # whether each line shows one side on its stage-1 grid, and not only
+    # the set
+    lab = oracles._grid_labels(oracle, cp1_grid(oracles._GRID), bases)
+    two = np.any(lab == 1, axis=1) & np.any(lab == -1, axis=1)
+    return ~two & np.any(lab != 0, axis=1)
+
+
+def test_stage2_grids_labelled_only_where_a_form_cannot_settle(monkeypatch):
+    # Quadric and ellipsoid-chart lines whose line form is definite take
+    # no stage-2 labelling; a one-sided line of the bidisk, of an oracle
+    # without a form and a tangent quadric line take one each.  The tags
+    # and disk verdicts are those of labelling every stage-2 grid.
+    rng = np.random.default_rng(233)
+    x = QuadricBombon.from_epsilons([1, 1, 1, -1])
+    quad = oracle_from_quadric(x)
+    bases = np.array([sample_line(rng, 3).basis() for _ in range(40)])
+    tangent = np.array([_tangent_through_grid_row(rng, x, cp1_grid(
+        oracles._STAGE2)) for _ in range(3)])
+    bidisk_bases = np.array([sample_line(rng, 2).basis() for _ in range(40)])
+    replaced = dataclasses.replace(quad, side=quad.side)
+    body = convexity.ellipsoid_body(0.2 * np.ones(3), np.diag([1.0, 2.0, 3.0]))
+    lines = [convexity.AffineComplexLine(
+        0.6 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)),
+        rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        for _ in range(40)]
+    cases = ((quad, bases, 0), (quad, tangent, len(tangent)),
+             (replaced, bases, int(_one_sided(replaced, bases).sum())),
+             (bidisk_oracle(), bidisk_bases,
+              int(_one_sided(bidisk_oracle(), bidisk_bases).sum())))
+    want = [oracle_line_tags(oracle, b) for oracle, b, _ in cases]
+    want_disks = _disk_sections_of(body, lines)
+    assert {t for t, _, _ in want[0]} == {"empty", "circle"}
+    assert {t for t, _, _ in want[1]} == {"single_point"}
+    assert all(count > 0 for _, _, count in cases[1:])
+    stage2 = _spy_stage2(monkeypatch)
+    for (oracle, b, count), tags in zip(cases, want):
+        stage2.clear()
+        assert oracle_line_tags(oracle, b) == tags
+        assert stage2 == [1] * count
+    stage2.clear()
+    got = _disk_sections_of(body, lines)
+    assert got == want_disks and stage2 == []
+    assert {v.tag for v in got} == {convexity.DiskTag.EMPTY,
+                                    convexity.DiskTag.DISK}
+    # the same tags when every stage-2 grid is labelled
+    monkeypatch.setattr(oracles, "_line_label", lambda oracle, basis: 0)
+    assert oracle_line_tags(quad, bases) == want[0]
+    assert _disk_sections_of(body, lines) == want_disks
+
+
+def _disk_sections_of(body, lines):
+    return convexity.disk_sections(body, lines, rng=np.random.default_rng(5))
+
+
 def test_labels_are_int8_and_range_checked():
     # Built-in oracles label in int8; another dtype is read as the same
     # labels when its values are -1, 0 and 1, and is refused otherwise,
@@ -477,6 +576,129 @@ def test_grid_labels_blocked_equal_whole_grid():
     assert np.array_equal(
         oracles._grid_labels(oracle, cp1_grid(128), bases),
         [oracle.labels(cp1_grid(128) @ basis.T) for basis in bases])
+
+
+def _form_oracle(form, sides):
+    # an oracle whose label of p is sides(Re(p* form p) / |p|^2), built
+    # as the oracle builders build one
+    vform = oracles._value_form(form)
+
+    def side(pts):
+        vn = form_values(pts, vform)
+        return sides(vn[:, 0] / vn[:, 1])
+
+    oracle = OracleSet(side=side, description="form", dim=form.shape[0] - 1)
+    oracle._form = (np.asarray(form, dtype=complex), sides)
+    return oracle
+
+
+def _settled(oracle, bases):
+    # the label _line_label gives each line, checked against the labels
+    # of the line's whole stage-2 grid wherever it is not 0
+    grid = cp1_grid(oracles._STAGE2)
+    out = []
+    for basis in bases:
+        side = oracles._line_label(oracle, basis)
+        if side != 0:
+            labels, = oracles._grid_labels(oracle, grid, basis[None])
+            assert np.all(labels == side), (oracle.description, basis)
+        out.append(side)
+    return out
+
+
+def _cgauss(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_line_label_is_every_stage2_label():
+    # Wherever a line form settles a line, every row of its stage-2 grid
+    # gets that label: quadric oracles on CP^1-CP^5 with every kernel
+    # size; forms scaled by 1e-150..1e150 on bases scaled likewise, with
+    # random phases; ellipsoid charts in C^1-C^4; and lines whose
+    # restricted eigenvalues sit 1, 4, 16 and 64 ulps beyond the band
+    # cut, or beyond 0 for the chart's cut.
+    rng = np.random.default_rng(239)
+    seen = Counter()
+    for n in range(1, 6):
+        for n_zero in range(n):
+            x = random_bombon(rng, n, n_zero=n_zero)
+            bases = [sample_line(rng, n).basis() for _ in range(4)]
+            bases.append(_tangent_through_grid_row(
+                rng, x, cp1_grid(oracles._STAGE2)))
+            # the form and its negative, whose sides are swapped
+            for oracle in map(oracle_from_quadric, (x, QuadricBombon(-x.a))):
+                seen.update(_settled(oracle, bases))
+            form, sides = oracle_from_quadric(x)._form
+            for s in 10.0 ** rng.uniform(-150.0, 150.0, 2):
+                scaled = _form_oracle(s * form, lambda v, s=s: sides(v / s))
+                lam = 10.0 ** rng.uniform(-150.0, 150.0, len(bases))
+                phases = np.exp(2j * np.pi * rng.random((len(bases), 1, 2)))
+                seen.update(_settled(scaled, np.array(bases) * phases
+                                     * lam[:, None, None]))
+    for n in range(1, 5):
+        m = _cgauss(rng, n, n)
+        body = convexity.ellipsoid_body(0.3 * _cgauss(rng, n),
+                                        m @ m.conj().T + 0.3 * np.eye(n))
+        chart = [np.column_stack([np.append(1.0, 0.8 * _cgauss(rng, n)),
+                                  np.append(0.0, _cgauss(rng, n))])
+                 for _ in range(6)]
+        seen.update(_settled(convexity._chart_oracle(body),
+                             chart + [_cgauss(rng, n + 1, 2)]))
+    assert seen[1] > 0 and seen[-1] > 0 and seen[0] > 0
+    # restricted forms c I, and (c, 1/2), with c k ulps beyond a cut, on
+    # the line (e0, e1) where every product is exact, and in a random
+    # unitary frame: near-ties that rounding decides
+    band, thr = oracle_from_quadric(ELLIPTIC)._form[1], zero_tol(ELLIPTIC.a)
+    u, _ = np.linalg.qr(_cgauss(rng, 4, 4))
+    settled = Counter()
+    for k in (1, 4, 16, 64):
+        for sign, cut, sides, tail in (
+                (1.0, thr, band, [-0.5, 0.5]),
+                (-1.0, thr, band, [0.5, -0.5]),
+                (1.0, 0.0, convexity._inside, [-1.0, 1.0])):
+            edge = cut + k * np.spacing(cut) if cut else k * oracles._SUB
+            for c2 in (edge, 0.5):
+                form = np.diag([sign * edge, sign * c2] + tail)
+                got = _settled(_form_oracle(form, sides),
+                               [np.eye(4)[:, :2], u[:, :2]])
+                got += _settled(_form_oracle(u @ form @ u.conj().T, sides),
+                                [u[:, :2]])
+                settled.update({k: sum(g != 0 for g in got)})
+            ulp = np.spacing(0.5)
+            got = _settled(_form_oracle(np.diag([k * ulp, 0.5, -1.0, 1.0]),
+                                        convexity._inside), [np.eye(4)[:, :2]])
+            settled.update({k: sum(g != 0 for g in got)})
+    assert settled[64] > 0
+
+
+def test_line_label_declines_degenerate_bases(monkeypatch):
+    # A basis of rank one, the lopsided basis (1e-160 e0, e1), which
+    # passes the rank cut but whose line form has a singular value
+    # whose square is below the normal range, and a basis holding NaN:
+    # the line form settles none of them, and their tags are those of
+    # labelling.
+    oracle = oracle_from_quadric(ELLIPTIC)
+    v = np.array([1.0, 0.5j, 0.3])
+    e = np.eye(3, dtype=complex)
+    bases = (np.column_stack([v, 2j * v]),
+             np.column_stack([1e-160 * e[:, 0], e[:, 1]]),
+             np.column_stack([v, [np.nan, 1.0, 0.0]]))
+    assert oracles._line_form(oracle._form[0], bases[1][None])[1][0]
+
+    def tags():
+        out = []
+        for basis in bases:
+            try:
+                out.append(oracle_line_tag(oracle, basis))
+            except ValueError as err:
+                out.append(str(err))
+        return out
+
+    assert [oracles._line_label(oracle, b) for b in bases] == [0, 0, 0]
+    got = tags()
+    assert got[1:] == [("empty", True, ""), "coordinates must be finite"]
+    monkeypatch.setattr(oracles, "_line_label", lambda oracle, basis: 0)
+    assert tags() == got
 
 
 def _pinned_report(seed, tags, bad=()):
