@@ -18,7 +18,10 @@ does not grow with its number of lines:
   rounding, on that side from the form's eigenvalues (``_line_label``):
   every grid row would get that label, so the grid is not labelled;
 - two-sided lines wait until 64 of them (or the last ones) are there;
-  their zero sets are bisected along 64 rays per line, in one
+  their zero sets are traced along 64 rays per line.  An oracle built
+  from a form places each ray's zero in closed form from the line
+  form and keeps it where labels certify it (``_trace_zeros``); the
+  other rays, and every ray of other oracles, are bisected, in one
   labelling call per step;
 - each zero set gets its own circle fit, and the side rings of the
   fitted lines among those 64 are labelled in one call.
@@ -63,6 +66,19 @@ _STAGE2 = 131072
 # zero tracing: rays and bisection steps
 _RAYS = 64
 _BISECT_ITERS = 60
+# Half-width, in log10 |z|, of the two labels that certify a ray's
+# proposed zero x in ``_trace_zeros``.  An x in (-8, 8) is spaced at most
+# 2^-49 < 1.8e-15 from its neighbours, and 10^x rounds to a few eps, so
+# the rows at x -+ _FLANK lie 1e-12 ln 10 = 2.3e-12 relative on either
+# side of x's row, hundreds of roundings clear of it.  Along a ray the
+# form's value N(r) = a r^2 + 2 beta r + c (``_ray_zeros``) then moves
+# by |N'(r)| r 2.3e-12 at the zero, which beats its rounding,
+# 4 eps max|lam| |p|^2 (``_line_label``), wherever
+# |N'(r)| r >= 4e-4 max|lam| |p|^2, so nearly every crossing
+# certifies; a flatter one is bisected.  A kept zero is within
+# 2.3e-12 relative of a flip, far inside the 1e-4 chart residual of a
+# circle fit and a disk section's tolerance.
+_FLANK = 1e-12
 # Rows per block when labelling a grid: big enough to amortize the
 # per-call cost, small enough that a block's temporaries stay in cache.
 _BLOCK = 4096
@@ -308,9 +324,12 @@ class OracleSet:
         the oracle has a ``_form``: then each row's value and squared
         norm come from its line's ``_line_form``, and only the rows whose
         squared norm there is not a normal float (every row of a line of
-        rank one) are built as points.
+        rank one) are built as points.  Raises ValueError for bases that
+        are not finite, before any point is built.
         """
         bases = np.asarray(bases, dtype=complex)
+        if not np.isfinite(bases).all():
+            raise ValueError("coordinates must be finite")
         to_pts = real_map(bases.transpose(0, 2, 1))
 
         def points(rows):
@@ -459,22 +478,50 @@ def _fs_diameter(pts):
     return float(np.arccos(np.clip(g, 0.0, 1.0)))
 
 
+def _ray_zeros(form, traces, ang):
+    # Proposed log10 |w| of the zero of the form ``form`` along each ray
+    # w = r ang_j of each trace basis (p_u, p_v) of the (m, n+1, 2) stack
+    # ``traces``, from the trace basis's 2x2 form M, built from unit-scale
+    # copies and scaled to largest entry 1.  At the row (w, 1) the value
+    # is a r^2 + 2 beta r + c, with a = M_00, c = M_11 and
+    # beta = Re(conj(ang_j) M_01); a ray whose end labels differ has
+    # ac < 0 and one positive root, taken without cancellation as q / a
+    # or c / q for q = -(beta + sign(beta) sqrt(beta^2 - ac)).  (m, _RAYS)
+    # floats, not finite or not positive roots where the form gives none.
+    with np.errstate(all="ignore"):
+        f = form / max_abs(form)
+        p = traces / np.abs(traces).max(axis=(1, 2), keepdims=True)
+        m = p.conj().transpose(0, 2, 1) @ f @ p
+        m = m / np.abs(m).max(axis=(1, 2), keepdims=True)
+        a, c = m[:, 0, 0].real[:, None], m[:, 1, 1].real[:, None]
+        beta = (ang.conj() * m[:, 0, 1][:, None]).real
+        q = -(beta + np.copysign(np.sqrt(beta * beta - a * c), beta))
+        return np.log10(np.fmax(q / a, c / q))
+
+
 def _trace_zeros(oracle, bases, ends):
     """Zero sets of the lines ``bases`` (m, n+1, 2), 0 < m <=
-    _TRACE_LINES, by bisection.
+    _TRACE_LINES, along _RAYS rays per line.
 
     Line i is charted by the columns (p_u, p_v) of ends[i]: p_v sits at
-    0 and p_u at infinity.  The side flip along each of _RAYS rays is
-    bisected in log10 |z| from [-8, 8], all lines in one labelling call
-    per step.  Returns per line the (k, 2) CP^1 coordinates of its k
-    bracketed zeros, or None when no ray brackets a flip.
+    0 and p_u at infinity.  A ray brackets a zero when its labels at
+    log10 |z| = -8 and 8 are nonzero and differ.  An oracle with a
+    ``_form`` proposes each bracketed ray's zero x from the form
+    (``_ray_zeros``), and its labels decide: x is kept when it lies in
+    (-8, 8) and its label is 0, or its labels at x -+ _FLANK are those
+    at -8 and 8.  The other bracketed rays, and every ray of an oracle
+    without a form, bisect the side flip in log10 |z| from [-8, 8], all
+    lines in one labelling call per step.  Returns per line the (k, 2)
+    CP^1 coordinates of its k bracketed zeros, or None when no ray
+    brackets a flip.
     """
     ang = np.exp(2j * np.pi * np.arange(_RAYS) / _RAYS)
-    # chart coordinates (w, 1) of the ray points, w rewritten per step,
+    # chart coordinates (w, 1) of the ray points, w rewritten per call,
     # on each line's basis (p_u, p_v), the transpose of ends_t @ basis_t
     chart = np.ones((bases.shape[0], _RAYS, 2), dtype=complex)
-    label = oracle.on_lines(np.swapaxes(
-        ends.transpose(0, 2, 1) @ bases.transpose(0, 2, 1), 1, 2))
+    traces = np.swapaxes(
+        ends.transpose(0, 2, 1) @ bases.transpose(0, 2, 1), 1, 2)
+    label = oracle.on_lines(traces)
 
     def lab(logr):
         chart[..., 0] = np.power(10.0, logr) * ang
@@ -485,11 +532,23 @@ def _trace_zeros(oracle, bases, ends):
     lab_lo = lab(lo)
     lab_hi = lab(hi)
     valid = (lab_lo != 0) & (lab_hi != 0) & (lab_lo != lab_hi)
-    if np.any(valid):
+    todo = valid
+    if oracle._form is not None and np.any(valid):
+        x = _ray_zeros(oracle._form[0], traces, ang)
+        near = valid & (np.abs(x) < 8.0)
+        x = np.where(near, x, 0.0)
+        kept = near & (lab(x) == 0)
+        flank = near & ~kept
+        if np.any(flank):
+            kept |= flank & (lab(x - _FLANK) == lab_lo) & (
+                lab(x + _FLANK) == lab_hi)
+        lo[kept] = hi[kept] = x[kept]
+        todo = valid & ~kept
+    if np.any(todo):
         # a midpoint's label times lab_lo is > 0 on lo's side, < 0 on
         # hi's side and 0 on the set, where both ends move; NaN keeps the
-        # ends of the rays without a bracket
-        ref = np.where(valid, lab_lo, np.nan)
+        # ends of the rays not bisected
+        ref = np.where(todo, lab_lo, np.nan)
         for _ in range(_BISECT_ITERS):
             mid = (lo + hi) / 2.0
             t = lab(mid) * ref
@@ -703,6 +762,14 @@ def verify_axioms(oracle, cfg=None):
     membership queries alone, and for circles checks that the two
     complementary chart components carry strictly opposite labels.
     Violations are data in the report, never exceptions.
+
+    A line that shows one side on its 128-point grid is decided on the
+    131072-point stage-2 grid, whose spacing on the line's CP^1 is about
+    0.01 rad.  A component narrower than that can fall between its
+    points.  The line then reads empty where it cuts a small circle, or
+    a single point when grid points fall in the oracle's ON band next to
+    it; such ON points lie well within the 0.2 rad diameter of a single
+    point, so a miss does not read nonconforming.
     """
     cfg = RunConfig() if cfg is None else cfg
     rng = np.random.default_rng(cfg.seed)

@@ -841,6 +841,263 @@ def test_trace_zeros_batch_equals_single_lines():
                 assert z.tobytes() == single.tobytes()
 
 
+def _ray_angles():
+    return np.exp(2j * np.pi * np.arange(oracles._RAYS) / oracles._RAYS)
+
+
+def _traces_of(bases, ends):
+    # each line's trace basis (p_u, p_v), as the zero tracer forms it
+    return np.swapaxes(ends.transpose(0, 2, 1) @ bases.transpose(0, 2, 1),
+                       1, 2)
+
+
+def _bisected(oracle, bases, ends):
+    # (log10 |w|, bracketed, lab_lo, lab_hi, labeller) of every ray of the
+    # zero tracer as it was before ray zeros were proposed from line
+    # forms: each bracketed ray bisected in log10 |w| from [-8, 8], all
+    # lines in one labelling call per step
+    ang = _ray_angles()
+    chart = np.ones((bases.shape[0], oracles._RAYS, 2), dtype=complex)
+    label = oracle.on_lines(_traces_of(bases, ends))
+
+    def lab(logr):
+        chart[..., 0] = np.power(10.0, logr) * ang
+        return label(chart)
+
+    lo = np.full(chart.shape[:2], -8.0)
+    hi = np.full(chart.shape[:2], 8.0)
+    lab_lo, lab_hi = lab(lo), lab(hi)
+    valid = (lab_lo != 0) & (lab_hi != 0) & (lab_lo != lab_hi)
+    ref = np.where(valid, lab_lo, np.nan)
+    for _ in range(oracles._BISECT_ITERS):
+        mid = (lo + hi) / 2.0
+        t = lab(mid) * ref
+        lo = np.where(t >= 0, mid, lo)
+        hi = np.where(t <= 0, mid, hi)
+    return (lo + hi) / 2.0, valid, lab_lo, lab_hi, lab
+
+
+def _zeros_at(logr, valid, ends):
+    # the tracer's output for rays whose zeros sit at log10 |w| = logr
+    w = np.power(10.0, logr) * _ray_angles()
+    return [np.column_stack([wi[vi], np.ones(int(vi.sum()))]) @ pi.T
+            if np.any(vi) else None for wi, vi, pi in zip(w, valid, ends)]
+
+
+def _record_traces(monkeypatch, runs):
+    # (oracle, bases, ends) of every zero trace that the calls ``runs``
+    # make
+    calls = []
+    trace = oracles._trace_zeros
+
+    def spy(oracle, bases, ends):
+        calls.append((oracle, bases, ends))
+        return trace(oracle, bases, ends)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracles, "_trace_zeros", spy)
+        for run in runs:
+            run()
+    return calls
+
+
+def _ellipsoid_chart_lines(rng, n, count):
+    m = _cgauss(rng, n, n)
+    body = convexity.ellipsoid_body(0.3 * _cgauss(rng, n),
+                                    m @ m.conj().T + 0.3 * np.eye(n))
+    return body, [convexity.AffineComplexLine(0.6 * _cgauss(rng, n),
+                                              _cgauss(rng, n))
+                  for _ in range(count)]
+
+
+def _two_sided_traces(oracle, bases):
+    # the zero trace of the lines of ``bases`` that show both sides on the
+    # stage-1 grid, with the trace ends that oracle_line_tags gives them
+    grid = cp1_grid(oracles._GRID)
+    lab = oracles._grid_labels(oracle, grid, bases)
+    keep = np.any(lab == 1, axis=1) & np.any(lab == -1, axis=1)
+    ends = np.array([np.column_stack([grid[np.argmax(row == 1)],
+                                      grid[np.argmax(row == -1)]])
+                     for row in lab[keep]]).reshape(-1, 2, 2)
+    return oracle, bases[keep], ends
+
+
+def _form_traces(monkeypatch, rng):
+    # (trace call, ON band) of the two-sided lines of quadric oracles on
+    # CP^1-CP^5 with every kernel size and their negatives, of the same
+    # forms scaled by 1e-150..1e150 on bases scaled likewise with random
+    # phases, and of ellipsoid charts in C^1-C^4, whose band is empty
+    out = []
+    for n in range(1, 6):
+        for n_zero in range(n):
+            x = random_bombon(rng, n, n_zero=n_zero)
+            bases = np.array([sample_line(rng, n).basis() for _ in range(12)])
+            thr = zero_tol(x.a)
+            for y in (x, QuadricBombon(-x.a)):
+                out.append((_two_sided_traces(oracle_from_quadric(y), bases),
+                            thr))
+            form, sides = oracle_from_quadric(x)._form
+            for s in 10.0 ** rng.uniform(-150.0, 150.0, 2):
+                scaled = _form_oracle(s * form, lambda v, s=s: sides(v / s))
+                lam = 10.0 ** rng.uniform(-150.0, 150.0, len(bases))
+                phases = np.exp(2j * np.pi * rng.random((len(bases), 1, 2)))
+                out.append((_two_sided_traces(
+                    scaled, bases * phases * lam[:, None, None]), s * thr))
+    for n in range(1, 5):
+        body, lines = _ellipsoid_chart_lines(rng, n, 12)
+        out += [(call, 0.0) for call in _record_traces(
+            monkeypatch, [lambda: convexity.disk_sections(body, lines)])]
+    return [(call, thr) for call, thr in out if len(call[1])]
+
+
+def _band_width(form, trace, w, thr):
+    # width in log10 |w| of the ON band |v| <= thr along the rays of the
+    # trace basis (p_u, p_v) at their zeros w, v = N / D the form's value
+    # over the squared norm at w p_u + p_v: 2 thr / |dv / dlog10 r| there,
+    # where N = 0, in unit-scale copies of the form and the basis
+    scale = np.abs(form).max()
+    f, p = form / scale, trace / np.abs(trace).max()
+    m, g = p.conj().T @ f @ p, p.conj().T @ p
+    r = np.abs(w)
+    slope = 2.0 * (m[0, 0].real * r + (w.conj() / r * m[0, 1]).real)
+    d = g[0, 0].real * r * r + 2.0 * (w.conj() * g[0, 1]).real + g[1, 1].real
+    return 2.0 * (thr / scale) * d / (np.abs(slope) * r * np.log(10.0))
+
+
+def test_trace_zeros_are_certified_by_labels(monkeypatch):
+    # A form oracle keeps a ray's proposed zero only where its labels
+    # certify it: its own label is 0, or the labels at -+ _FLANK are the
+    # ray's end labels.  Every other bracketed ray is bisected as before,
+    # bit for bit.  A kept zero lies within the ON band's width, or within
+    # 2 _FLANK, of the bisected zero, in log10 |w|.
+    rng = np.random.default_rng(241)
+    ang = _ray_angles()
+    delta = oracles._FLANK
+    kept, on, flanked, bisected = Counter(), Counter(), Counter(), 0
+    for (oracle, bases, ends), thr in _form_traces(monkeypatch, rng):
+        kind = "chart" if thr == 0.0 else "quadric"
+        got = oracles._trace_zeros(oracle, bases, ends)
+        logr, valid, lab_lo, lab_hi, lab = _bisected(oracle, bases, ends)
+        traces = _traces_of(bases, ends)
+        x = oracles._ray_zeros(oracle._form[0], traces, ang)
+        for z, want, prop, xi, li, vi, lo, hi, trace in zip(
+                got, _zeros_at(logr, valid, ends), _zeros_at(x, valid, ends),
+                x, logr, valid, lab_lo, lab_hi, traces):
+            assert (z is None) == (want is None)
+            if z is None:
+                continue
+            same = np.all(z == prop, axis=1)
+            assert np.all(same | np.all(z == want, axis=1))
+            bisected += int((~same).sum())
+            xs, ls, a = xi[vi][same], li[vi][same], ang[vi][same]
+            lo, hi = lo[vi][same], hi[vi][same]
+
+            def label(logs):
+                rows = np.stack([np.power(10.0, logs) * a, np.ones(a.size)],
+                                axis=-1)
+                return oracle.on_lines(trace[None])(rows)[0]
+
+            zero = label(xs) == 0
+            flip = (label(xs - delta) == lo) & (label(xs + delta) == hi)
+            assert np.all(zero | flip)
+            assert np.all(np.abs(xs) < 8.0)
+            width = _band_width(oracle._form[0], trace,
+                                np.power(10.0, xs) * a, thr)
+            assert np.all(np.abs(xs - ls) <= np.maximum(1.01 * width,
+                                                        2.0 * delta))
+            kept[kind] += xs.size
+            on[kind] += int(zero.sum())
+            flanked[kind] += int((flip & ~zero).sum())
+    # nearly every ray keeps its proposal: quadric rays by their ON label,
+    # chart rays, whose oracle has no ON band, by their flanks
+    assert on["quadric"] > 0 and flanked["chart"] == kept["chart"] > 0
+    assert bisected <= 1e-3 * (kept["quadric"] + kept["chart"])
+
+
+@pytest.mark.parametrize("shift", [-0.1, 0.1])
+def test_trace_zeros_fall_back_to_bisection(monkeypatch, shift):
+    # Proposals a tenth of a decade off fail their certification, and
+    # every ray falls back to the bisection, whose zeros are the old
+    # tracer's bit for bit; so are the traces of oracles without a form:
+    # the bidisk, an oracle made with ``dataclasses.replace`` and the
+    # polydisk chart.
+    rng = np.random.default_rng(251)
+    calls = [call for call, _ in _form_traces(monkeypatch, rng)]
+    quad = oracle_from_quadric(QuadricBombon.from_epsilons([1, 1, -1, -1]))
+    replaced = dataclasses.replace(quad, side=quad.side)
+    cd = [convexity.AffineComplexLine(0.5 * _cgauss(rng, 2), _cgauss(rng, 2))
+          for _ in range(30)]
+    calls += _record_traces(monkeypatch, [
+        lambda: oracle_line_tags(bidisk_oracle(), np.array(
+            [sample_line(rng, 2).basis() for _ in range(90)])),
+        lambda: oracle_line_tags(replaced, np.array(
+            [sample_line(rng, 3).basis() for _ in range(30)])),
+        lambda: oracle_line_tags(_shell_oracle(), np.array(
+            [sample_line(rng, 2).basis() for _ in range(30)])),
+        lambda: convexity.disk_sections(convexity.polydisk_body((1.0, 1.0)),
+                                        cd)])
+    assert {o._form is None for o, _, _ in calls} == {True, False}
+    ray_zeros = oracles._ray_zeros
+    proposed = []
+
+    def off(*args):
+        proposed.append(None)
+        return ray_zeros(*args) + shift
+
+    monkeypatch.setattr(oracles, "_ray_zeros", off)
+    for oracle, bases, ends in calls:
+        logr, valid, _, _, _ = _bisected(oracle, bases, ends)
+        got = oracles._trace_zeros(oracle, bases, ends)
+        for z, want in zip(got, _zeros_at(logr, valid, ends)):
+            assert (z is None) == (want is None)
+            assert z is None or z.tobytes() == want.tobytes()
+    assert len(proposed) == sum(o._form is not None for o, _, _ in calls)
+
+
+def test_tiny_circles_read_circles():
+    # CP^1 quadrics whose minority side is a cap 2e-3 to 5e-3 rad wide:
+    # bisection stopped anywhere in the ON band, |v| <= 1e-9 max|A|,
+    # which is thick beside such a cap, and the circle fit through those
+    # zeros missed the chart residual.  The zeros the form places read
+    # every traced line a circle.  Lines whose stage-2 grid misses the cap
+    # still read empty: the grid's resolution is about 0.01 rad.
+    for diag, empty in (((-3284.0, 3.81e-3), 36), ((-62.8, 3.44e-4), 22),
+                        ((1.0, -1e-6), 36), ((1.0, -1e-4), 1)):
+        oracle = oracle_from_quadric(QuadricBombon(np.diag(diag)))
+        rep = verify_axioms(oracle, RunConfig(seed=1, n_lines=40))
+        assert rep.tallies["empty"] == empty
+        assert rep.tallies["circle"] == 40 - empty
+        assert rep.verdict == "ConsistentWithBombon"
+
+
+def test_infinite_basis_is_a_value_error():
+    # A basis entry of inf gets the finiteness error from every oracle,
+    # and not a RuntimeWarning from the points built on it; proposing ray
+    # zeros on degenerate trace bases warns neither.
+    body = convexity.ellipsoid_body(np.zeros(2), np.eye(2))
+    cases = (oracle_from_quadric(ELLIPTIC), convexity._chart_oracle(body),
+             convexity._chart_oracle(convexity.polydisk_body((1.0, 1.0))),
+             bidisk_oracle())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for oracle in cases:
+            for bad in (np.inf, complex(0.0, -np.inf), np.nan):
+                basis = np.eye(3, 2, dtype=complex)
+                basis[2, 1] = bad
+                with pytest.raises(ValueError,
+                                   match="coordinates must be finite"):
+                    oracle_line_tag(oracle, basis)
+        e = np.eye(3, dtype=complex)
+        traces = np.array([np.zeros((3, 2)), np.column_stack([e[0], 2j * e[0]]),
+                           np.column_stack([1e-170 * e[0], e[1]]),
+                           np.column_stack([e[0], e[2]])])
+        assert oracles._ray_zeros(np.zeros((3, 3)), traces,
+                                  _ray_angles()).shape == (4, oracles._RAYS)
+        x = oracles._ray_zeros(ELLIPTIC.a, traces, _ray_angles())
+    # the line (e0, e2) meets diag(1, 1, -1) where |w| = 1
+    assert np.all(x[3] == 0.0)
+
+
 def test_line_tags_labels_calls_stay_within_block(monkeypatch):
     # No labels call and no line-labeller call exceeds _BLOCK rows, and
     # fewer than _TRACE_LINES + 32 lines are ever read but not yet
