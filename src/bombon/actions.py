@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotOnQuadric, NotSmooth, ZeroVector
-from .linalg import (as_cvector, congruence_to_signs, max_abs, nullspace,
-                     sym, zero_tol)
+from .linalg import (_congruence_to_signs, _hermitian_eig, as_cvector,
+                     max_abs, nullspace, sym)
 from .projective import ProjPoint, proj_close
 from .quadrics import quad
 
@@ -67,11 +67,11 @@ def bundle_projection(x, split, v):
     w = p.unit
     u_part = split.p_pos @ w
     v_part = split.p_neg @ w
-    small = zero_tol(x.a, x.tol)
+    small = x._cut
     if np.linalg.norm(u_part) <= small or np.linalg.norm(v_part) <= small:
         raise NotOnQuadric("point projects into a core; it cannot be on "
                            "the quadric")
-    return ProjPoint(u_part), ProjPoint(v_part)
+    return ProjPoint._of(u_part), ProjPoint._of(v_part)
 
 
 def pseudo_unitary_check(t, a, rtol=1e-8):
@@ -88,7 +88,7 @@ def _adapted_frame(x, v):
     pairings = np.abs([quad(a, v, cols[:, j]) for j in range(cols.shape[1])])
     w = cols[:, int(np.argmax(pairings))]
     beta = quad(a, v, w)
-    if abs(beta) <= zero_tol(a, x.tol):
+    if abs(beta) <= x._cut:
         raise ZeroVector("no hyperbolic partner; form appears degenerate")
     w1 = w / beta
     gamma = np.real(quad(a, w1, w1))
@@ -96,7 +96,7 @@ def _adapted_frame(x, v):
     constraints = np.vstack([(a @ v).conj(), (a @ w2).conj()])
     comp = nullspace(constraints, tol=x.tol)
     mc = sym(comp.conj().T @ a @ comp)
-    tc, signs = congruence_to_signs(mc, tol=x.tol)
+    tc, signs = _congruence_to_signs(_hermitian_eig(mc, x.tol))
     if np.any(signs == 0):
         raise NotSmooth("complement picked up a kernel direction")
     return np.column_stack([v, w2, comp @ tc]), signs

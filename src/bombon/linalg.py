@@ -20,6 +20,14 @@ Large stacks of complex rows are worked on as real rows of interleaved
   once, by one ``eigh``, into ``q, lam``, and ``form_values`` is
   ``((x @ q) ** 2) @ lam``.  Because ``q`` is orthogonal, weights
   ``[lam, 1]`` give each row's value and squared norm in one product.
+
+Input is validated once, at the public boundary.  ``hermitian_eig`` and
+``congruence_to_signs`` pass what they are given through ``hermitize``,
+which checks that it is a finite square Hermitian matrix, and then call
+a private core, ``_hermitian_eig``.  Matrices the library built itself
+with ``sym`` or ``hermitize`` go to the core directly: they are exactly
+Hermitian, and the core keeps only a free check that their largest
+modulus is finite, which an overflowing product would break.
 """
 
 import math
@@ -67,7 +75,19 @@ def finite_nonnegative(x, name):
 
 def zero_tol(m, tol=DEFAULT_TOL):
     """Zero threshold for quantities derived from ``m``."""
-    return tol * max(1.0, max_abs(m))
+    return _cut(max_abs(m), tol)
+
+
+def _cut(big, tol):
+    # the one zero rule, given the largest entry modulus ``big``
+    return tol * max(1.0, big)
+
+
+def _require_finite(a, big, what):
+    # A non-finite entry makes the largest modulus ``big`` non-finite, so
+    # the exact entry check runs only when that scan says it may be needed.
+    if not math.isfinite(big) and not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
 
 
 _HERMITIAN_ATOL = 1e-12
@@ -82,11 +102,8 @@ def hermitize(m):
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    # A non-finite entry makes the largest modulus non-finite, so the
-    # exact entry check runs only when that scan says it may be needed.
     big = max_abs(a)
-    if not math.isfinite(big) and not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
+    _require_finite(a, big, "matrix entries")
     if a.shape[0] != a.shape[1]:
         raise ValueError("Hermitian matrix must be square")
     # Halving first keeps a + a* and a - a* finite for entries up to the
@@ -211,7 +228,8 @@ def hermitian_eig(m, tol=DEFAULT_TOL):
     Parameters
     ----------
     m : array_like
-        Hermitian matrix (validated and symmetrized on ingest).
+        Hermitian matrix; ``hermitize`` validates it and takes its
+        Hermitian part before the decomposition.
     tol : float
         Relative tolerance; eigenvalues with modulus at most
         ``tol * max(1, |m|_inf)`` count as zero.
@@ -225,9 +243,18 @@ def hermitian_eig(m, tol=DEFAULT_TOL):
     NoConvergence
         When LAPACK fails to converge.
     """
-    a = hermitize(m)
-    k = a.shape[0]
-    thr = zero_tol(a, tol)
+    return _hermitian_eig(hermitize(m), tol)
+
+
+def _hermitian_eig(a, tol):
+    """``hermitian_eig`` of a matrix the library built with ``sym`` or
+    ``hermitize``: exactly Hermitian, so it skips the coercion and the
+    symmetry check (``hermitize`` would return it bit for bit, apart
+    from subnormal entries).  A non-finite entry, say from an
+    overflowing product, is still a ValueError."""
+    big = max_abs(a)
+    _require_finite(a, big, "matrix entries")
+    thr = _cut(big, tol)
     try:
         # LAPACK returns the eigenvalues in ascending order.
         lam, v = np.linalg.eigh(a)
@@ -236,7 +263,7 @@ def hermitian_eig(m, tol=DEFAULT_TOL):
     v = _fix_phases(v)
     n_pos = int(np.count_nonzero(lam > thr))
     n_neg = int(np.count_nonzero(lam < -thr))
-    n_zero = k - n_pos - n_neg
+    n_zero = a.shape[0] - n_pos - n_neg
     return Signature(n_pos=n_pos, n_neg=n_neg, n_zero=n_zero,
                      eigvals=lam, eigbasis=v, zero_threshold=thr)
 
@@ -275,8 +302,8 @@ def orthonormal_columns(cols, rtol=DEFAULT_TOL):
 def nullspace(rows, tol=DEFAULT_TOL):
     """Orthonormal basis of {v : rows @ v = 0} via the Gram matrix.
 
-    ``rows`` is (k, dim).  Routed through ``hermitian_eig`` so the rank
-    decision uses the same tolerance scheme as everything else.
+    ``rows`` is (k, dim).  Routed through the ``hermitian_eig`` core so
+    the rank decision uses the same tolerance scheme as everything else.
     """
     r = np.asarray(rows, dtype=complex)
     if r.ndim != 2:
@@ -284,9 +311,7 @@ def nullspace(rows, tol=DEFAULT_TOL):
     dim = r.shape[1]
     if r.shape[0] == 0:
         return np.eye(dim, dtype=complex)
-    g = sym(r.conj().T @ r)
-    sig = hermitian_eig(g, tol=tol)
-    return sig.kernel()
+    return _hermitian_eig(sym(r.conj().T @ r), tol).kernel()
 
 
 def congruence_to_signs(m, tol=DEFAULT_TOL):
@@ -295,7 +320,11 @@ def congruence_to_signs(m, tol=DEFAULT_TOL):
     Returns (t, signs) with ``t* @ m @ t`` equal to ``diag(signs)`` where
     ``signs`` lists +1 entries first, then -1, then 0.
     """
-    sig = hermitian_eig(m, tol=tol)
+    return _congruence_to_signs(hermitian_eig(m, tol=tol))
+
+
+def _congruence_to_signs(sig):
+    # congruence_to_signs, given the Signature of the matrix
     lam, q = sig.eigvals, sig.eigbasis
     pos = np.where(lam > sig.zero_threshold)[0]
     neg = np.where(lam < -sig.zero_threshold)[0]

@@ -17,9 +17,9 @@ circle.
 import numpy as np
 
 from .errors import CoincidentPoints, PointOnCircle
-from .linalg import (DEFAULT_TOL, as_cmatrix, as_cvector, circle_frame,
-                     hermitian_eig, hermitize, max_abs, sym, zero_tol)
-from .projective import ProjPoint, form_value, proj_close
+from .linalg import (DEFAULT_TOL, as_cmatrix, circle_frame, hermitian_eig,
+                     hermitize, max_abs, sym, zero_tol)
+from .projective import ProjPoint, _close, _coords, form_value
 
 _J_INV = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 
@@ -44,8 +44,7 @@ class MoebiusMap:
 
     def apply(self, z):
         """Image of a point given as ProjPoint or homogeneous pair."""
-        v = z.v if isinstance(z, ProjPoint) else as_cvector(z)
-        return ProjPoint(self.m @ v)
+        return ProjPoint._of(self.m @ _coords(z))
 
     def apply_affine(self, w):
         """Image of an affine parameter w (may return inf)."""
@@ -143,8 +142,7 @@ def _fit_hermitian_through(points):
     if isinstance(points, np.ndarray):
         v = as_cmatrix(points)
     else:
-        v = np.array([p.v if isinstance(p, ProjPoint) else as_cvector(p)
-                      for p in points])
+        v = np.array([_coords(p) for p in points])
     v = v / np.linalg.norm(v, axis=1, keepdims=True)
     x, y = v[:, 0], v[:, 1]
     xy = np.conj(x) * y
@@ -165,9 +163,7 @@ def circle_through(z1, z2, z3):
     pts = [z1, z2, z3]
     for i in range(3):
         for j in range(i + 1, 3):
-            vi = pts[i].v if isinstance(pts[i], ProjPoint) else as_cvector(pts[i])
-            vj = pts[j].v if isinstance(pts[j], ProjPoint) else as_cvector(pts[j])
-            if proj_close(vi, vj, 1e-12):
+            if _close(_coords(pts[i]), _coords(pts[j]), 1e-12):
                 raise CoincidentPoints("three distinct points are required")
     m, _ = _fit_hermitian_through(pts)
     det = float(np.real(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
@@ -181,10 +177,10 @@ def conjugate_point(c, u):
 
     Raises PointOnCircle when u lies on c, where inversion would fix it.
     """
-    v = u.v if isinstance(u, ProjPoint) else as_cvector(u)
+    v = _coords(u)
     if c.contains(v):
         raise PointOnCircle("conjugate point of a circle point is itself")
-    return ProjPoint(_J_INV @ np.conj(c.m @ v))
+    return ProjPoint._of(_J_INV @ np.conj(c.m @ v))
 
 
 def _model_rotation(theta):

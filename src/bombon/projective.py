@@ -5,13 +5,25 @@ stored in canonical form: scaled so the first coordinate of largest
 modulus (ties resolved within relative tolerance 1e-12) equals exactly
 1.  Canonicalization is an exact fixpoint, so applying it twice returns
 bit-identical coordinates.
+
+Outside input is validated once, at the public boundary: ``ProjPoint``,
+``ProjLine``, ``line_through``, ``span``, ``canonicalize``,
+``unit_rep``, ``proj_close`` and ``form_value`` coerce what they are
+given to a finite 1-d complex vector (ValueError otherwise) and then
+call a private core.  The cores (``_canonical``, ``_unit``, ``_close``,
+``_form_value``, ``ProjPoint._of``, ``ProjLine._of``) trust arrays the
+library built and skip the coercion and the finiteness scan;
+``_canonical`` still raises the public error for a non-finite vector,
+such as an overflowing product, at no cost to finite ones.
 """
+
+import math
 
 import numpy as np
 
 from .errors import CoincidentPoints, ZeroVector
-from .linalg import (DEFAULT_TOL, as_cvector, hermitian_eig, max_abs,
-                     nullspace, orthonormal_columns, sym)
+from .linalg import (DEFAULT_TOL, _hermitian_eig, _require_finite, as_cvector,
+                     max_abs, nullspace, orthonormal_columns, sym)
 
 _PIVOT_RTOL = 1e-12
 
@@ -23,10 +35,16 @@ def canonicalize(v):
     tolerance 1e-12 of the maximum; it is scaled to exactly 1+0j.
     Raises ZeroVector when all coordinates are numerically zero.
     """
-    w = as_cvector(v).copy()
+    return _canonical(as_cvector(v).copy())
+
+
+def _canonical(w):
+    # canonicalize on a 1-d complex array; w itself is never written but
+    # may be returned
     for _ in range(w.size + 1):
         mags = np.abs(w)
         m = float(mags.max())
+        _require_finite(w, m, "coordinates")
         if m < 1e-300:
             raise ZeroVector("cannot canonicalize a zero vector")
         pivot = int(np.argmax(mags >= m * (1.0 - _PIVOT_RTOL)))
@@ -40,11 +58,19 @@ def canonicalize(v):
 
 def unit_rep(v):
     """Unit-norm representative of the same projective point."""
-    w = as_cvector(v)
+    return _unit(as_cvector(v))
+
+
+def _unit(w):
     n = np.linalg.norm(w)
     if n < 1e-300:
         raise ZeroVector("zero vector has no unit representative")
     return w / n
+
+
+def _coords(p):
+    # a ProjPoint's coordinates, or p validated as a coordinate vector
+    return p.v if isinstance(p, ProjPoint) else as_cvector(p)
 
 
 def form_value(a, p):
@@ -53,19 +79,26 @@ def form_value(a, p):
     v is first scaled by a power of two, which is exact, so that tiny
     and huge v neither under- nor overflow.  ZeroVector for v = 0.
     """
-    v = p.v if isinstance(p, ProjPoint) else as_cvector(p)
+    return _form_value(a, _coords(p))
+
+
+def _form_value(a, v):
+    # form_value at a finite 1-d complex vector v; math.frexp and
+    # math.ldexp give the same power of two as their numpy namesakes
     big = max_abs(v)
     if big < 1e-300:
         raise ZeroVector("zero vector has no form value")
-    v = v * np.ldexp(1.0, 1 - np.frexp(big)[1])
+    v = v * math.ldexp(1.0, 1 - math.frexp(big)[1])
     return float(np.vdot(v, a @ v).real / np.vdot(v, v).real)
 
 
 def proj_close(u, v, tol=DEFAULT_TOL):
     """True when [u] and [v] agree as projective points within tol."""
-    a = unit_rep(u)
-    b = unit_rep(v)
-    return 1.0 - abs(np.vdot(a, b)) <= tol
+    return _close(as_cvector(u), as_cvector(v), tol)
+
+
+def _close(u, v, tol):
+    return 1.0 - abs(np.vdot(_unit(u), _unit(v))) <= tol
 
 
 class ProjPoint:
@@ -76,17 +109,24 @@ class ProjPoint:
     def __init__(self, coords):
         self.v = canonicalize(coords)
 
+    @classmethod
+    def _of(cls, v):
+        """The point of a 1-d complex array the library built, which it
+        hands over: canonicalized without coercion or a copy."""
+        p = object.__new__(cls)
+        p.v = _canonical(v)
+        return p
+
     @property
     def n(self):
         return self.v.size - 1
 
     @property
     def unit(self):
-        return unit_rep(self.v)
+        return _unit(self.v)
 
     def isclose(self, other, tol=DEFAULT_TOL):
-        w = other.v if isinstance(other, ProjPoint) else other
-        return proj_close(self.v, w, tol)
+        return _close(self.v, _coords(other), tol)
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
@@ -103,19 +143,29 @@ class ProjPoint:
 class ProjLine:
     """A projective line spanned by two independent points.
 
-    The generating coordinate vectors are kept exactly as given (after
-    finiteness checks); several section formulas depend on the chosen
-    representatives, not just on the line as a set.
+    The generating coordinate vectors are kept exactly as given, once
+    the constructor has checked that they are finite 1-d vectors of one
+    size and distinct points; several section formulas depend on the
+    chosen representatives, not just on the line as a set.
     """
 
     __slots__ = ("a", "b")
 
     def __init__(self, a, b):
-        a = as_cvector(a)
-        b = as_cvector(b)
+        self._set(as_cvector(a), as_cvector(b))
+
+    @classmethod
+    def _of(cls, a, b):
+        """The line through two 1-d complex arrays the library built:
+        no coercion, but the same size and coincidence checks."""
+        line = object.__new__(cls)
+        line._set(a, b)
+        return line
+
+    def _set(self, a, b):
         if a.size != b.size:
             raise ValueError("line endpoints live in different spaces")
-        if proj_close(a, b, 1e-9):
+        if _close(a, b, 1e-9):
             raise CoincidentPoints("line through a repeated point is undefined")
         self.a = a
         self.b = b
@@ -130,7 +180,7 @@ class ProjLine:
 
     def point(self, x, y):
         """The point [x*a + y*b] for homogeneous parameters (x, y)."""
-        return ProjPoint(x * self.a + y * self.b)
+        return ProjPoint._of(complex(x) * self.a + complex(y) * self.b)
 
     def __repr__(self):
         return f"ProjLine({ProjPoint(self.a)!r}, {ProjPoint(self.b)!r})"
@@ -142,9 +192,7 @@ def line_through(p, q):
     Raises CoincidentPoints when the unit representatives satisfy
     |<p, q>| = 1 within 1e-9.
     """
-    pv = p.v if isinstance(p, ProjPoint) else as_cvector(p)
-    qv = q.v if isinstance(q, ProjPoint) else as_cvector(q)
-    return ProjLine(pv, qv)
+    return ProjLine._of(_coords(p), _coords(q))
 
 
 class Subspace:
@@ -234,15 +282,16 @@ def meet(s, t, tol=DEFAULT_TOL):
     """Intersection of two subspaces.
 
     Computed as the kernel of the stacked orthogonal-complement system;
-    the kernel extraction shares ``hermitian_eig`` and its tolerance.
+    the kernel extraction shares the ``hermitian_eig`` core and its
+    tolerance.
     """
     if s.ambient_dim != t.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
     k = s.ambient_dim + 1
     eye = np.eye(k, dtype=complex)
     g = sym((eye - s.projector()) + (eye - t.projector()))
-    sig = hermitian_eig(g, tol=tol)
-    return Subspace(sig.kernel(), s.ambient_dim, orthonormal=True)
+    return Subspace(_hermitian_eig(g, tol).kernel(), s.ambient_dim,
+                    orthonormal=True)
 
 
 def perp(s):
@@ -258,7 +307,7 @@ def sample_point(rng, n):
     Deterministic given the generator state.
     """
     z = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-    return ProjPoint(z)
+    return ProjPoint._of(z)
 
 
 def sample_line(rng, n):
@@ -266,5 +315,5 @@ def sample_line(rng, n):
     while True:
         p = sample_point(rng, n)
         q = sample_point(rng, n)
-        if not p.isclose(q, 1e-6):
-            return ProjLine(p.v, q.v)
+        if not _close(p.v, q.v, 1e-6):
+            return ProjLine._of(p.v, q.v)

@@ -11,6 +11,13 @@ The projective type (p, q)_n records min(n_pos, n_neg) - 1 and
 max(n_pos, n_neg) - 1 together with the dimension of the singular
 locus; it is a complete invariant for equivalence under projective
 transformations combined with the harmless global sign swap A -> -A.
+
+``QuadricBombon(a)`` validates and hermitizes its matrix once, and
+caches its zero cut ``tol * max(1, |A|_inf)``.  ``value``, ``evaluate``,
+``side``, ``contains`` and ``require_on`` validate the point they are
+given, then call one private core, ``QuadricBombon._evaluate``, which
+the section classifier's two-sides probe calls directly on the ring
+points it built.
 """
 
 import enum
@@ -21,11 +28,11 @@ import numpy as np
 
 from .errors import (NotABombon, NotComplementary, NotOnQuadric,
                      TypeMismatch, ZeroVector)
-from .linalg import (DEFAULT_TOL, congruence_to_signs, finite_nonnegative,
-                     hermitian_eig, hermitize, max_abs, random_unitary, sym,
-                     zero_tol)
-from .projective import (ProjLine, ProjPoint, Subspace, form_value, meet,
-                         sample_point)
+from .linalg import (DEFAULT_TOL, _congruence_to_signs, _hermitian_eig,
+                     finite_nonnegative, hermitize, max_abs, random_unitary,
+                     sym)
+from .projective import (ProjLine, ProjPoint, Subspace, _coords, _form_value,
+                         form_value, meet, sample_point)
 
 
 class SideSign(enum.Enum):
@@ -118,7 +125,9 @@ class QuadricBombon:
             raise ValueError("matrix entry modulus overflows the float range")
         self.a = m
         self.tol = tol
-        self.sig = hermitian_eig(m, tol=tol)
+        self.sig = _hermitian_eig(m, tol)
+        # the zero cut zero_tol(m, tol), as the eigen core computed it
+        self._cut = self.sig.zero_threshold
         if not np.isfinite(self.sig.eigvals).all():
             raise ValueError("matrix eigenvalue overflows the float range")
         if self.sig.n_pos < 1 or self.sig.n_neg < 1:
@@ -144,20 +153,23 @@ class QuadricBombon:
 
     def evaluate(self, x):
         """(value, side) at a point; ON within tol * max(1, |A|_inf)."""
-        val = self.value(x)
-        thr = zero_tol(self.a, self.tol)
-        if abs(val) <= thr:
+        return self._evaluate(_coords(x))
+
+    def _evaluate(self, v):
+        # evaluate at a finite 1-d complex vector v
+        val = _form_value(self.a, v)
+        if abs(val) <= self._cut:
             return val, SideSign.ON
         return val, (SideSign.U if val > 0 else SideSign.V)
 
     def side(self, x):
-        return self.evaluate(x)[1]
+        return self._evaluate(_coords(x))[1]
 
     def contains(self, x):
         return self.side(x) is SideSign.ON
 
     def require_on(self, x):
-        val, s = self.evaluate(x)
+        val, s = self._evaluate(_coords(x))
         if s is not SideSign.ON:
             raise NotOnQuadric(f"form value {val:.3e} is nonzero at the point")
 
@@ -186,8 +198,11 @@ class QuadricBombon:
         the congruence diagonalizes -A instead).
         """
         flip = self.sig.n_pos > self.sig.n_neg
-        m = -self.a if flip else self.a
-        t, signs = congruence_to_signs(m, tol=self.tol)
+        # -A has zero parts of the other sign than hermitize(-A), and
+        # LAPACK's eigenvectors can follow that sign, so -A is hermitized
+        sig = (_hermitian_eig(hermitize(-self.a), self.tol) if flip
+               else self.sig)
+        t, signs = _congruence_to_signs(sig)
         canonical = np.diag(signs.astype(complex))
         return self.bombon_type(), CongruenceWitness(t=t, flipped=flip), canonical
 
@@ -311,11 +326,11 @@ def random_point_on(rng, x):
         q = sample_point(rng, x.n)
         if {x.side(p), x.side(q)} != {SideSign.U, SideSign.V}:
             continue
-        sec, _ = classify_line_section(x, ProjLine(p.v, q.v),
+        sec, _ = classify_line_section(x, ProjLine._of(p.v, q.v),
                                        with_sides=False)
         if sec.circle is None:
             continue
-        pt = ProjPoint(sec.circle.a)
+        pt = ProjPoint._of(sec.circle.a)
         if x.contains(pt):
             return pt
     raise ZeroVector("failed to find an on-quadric point")

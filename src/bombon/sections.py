@@ -20,8 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ExpectationViolated, NotSmooth, PreconditionError
-from .linalg import (circle_frame, hermitian_eig, max_abs, nullspace, sym,
-                     zero_tol)
+from .linalg import _hermitian_eig, circle_frame, max_abs, nullspace, sym
 from .projective import ProjLine, ProjPoint, Subspace, proj_close
 from .quadrics import QuadricBombon, SideSign, SpecialKind, quad
 
@@ -111,7 +110,7 @@ def classify_line_section(x, line, with_sides=True):
     produced only for circle sections.
     """
     m2 = restrict_form(x, line)
-    sig2 = hermitian_eig(m2, tol=x.tol)
+    sig2 = _hermitian_eig(m2, x.tol)
     thr = sig2.zero_threshold
     # Borderline means an eigenvalue within 10x of the zero cut on either
     # side; exact zeros and clearly nonzero eigenvalues are confident.
@@ -121,7 +120,7 @@ def classify_line_section(x, line, with_sides=True):
         return SectionClass(SectionTag.FULL_LINE, low_confidence=low), None
     if sig2.n_zero == 1:
         k = sig2.kernel()[:, 0]
-        pt = ProjPoint(k[0] * line.a + k[1] * line.b)
+        pt = ProjPoint._of(k[0] * line.a + k[1] * line.b)
         return SectionClass(SectionTag.SINGLE_POINT, point=pt,
                             low_confidence=low), None
     if sig2.n_pos == 2 or sig2.n_neg == 2:
@@ -130,7 +129,7 @@ def classify_line_section(x, line, with_sides=True):
     a, b = line.a, line.b
     # m2's diagonal is v* A v at v = a, b: unless the form vanishes at
     # both, take the points z = 1 and z = -1 of the chart z w+ + w-
-    cut = zero_tol(x.a, x.tol)
+    cut = x._cut
     if (abs(m2[0, 0].real) > cut * np.vdot(a, a).real
             or abs(m2[1, 1].real) > cut * np.vdot(b, b).real):
         ca, cb = frame[:, 0] + frame[:, 1], frame[:, 0] - frame[:, 1]
@@ -138,7 +137,7 @@ def classify_line_section(x, line, with_sides=True):
     param = CircleParam(a=a, b=b, c=quad(x.a, b, a))
     report = None
     if with_sides:
-        inner, outer = (tuple(x.side(row) for row in ring)
+        inner, outer = (tuple(x._evaluate(row)[1] for row in ring)
                         for ring in side_rings(line.basis(), frame))
         report = TwoSidesReport(inner=inner, outer=outer)
     return SectionClass(SectionTag.CIRCLE, circle=param, low_confidence=low), report
@@ -150,7 +149,7 @@ def circle_points(param, s, t):
     t = float(t)
     if s == 0.0 and t == 0.0:
         raise ValueError("(s, t) must be a real projective parameter")
-    return ProjPoint((s * 1j) * param.a + (t * param.c) * param.b)
+    return ProjPoint._of((s * 1j) * param.a + (t * param.c) * param.b)
 
 
 def tangent_space(x, p):
@@ -163,7 +162,7 @@ def tangent_space(x, p):
     x.require_on(p)
     v = p.unit if isinstance(p, ProjPoint) else ProjPoint(p).unit
     w = x.a @ v
-    if np.max(np.abs(w)) <= zero_tol(x.a, x.tol):
+    if np.max(np.abs(w)) <= x._cut:
         return Subspace.full(x.n)
     return Subspace(nullspace(w.conj()[None, :], tol=x.tol), x.n,
                     orthonormal=True)
@@ -181,7 +180,7 @@ def section_with_subspace(x, h):
     # the orthonormal basis B, so that at a tiny tol a rounding residue
     # does not count as a sign.
     floor = 8 * (x.n + 1) * np.finfo(float).eps * max_abs(x.a)
-    sig = hermitian_eig(m, tol=max(x.tol, floor / max(1.0, max_abs(m))))
+    sig = _hermitian_eig(m, max(x.tol, floor / max(1.0, max_abs(m))))
     if sig.n_pos >= 1 and sig.n_neg >= 1:
         return QuadricBombon(m, tol=x.tol)
     return Subspace(h.basis @ sig.kernel(), x.n, orthonormal=True)
@@ -207,7 +206,7 @@ def tangent_section_singular_point(x, p, rtol=1e-8):
     if ker.shape[1] != 1:
         raise ExpectationViolated(
             f"tangent section kernel has dimension {ker.shape[1]}, expected 1")
-    recovered = ProjPoint(h.basis @ ker[:, 0])
+    recovered = ProjPoint._of(h.basis @ ker[:, 0])
     target = p if isinstance(p, ProjPoint) else ProjPoint(p)
     if not proj_close(recovered.v, target.v, rtol):
         raise ExpectationViolated("tangent section singular point is not p")

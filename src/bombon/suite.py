@@ -255,7 +255,7 @@ def prop_cores_strictly_sided(rng, ctx):
             for _ in range(per):
                 coef = rng.standard_normal(sub.basis.shape[1]) \
                     + 1j * rng.standard_normal(sub.basis.shape[1])
-                p = ProjPoint(sub.basis @ coef)
+                p = ProjPoint._of(sub.basis @ coef)
                 val, got = x.evaluate(p)
                 if got is not side or abs(val) <= tau:
                     return False, forms * 2 * per, "core point not strictly sided"
@@ -363,8 +363,8 @@ def tangent_audit(rng, points, classify):
                     q = sample_point(rng, n)
                 else:
                     coef = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-                    q = ProjPoint(h.basis @ coef)
-                if proj_close(q.v, p.v, 1e-9):
+                    q = ProjPoint._of(h.basis @ coef)
+                if q.isclose(p, 1e-9):
                     continue
                 sec, _ = classify(x, line_through(p, q))
                 if sec.low_confidence:
@@ -556,7 +556,7 @@ def orbit_violation(rng, count):
         p = random_point_on(rng, x)
         pu, pv = bundle_projection(x, split, p)
         orbit = np.column_stack([s1_action(split, t, p.unit) for t in thetas])
-        worst = max(abs(x.value(ProjPoint(w))) for w in orbit.T)
+        worst = max(abs(x.value(ProjPoint._of(w))) for w in orbit.T)
         if worst >= 1e-9:
             return f"orbit value {worst:.2e} off the quadric"
         line = np.column_stack([pu.v, pv.v])

@@ -1,0 +1,280 @@
+"""Validate once, at the public boundary.
+
+Public entry points coerce and check outside input, then call a private
+core that trusts arrays the library built.  These tests hold the two
+halves together: every public entry point still rejects NaN, inf and
+zero input with its typed error and message, each core gives bit for
+bit what its public path gives, and the section classifier re-validates
+nothing it built itself.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from bombon import jsonio, linalg
+from bombon.errors import CoincidentPoints, NotABombon, ZeroVector
+from bombon.linalg import (_hermitian_eig, circle_frame, hermitian_eig,
+                           hermitize, random_unitary, sym, zero_tol)
+from bombon.projective import (ProjLine, ProjPoint, _canonical, _form_value,
+                               canonicalize, form_value, line_through,
+                               proj_close, sample_line, span)
+from bombon.quadrics import QuadricBombon, SideSign, random_bombon
+from bombon.sections import (SectionTag, classify_line_section, restrict_form,
+                             side_rings)
+
+NAN, INF = float("nan"), float("inf")
+GOOD = np.array([1.0, 0.5j, -0.25])
+OTHER = np.array([0.0, 1.0, 0.5])
+BAD_VECTORS = {"nan": [1.0, NAN, 0.0], "inf": [INF, 1.0, 0.0],
+               "zero": [0.0, 0.0, 0.0]}
+BAD_MATRICES = {"nan": np.diag([1.0, NAN, -1.0]),
+                "inf": np.diag([INF, 1.0, -1.0]),
+                "zero": np.zeros((3, 3))}
+ELL3 = QuadricBombon(np.diag([1.0, 1.0, -1.0]))
+
+NOT_FINITE = (ValueError, "coordinates must be finite")
+MATRIX_NOT_FINITE = (ValueError, "matrix entries must be finite")
+NO_UNIT = (ZeroVector, "zero vector has no unit representative")
+NO_CANONICAL = (ZeroVector, "cannot canonicalize a zero vector")
+NO_VALUE = (ZeroVector, "zero vector has no form value")
+
+
+def _pairs(v):
+    return [[float(z.real), float(z.imag)] for z in np.asarray(v, complex)]
+
+
+# entry point -> (call on a bad vector v, error for zero input); NaN and
+# inf input give NOT_FINITE everywhere
+VECTOR_ENTRIES = {
+    "ProjPoint": (ProjPoint, NO_CANONICAL),
+    "canonicalize": (canonicalize, NO_CANONICAL),
+    "ProjLine.a": (lambda v: ProjLine(v, OTHER), NO_UNIT),
+    "ProjLine.b": (lambda v: ProjLine(GOOD, v), NO_UNIT),
+    "line_through.p": (lambda v: line_through(v, OTHER), NO_UNIT),
+    "line_through.q": (lambda v: line_through(ProjPoint(GOOD), v), NO_UNIT),
+    "ProjPoint.isclose": (lambda v: ProjPoint(GOOD).isclose(v), NO_UNIT),
+    "proj_close.u": (lambda v: proj_close(v, GOOD), NO_UNIT),
+    "proj_close.v": (lambda v: proj_close(GOOD, v), NO_UNIT),
+    "form_value": (lambda v: form_value(ELL3.a, v), NO_VALUE),
+    "QuadricBombon.value": (ELL3.value, NO_VALUE),
+    "QuadricBombon.evaluate": (ELL3.evaluate, NO_VALUE),
+    "QuadricBombon.side": (ELL3.side, NO_VALUE),
+    "QuadricBombon.contains": (ELL3.contains, NO_VALUE),
+    "QuadricBombon.require_on": (ELL3.require_on, NO_VALUE),
+    "decode_point": (lambda v: jsonio.decode_point(_pairs(v)), NO_CANONICAL),
+    "decode_line.a": (lambda v: jsonio.decode_line(
+        {"a": _pairs(v), "b": _pairs(OTHER)}), NO_UNIT),
+    "decode_line.b": (lambda v: jsonio.decode_line(
+        {"a": _pairs(GOOD), "b": _pairs(v)}), NO_UNIT),
+}
+
+# entry point -> (call on a bad matrix m, error for the zero matrix or
+# None when the zero matrix is valid input)
+MATRIX_ENTRIES = {
+    "QuadricBombon": (QuadricBombon,
+                      (NotABombon, "the zero matrix defines no quadric")),
+    "hermitian_eig": (hermitian_eig, None),
+    "decode_quadric": (lambda m: jsonio.decode_quadric(
+        {"A": [_pairs(r) for r in m]}),
+        (NotABombon, "the zero matrix defines no quadric")),
+    "decode_body": (lambda m: jsonio.decode_body(
+        {"type": "ellipsoid", "H": [_pairs(r) for r in m]}),
+        (ValueError, "ellipsoid form must be positive definite")),
+}
+# the ellipsoid decoder takes a Hermitian part before it checks, and inf
+# entries make numpy warn there first
+QUIET = {"decode_body"}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_VECTORS))
+@pytest.mark.parametrize("entry", sorted(VECTOR_ENTRIES))
+def test_vector_entry_points_reject_bad_input(entry, kind):
+    call, zero_error = VECTOR_ENTRIES[entry]
+    err, msg = zero_error if kind == "zero" else NOT_FINITE
+    with pytest.raises(err) as exc:
+        call(np.array(BAD_VECTORS[kind], dtype=complex))
+    assert str(exc.value) == msg
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_MATRICES))
+@pytest.mark.parametrize("entry", sorted(MATRIX_ENTRIES))
+def test_matrix_entry_points_reject_bad_input(entry, kind):
+    call, zero_error = MATRIX_ENTRIES[entry]
+    if kind == "zero" and zero_error is None:
+        assert hermitian_eig(BAD_MATRICES[kind]).n_zero == 3
+        return
+    err, msg = zero_error if kind == "zero" else MATRIX_NOT_FINITE
+    quiet = "ignore" if entry in QUIET else "raise"
+    with pytest.raises(err) as exc, np.errstate(invalid=quiet):
+        call(BAD_MATRICES[kind])
+    assert str(exc.value) == msg
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf"])
+def test_span_rejects_nonfinite(kind):
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        span([np.array(BAD_VECTORS[kind], dtype=complex), GOOD])
+    # a zero vector adds nothing to a span
+    assert span([np.zeros(3), GOOD]).projective_dim == 0
+
+
+def test_overflowing_products_keep_their_errors():
+    # arrays the library builds from finite input can still overflow; the
+    # cores raise what the public checks raised
+    x = QuadricBombon(np.diag([1e200, 1e200, -1e200]))
+    line = ProjLine([1e100, 0.0, 0.0], [0.0, 1e100, 1e100])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            classify_line_section(x, line)
+        for s, t in ((NAN, 1.0), (INF, 0.0), (1e300, 1e300)):
+            with pytest.raises(ValueError, match="coordinates must be finite"):
+                ProjLine([1e10, 0.0, 1.0], [0.0, 1e10, 1.0]).point(s, t)
+    with pytest.raises(ZeroVector, match="cannot canonicalize a zero"):
+        ProjLine(GOOD, OTHER).point(0.0, 0.0)
+
+
+# --- cores against their public paths -----------------------------------
+
+
+def _reference_form_value(a, v):
+    # the public rule as it read with numpy's frexp and ldexp
+    big = float(np.abs(v).max())
+    v = v * np.ldexp(1.0, 1 - np.frexp(big)[1])
+    return float(np.vdot(v, a @ v).real / np.vdot(v, v).real)
+
+
+SCALES = (1.0, 2.0 ** 600, 2.0 ** -600, 1e150, 1e-150)
+
+
+def _circle_lines(seed, count):
+    # (quadric, line) pairs with circle sections on CP^1..CP^5, kernels
+    # of every size
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n = len(out) % 5 + 1
+        x = random_bombon(rng, n)
+        line = sample_line(rng, n)
+        sec, _ = classify_line_section(x, line, with_sides=False)
+        if sec.tag is SectionTag.CIRCLE:
+            out.append((x, line))
+    return rng, out
+
+
+def test_side_core_matches_public_side_and_probe():
+    rng, lines = _circle_lines(17, 40)
+    for x, line in lines:
+        assert x._cut == zero_tol(x.a, x.tol)
+        sec, rep = classify_line_section(x, line, with_sides=True)
+        frame = circle_frame(_hermitian_eig(restrict_form(x, line), x.tol))
+        rings = side_rings(line.basis(), frame)
+        for labels, ring in zip((rep.inner, rep.outer), rings):
+            assert tuple(x.side(row) for row in ring) == labels
+            factors = rng.uniform(-300, 300, size=ring.shape[0])
+            for row, label, f in zip(ring, labels, factors):
+                for s in SCALES + (10.0 ** f * np.exp(1j * f),):
+                    r = s * row
+                    val, side = x.evaluate(r)
+                    assert (val, side) == x._evaluate(r)
+                    assert x.side(r) is side
+                    assert x.contains(r) is (side is SideSign.ON)
+                    assert form_value(x.a, r) == _form_value(x.a, r) == val
+                    assert val == _reference_form_value(x.a, r)
+                    if not sec.low_confidence:
+                        assert side is label
+
+
+def test_eigen_core_matches_hermitian_eig():
+    rng = np.random.default_rng(23)
+    for k in range(2, 7):
+        for scale in (1.0, 1e150, 1e-150, 2.0 ** 600, 2.0 ** -500):
+            g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            for m in (sym(g * scale), sym(np.diag(g.real.diagonal()))):
+                assert np.array_equal(hermitize(m), m)
+                pub = hermitian_eig(m, tol=1e-9)
+                core = _hermitian_eig(m, 1e-9)
+                assert pub.eigvals.tobytes() == core.eigvals.tobytes()
+                assert pub.eigbasis.tobytes() == core.eigbasis.tobytes()
+                assert (pub.n_pos, pub.n_neg, pub.n_zero, pub.zero_threshold) \
+                    == (core.n_pos, core.n_neg, core.n_zero,
+                        core.zero_threshold)
+
+
+def test_canonical_form_matches_public_congruence():
+    # the quadric reuses its own signature, or the one of -A, instead of
+    # congruence_to_signs on its matrix
+    rng = np.random.default_rng(5)
+    forms = [np.diag([1.0, 1.0, -1.0]), np.diag([1.0, -1.0, -1.0, 0.0])]
+    forms += [random_bombon(rng, n).a for n in range(1, 6) for _ in range(3)]
+    # real forms, where -A and hermitize(-A) differ in signed zeros
+    forms += [g + g.T for g in rng.standard_normal((300, 3, 3))
+              if np.ptp(np.sign(np.linalg.eigvalsh(g + g.T))) == 2]
+    for a in forms:
+        x = QuadricBombon(a)
+        _, wit, canon = x.canonical_form()
+        t, signs = linalg.congruence_to_signs(-x.a if wit.flipped else x.a,
+                                              tol=x.tol)
+        assert wit.t.tobytes() == t.tobytes()
+        assert np.array_equal(np.diag(canon).real, signs)
+
+
+def test_private_constructors_match_public():
+    # scales whose squared norms stay normal floats, as unit_rep needs
+    rng = np.random.default_rng(31)
+    for n in range(1, 6):
+        for s in (1.0, 2.0 ** 400, 2.0 ** -400, 1e150, 1e-150):
+            v = s * (rng.standard_normal(n + 1)
+                     + 1j * rng.standard_normal(n + 1))
+            w = s * (rng.standard_normal(n + 1)
+                     + 1j * rng.standard_normal(n + 1))
+            assert ProjPoint._of(v.copy()).v.tobytes() \
+                == ProjPoint(v).v.tobytes() == canonicalize(v).tobytes()
+            assert _canonical(v.copy()).tobytes() == canonicalize(v).tobytes()
+            pub, core = ProjLine(v, w), ProjLine._of(v, w)
+            assert pub.a.tobytes() == core.a.tobytes()
+            assert pub.b.tobytes() == core.b.tobytes()
+            assert line_through(ProjPoint(v), ProjPoint(w)).a.tobytes() \
+                == ProjPoint(v).v.tobytes()
+            for make in (ProjLine, ProjLine._of):
+                with pytest.raises(CoincidentPoints):
+                    make(v, (2.0 - 1j) * v)
+                with pytest.raises(ValueError, match="different spaces"):
+                    make(v, np.append(w, 1.0))
+
+
+# --- no re-validation inside the classifier -------------------------------
+
+
+def test_classifier_does_not_revalidate(monkeypatch):
+    # Every module binding of hermitize, as_cvector and zero_tol counts its
+    # calls; one classify_line_section call with sides on a circle line
+    # must make none of them.
+    rng = np.random.default_rng(3)
+    u = random_unitary(rng, 4)
+    x = QuadricBombon(u @ np.diag([1.0, 2.0, -1.0, 0.5]) @ u.conj().T)
+    line = ProjLine(u[:, 0] + 0.2 * u[:, 1], u[:, 2] + 0.3j * u[:, 3])
+    calls = {}
+    for name in ("hermitize", "as_cvector", "zero_tol"):
+        original = getattr(linalg, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        bound = 0
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").split(".")[0] != "bombon":
+                continue
+            for key, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, key, counted)
+                    bound += 1
+        assert bound >= 2, name
+    sec, rep = classify_line_section(x, line, with_sides=True)
+    assert sec.tag is SectionTag.CIRCLE and rep.separates
+    assert calls == {}
+    # the counting wrappers do see a public call
+    x.side(GOOD.tolist() + [1.0])
+    assert calls == {"as_cvector": 1}

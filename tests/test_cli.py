@@ -319,6 +319,33 @@ BAD_INPUTS = {
 }
 
 
+BAD_INPUT_ERRORS = {
+    "malformed": "cannot read input: Expecting ',' delimiter: "
+                 "line 1 column 27 (char 26)",
+    "empty_stdin": "cannot read input: Expecting value: "
+                   "line 1 column 1 (char 0)",
+    "not_an_object": 'input must carry a "quadric" object',
+    "nan_literal": "matrix entries must be finite",
+    "infinity_literal": "matrix entries must be finite",
+    "neg_infinity": "matrix entries must be finite",
+    "bool_entry": "not a complex scalar: [True, 0]",
+    "bool_bare": "not a complex scalar: False",
+    "string_entry": "not a complex scalar: ['1.5', 0]",
+    "string_bare": "not a complex scalar: '1.5'",
+    "three_element_pair": "not a complex scalar: [1, 0, 0]",
+    "ragged_rows": "matrix rows have unequal lengths",
+    "non_square": "matrix is 2x3, not square",
+    "empty_matrix": "a matrix is a nonempty array of rows",
+    "empty_rows": "a vector is a nonempty array of complex scalars",
+    "one_by_one": "form signature (1,0,0) is not mixed",
+    "one_by_one_zero": "the zero matrix defines no quadric",
+    "non_hermitian": "matrix is not Hermitian (asymmetry 5.000e+00)",
+    "int_overflows_float": "integer too large for a float",
+    "matrix_not_array": "a matrix is a nonempty array of rows",
+    "n_mismatch": 'matrix size 2 does not match "n": 5',
+}
+
+
 @pytest.mark.parametrize("command", ["type", "canonical"])
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_malformed_input_exits_2_with_json_error(capsys, monkeypatch,
@@ -327,7 +354,37 @@ def test_malformed_input_exits_2_with_json_error(capsys, monkeypatch,
     code = main([command])
     out = capsys.readouterr().out
     assert code == 2
-    assert set(json.loads(out)) == {"error"}
+    assert json.loads(out) == {"error": BAD_INPUT_ERRORS[name]}
+
+
+BAD_VECTORS = {"nan": "[[1, 0], [NaN, 0], [1, 0]]",
+               "inf": "[[1, 0], [0, Infinity], [1, 0]]",
+               "zero": "[[0, 0], [0, 0], [0, 0]]"}
+GOOD_VECTOR = "[[1, 0], [0, 0], [1, 0]]"
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_VECTORS))
+@pytest.mark.parametrize("command, fields, zero_error", [
+    ("classify", '"line": {"a": %s, "b": [[0, 0], [1, 0], [0, 0]]}',
+     "zero vector has no unit representative"),
+    ("classify", '"line": {"a": [[0, 0], [1, 0], [0, 0]], "b": %s}',
+     "zero vector has no unit representative"),
+    ("tangent", '"point": %s', "cannot canonicalize a zero vector"),
+    ("orbit", '"point": %s', "cannot canonicalize a zero vector"),
+    ("transport", '"from": %%s, "to": %s' % GOOD_VECTOR,
+     "cannot canonicalize a zero vector"),
+    ("transport", '"from": %s, "to": %%s' % GOOD_VECTOR,
+     "cannot canonicalize a zero vector")])
+def test_bad_point_or_line_exits_2_with_json_error(capsys, monkeypatch,
+                                                   command, fields,
+                                                   zero_error, kind):
+    text = '{"quadric": %s, %s}' % (json.dumps(ELL3),
+                                    fields % BAD_VECTORS[kind])
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = main([command])
+    assert code == 2
+    error = zero_error if kind == "zero" else "coordinates must be finite"
+    assert json.loads(capsys.readouterr().out) == {"error": error}
 
 
 @pytest.mark.filterwarnings("error")
