@@ -8,10 +8,15 @@ sections by complex affine lines are round disks, which the oracle line
 tagger finds in the chart z0 = 1 of CP^n.  The minimum volume ellipsoid
 of a finite sample is computed by a Khachiyan-style
 multiplicative-weights iteration on lifted Hermitian outer products,
-with away steps for fast convergence at tight duality gaps.
+with away steps for fast convergence at tight duality gaps.  Each step
+changes the weights of one point, so the inverse moment matrix and the
+leverages follow by rank-one (Sherman-Morrison) updates; a fresh
+inverse is taken only to confirm the stop or where an update would
+lose digits.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -26,6 +31,9 @@ from .oracles import OracleSet, _grid_tag, _traced_fits
 # sections wider than 2 * bounding_radius / _GRID hold stage-2 grid points
 _GRID = 64
 _MVEE_MAX_ITER = 100000
+# smallest denominator 1 + (c / s) w_k of a rank-one MVEE update; below
+# it V nearly loses a direction and the leverages come from a fresh inverse
+_MVEE_REFRESH = 1e-3
 
 
 @dataclass
@@ -58,6 +66,8 @@ class ConvexBodyOracle:
 
 def ball_body(n, radius=1.0, center=None):
     c = np.zeros(n, dtype=complex) if center is None else np.asarray(center, complex)
+    if not np.isfinite(c).all():
+        raise ValueError("coordinates must be finite")
 
     def member(pts):
         return np.linalg.norm(pts - c, axis=1) <= radius
@@ -73,9 +83,12 @@ def ellipsoid_body(center, h):
     chart z0 = 1 of CP^n it is p* E p <= 0 for the homogeneous form
     E = [[c* H c - 1, -(H c)*], [-H c, H]], which is positive at
     z0 = 0, so the row at infinity is outside: the chart oracle labels
-    the points of a line from the line's 2x2 restriction of E.
+    the points of a line from the line's 2x2 restriction of E.  Raises
+    ValueError for a center that is not finite.
     """
     c = np.asarray(center, dtype=complex)
+    if not np.isfinite(c).all():
+        raise ValueError("coordinates must be finite")
     hm = sym(np.asarray(h, dtype=complex))
     sig = hermitian_eig(hm)
     if sig.n_pos != hm.shape[0]:
@@ -106,14 +119,21 @@ def polydisk_body(radii):
 
 @dataclass(frozen=True)
 class AffineComplexLine:
-    """Parametrized complex line t -> base + t * direction in C^n."""
+    """Parametrized complex line t -> base + t * direction in C^n.
+
+    Raises ValueError for a base or direction that is not finite, and
+    for a zero direction.
+    """
 
     base: np.ndarray
     direction: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "base", np.asarray(self.base, complex))
+        base = np.asarray(self.base, complex)
         d = np.asarray(self.direction, complex)
+        if not (np.isfinite(base).all() and np.isfinite(d).all()):
+            raise ValueError("coordinates must be finite")
+        object.__setattr__(self, "base", base)
         nd = np.linalg.norm(d)
         if nd == 0:
             raise ValueError("line direction must be nonzero")
@@ -258,16 +278,36 @@ class ComplexEllipsoid:
         return np.real(np.einsum("ij,jk,ik->i", d.conj(), self.h, d))
 
 
+def _leverages(lifted, lconj, u):
+    # (V^-1, leverages x_i* V^-1 x_i) of the weights u, from a fresh
+    # inverse of V = sum u_i x_i x_i*; V^-1 changes with u and m is
+    # small, so real_form would cost more than the einsum
+    vinv = np.linalg.inv((lifted.T * u) @ lconj)
+    return vinv, np.real(np.einsum("ij,jk,ik->i", lconj, vinv, lifted))
+
+
 def mvee_complex(points, eps=1e-6):
     """Minimum-volume enclosing complex ellipsoid of a finite sample.
 
     Khachiyan multiplicative-weights iteration on the lifted vectors
-    [x; 1], with Wolfe-Atwood away steps.  Terminates when the largest
-    leverage satisfies kappa <= (n + 1) + n * eps, which bounds the
-    D-optimality duality gap by eps and guarantees every input point has
-    gauge at most 1 + eps.  ``gap_history[k]`` is the smallest duality
-    gap kappa / (n+1) - 1 certified within the first k+1 iterations, so
-    the recorded sequence is nonincreasing by construction.
+    x_i = [p_i; 1], with Wolfe-Atwood away steps.  Terminates when the
+    largest leverage kappa = max x_i* V^-1 x_i, V = sum u_i x_i x_i*,
+    satisfies kappa <= (n + 1) + n * eps, which bounds the D-optimality
+    duality gap by eps and guarantees every input point has gauge at
+    most 1 + eps.
+
+    Each step moves the weights to s u + c e_k (then clips and
+    renormalizes them), which changes V by a rank-one term, so V^-1 and
+    the leverages follow by Sherman-Morrison updates in O(m n) with no
+    inverse (Todd & Yildirim, Discrete Appl. Math. 155, 2007).  A fresh
+    inverse recomputes them when the updated leverages meet the target,
+    and when an update's denominator 1 + (c / s) w_k falls below
+    _MVEE_REFRESH; only a fresh kappa ends the loop.
+    ``gap_history[k]`` is the smallest duality gap kappa / (n+1) - 1
+    seen within the first k+1 iterations, so the recorded sequence is
+    nonincreasing by construction; the kappa of an iteration is read from
+    updated leverages, except on the first iteration, on the last and
+    after a refresh, where it comes from a fresh inverse.
 
     Raises ValueError for a negative or non-finite eps, which no
     ellipsoid can meet, DegenerateSpan when the points fail to affinely
@@ -282,44 +322,62 @@ def mvee_complex(points, eps=1e-6):
     if m < n + 1 or orthonormal_columns(centered).shape[1] < n:
         raise DegenerateSpan("points must affinely span C^n")
     lifted = np.hstack([pts, np.ones((m, 1), dtype=complex)])
+    lconj = lifted.conj()
     nn = n + 1
     u = np.full(m, 1.0 / m)
     target = nn + n * eps
     gaps = []
-    best_gap = np.inf
+    best_gap = math.inf
+    vinv, w = _leverages(lifted, lconj, u)
+    fresh = True
     it = 0
     for it in range(_MVEE_MAX_ITER):
-        v = (lifted.T * u) @ lifted.conj()
-        vinv = np.linalg.inv(v)
-        # vinv changes every iteration and m is small: real_form costs more
-        w = np.real(np.einsum("ij,jk,ik->i", lifted.conj(), vinv, lifted))
-        kappa = float(np.max(w))
+        j = int(w.argmax())
+        kappa = float(w[j])
+        if kappa <= target and not fresh:
+            vinv, w = _leverages(lifted, lconj, u)
+            j = int(w.argmax())
+            kappa = float(w[j])
         gap = kappa / nn - 1.0
         best_gap = min(best_gap, gap)
         gaps.append(best_gap)
         if kappa <= target:
             break
-        j = int(np.argmax(w))
         alpha = (kappa - nn) / (nn * (kappa - 1.0))
-        gain_fw = nn * np.log1p(-alpha) + np.log1p(alpha / (1.0 - alpha) * kappa)
-        support = np.where(u > 1e-15)[0]
-        i = support[int(np.argmin(w[support]))]
-        wi = float(w[i])
-        gain_aw = -np.inf
+        gain_fw = (nn * math.log1p(-alpha)
+                   + math.log1p(alpha / (1.0 - alpha) * kappa))
+        i = int(np.where(u > 1e-15, w, np.inf).argmin())
+        wi, ui = float(w[i]), float(u[i])
+        gain_aw = -math.inf
         beta = 0.0
-        if wi < nn and wi > 1.0 + 1e-14 and u[i] < 1.0:
+        if wi < nn and wi > 1.0 + 1e-14 and ui < 1.0:
             beta_star = (nn - wi) / (nn * (wi - 1.0))
-            beta = min(beta_star, u[i] / (1.0 - u[i]))
+            beta = min(beta_star, ui / (1.0 - ui))
             if beta > 0:
-                gain_aw = nn * np.log1p(beta) + np.log1p(-beta * wi / (1.0 + beta))
-        if gain_aw > gain_fw:
-            u = (1.0 + beta) * u
-            u[i] -= beta
+                gain_aw = (nn * math.log1p(beta)
+                           + math.log1p(-beta * wi / (1.0 + beta)))
+        # u <- s u + c e_k: an away step from i or a toward step to j
+        k, s, c = (i, 1.0 + beta, -beta) if gain_aw > gain_fw else (
+            j, 1.0 - alpha, alpha)
+        u = s * u
+        u[k] += c
+        np.maximum(u, 0.0, out=u)
+        total = float(u.sum())
+        u /= total
+        # the new V is (s V + c x_k x_k*) / total: with y = V^-1 x_k,
+        # z = X* y and d = 1 + (c / s) z_k, V^-1 becomes
+        # (total / s) (V^-1 - (c / s) y y* / d), and w likewise
+        y = vinv @ lifted[k]
+        z = lconj @ y
+        d = 1.0 + c / s * float(z[k].real)
+        fresh = d < _MVEE_REFRESH
+        if fresh:
+            vinv, w = _leverages(lifted, lconj, u)
         else:
-            u = (1.0 - alpha) * u
-            u[j] += alpha
-        u = np.maximum(u, 0.0)
-        u /= u.sum()
+            scale = total / s
+            drop = scale * c / (s * d)
+            w = scale * w - drop * np.square(np.abs(z))
+            vinv = scale * vinv - drop * (y[:, None] * y.conj())
     else:
         raise NoConvergence(f"MVEE did not reach gap {eps:.1e} in "
                             f"{_MVEE_MAX_ITER} iterations")

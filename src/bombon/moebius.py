@@ -137,12 +137,12 @@ def _fit_hermitian_through(points):
     # Least-squares Hermitian 2x2 form vanishing at all given points:
     # one row (|x|^2, 2 Re xy, -2 Im xy, |y|^2), xy = conj(x) y, per unit
     # representative (x, y), then one SVD.  Takes a list of ProjPoints or
-    # vectors, or an (m, 2) array.  |x| comes from ``hypot``, which
-    # matches scalar ``abs`` where array ``np.abs`` can differ.
-    if isinstance(points, np.ndarray):
-        v = as_cmatrix(points)
-    else:
-        v = np.array([_coords(p) for p in points])
+    # vectors, which it validates, or an (m, 2) complex array the library
+    # built, such as the zero tracer's, which it trusts.  |x| comes from
+    # ``hypot``, which matches scalar ``abs`` where array ``np.abs`` can
+    # differ.
+    v = (points if isinstance(points, np.ndarray)
+         else np.array([_coords(p) for p in points]))
     v = v / np.linalg.norm(v, axis=1, keepdims=True)
     x, y = v[:, 0], v[:, 1]
     xy = np.conj(x) * y

@@ -2,7 +2,8 @@
 
 Everything here judges a set by sampling, never by the signature
 classifier: values of the Hermitian form on a spherical grid of a line
-(grid_line_tag), or side labels of an arbitrary membership oracle
+(grid_line_tags, which judges many lines in lockstep, and grid_line_tag,
+its batch of one), or side labels of an arbitrary membership oracle
 (verify_axioms).  The two views are compared against the exact
 classifier by the regression suite.
 
@@ -49,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError, ZeroVector
-from .linalg import (DEFAULT_TOL, circle_frame, form_values, hermitian_eig,
+from .linalg import (DEFAULT_TOL, _hermitian_eig, circle_frame, form_values,
                      max_abs, real_form, real_map, zero_tol)
 from .moebius import _fit_hermitian_through
 from .projective import ProjPoint, line_through, sample_line, sample_point
@@ -62,6 +63,11 @@ _GOLDEN = (1.0 + 5.0 ** 0.5) / 2.0
 _GRID = 128
 # relative value that counts as a sign on the grid oracle's raw grid
 _GRID_SIGN = 1e-6
+# the grid judge's pattern searches: the signs of the two ascending and
+# the two descending searches of a line, and the offsets of a step's
+# 5 x 5 stencil in step lengths
+_SGN = np.array([1.0, 1.0, -1.0, -1.0])
+_OFF = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 _STAGE2 = 131072
 # zero tracing: rays and bisection steps
 _RAYS = 64
@@ -184,77 +190,26 @@ def _line_form(a, bases):
     return (real_map(rt @ v.conj()), w), ok
 
 
-def grid_line_tag(a, basis):
-    """Classify a line section by brute force on a 128-point grid.
+def _stencil_rows(th, ph, step, arg, cos_out, z_out):
+    # Write the CP^1 rows of the pattern searches' 5 x 5 stencils: row
+    # (i, j) of search k is spinor(tt[k, i], pp[k, j]) for
+    # tt = th + step _OFF and pp = ph + step _OFF, its first entry into
+    # the float ``cos_out`` (s, 5, 5) and its second into the complex
+    # ``z_out`` (s, 5, 5), by the operations of ``spinor`` on the (s, 5, 1)
+    # and (s, 1, 5) angles.  ``arg`` is an (s, 5) complex work array
+    # with real part 0, where pp is written: exp(arg) equals
+    # exp(1j * pp) bit for bit.  Returns (tt, pp).
+    d = step[:, None] * _OFF
+    tt = th[:, None] + d
+    pp = np.add(ph[:, None], d, out=arg.imag)
+    h = tt / 2.0
+    cos_out[...] = np.cos(h)[:, :, None]
+    np.multiply(np.sin(h)[:, :, None], np.exp(arg)[:, None, :], out=z_out)
+    return tt, pp
 
-    Uses only values of the form at points of the line's CP^1, never
-    eigenvalues: both signs on the raw grid means Circle, everything
-    flat means FullLine.  Otherwise pattern searches ascend to the
-    largest and descend to the smallest value; the restricted value
-    function has no extrema besides its global pair, so the searches
-    recover the exact range and with it circles far too small for the
-    coarse grid, semidefinite contact points and definite emptiness.
-    The values come from the line's own 2x2 form (``_line_form``),
-    computed here and not by ``sections.restrict_form``, so that a
-    fault there cannot reach both the classifier and this judge.
-    Raises ValueError for a ``basis`` (n+1, 2) that is not finite or
-    of rank one.
-    """
-    a = np.asarray(a, dtype=complex)
-    basis = np.asarray(basis, dtype=complex)
-    if not np.isfinite(basis).all():
-        raise ValueError("coordinates must be finite")
-    scale = max(1.0, max_abs(a))
-    sign_tol = _GRID_SIGN * scale
-    flat_tol = 1e-12 * scale
-    ztol = 1e-10 * scale
 
-    lform, ok = _line_form(a, basis[None])
-    if not ok[0]:
-        raise ValueError("a line basis must have rank two")
-    lform = [f[0] for f in lform]
-
-    def values(spinors):
-        vn = form_values(spinors, lform)
-        return vn[..., 0] / vn[..., 1]
-
-    theta, phi = fib_angles(_GRID)
-    vals = values(cp1_grid(_GRID))
-    if float(np.max(np.abs(vals))) <= flat_tol:
-        return SectionTag.FULL_LINE
-    if np.any(vals > sign_tol) and np.any(vals < -sign_tol):
-        return SectionTag.CIRCLE
-
-    # signed pattern searches: rows 0-1 maximize the value, rows 2-3
-    # minimize it, each from its two best grid seeds
-    order = np.argsort(vals)
-    idx = np.concatenate([order[-2:], order[:2]])
-    sgn = np.array([1.0, 1.0, -1.0, -1.0])
-    th = theta[idx].copy()
-    ph = phi[idx].copy()
-    best = sgn * vals[idx]
-    step = np.full(th.size, 0.35)
-    off = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    for _ in range(80):
-        if float(np.max(step)) < 1e-9:
-            break
-        tt = th[:, None, None] + step[:, None, None] * off[None, :, None]
-        pp = ph[:, None, None] + step[:, None, None] * off[None, None, :]
-        v = sgn[:, None, None] * values(spinor(tt, pp))
-        flat = v.reshape(th.size, -1)
-        j = np.argmax(flat, axis=1)
-        vbest = flat[np.arange(th.size), j]
-        improved = vbest > best + 1e-14 * scale
-        jt, jp = np.unravel_index(j, (off.size, off.size))
-        th = np.where(improved, th + step * off[jt], th)
-        ph = np.where(improved, ph + step * off[jp], ph)
-        best = np.maximum(best, vbest)
-        step = np.where(improved, step, 0.5 * step)
-        if np.max(best[:2]) > sign_tol and np.max(best[2:]) > sign_tol:
-            return SectionTag.CIRCLE
-
-    vmax = float(np.max(best[:2]))
-    vmin = float(-np.max(best[2:]))
+def _search_tag(vmax, vmin, ztol):
+    # the tag of the value range [vmin, vmax] that the searches found
     pos = vmax > ztol
     neg = vmin < -ztol
     if pos and neg:
@@ -264,6 +219,152 @@ def grid_line_tag(a, basis):
     if pos:
         return SectionTag.EMPTY if vmin > ztol else SectionTag.SINGLE_POINT
     return SectionTag.EMPTY if vmax < -ztol else SectionTag.SINGLE_POINT
+
+
+def grid_line_tag(a, basis):
+    """Classify a line section by brute force on a 128-point grid.
+
+    ``grid_line_tags`` of the one line ``basis`` (n+1, 2) of the form
+    ``a``.
+    """
+    return grid_line_tags([a], [basis])[0]
+
+
+def grid_line_tags(forms, bases):
+    """Brute-force section tag of each line ``bases[i]`` of ``forms[i]``.
+
+    Uses only values of the form at points of the line's CP^1, never
+    eigenvalues: both signs on the raw 128-point grid means Circle,
+    everything flat means FullLine.  Otherwise pattern searches ascend
+    to the largest and descend to the smallest value; the restricted
+    value function has no extrema besides its global pair, so the
+    searches recover the exact range and with it circles far too small
+    for the coarse grid, semidefinite contact points and definite
+    emptiness.  The values come from each line's own 2x2 form
+    (``_line_form``), computed here and not by
+    ``sections.restrict_form``, so that a fault there cannot reach both
+    the classifier and this judge.
+
+    The lines, any mix of forms and dimensions, are judged in lockstep:
+    one line-form call per dimension and one grid product for all lines,
+    then one step of every undecided line's searches per call, each
+    step's stencil rows written into one preallocated buffer
+    (``_stencil_rows``).  A line leaves the batch once its tag is known.
+    Every value is the one ``form_values`` gives for that line alone, so
+    each line takes the steps, and gets the tag, of a batch of one.
+    Raises ValueError for the first line, in order, whose basis is not
+    finite or of rank one, and for lists of different lengths.
+    """
+    forms = [np.asarray(a, dtype=complex) for a in forms]
+    bases = [np.asarray(b, dtype=complex) for b in bases]
+    m = len(bases)
+    if len(forms) != m:
+        raise ValueError(f"{len(forms)} forms for {m} line bases")
+    g = np.empty((m, 4, 4))
+    w = np.empty((m, 4, 2))
+    scale = np.empty(m)
+    groups, errors = {}, []
+    for i, (a, b) in enumerate(zip(forms, bases)):
+        groups.setdefault((a.shape, b.shape), []).append(i)
+    for idx in groups.values():
+        a = np.stack([forms[i] for i in idx])
+        b = np.stack([bases[i] for i in idx])
+        finite = np.isfinite(b).all(axis=(1, 2))
+        (g[idx], w[idx]), ok = _line_form(a, b)
+        scale[idx] = np.fmax(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
+        for k in np.flatnonzero(~(finite & ok))[:1]:
+            errors.append((idx[k], "coordinates must be finite"
+                           if not finite[k] else
+                           "a line basis must have rank two"))
+    if errors:
+        raise ValueError(min(errors)[1])
+
+    vn = form_values(cp1_grid(_GRID), (g, w))
+    vals = vn[..., 0] / vn[..., 1]
+    sign_tol = _GRID_SIGN * scale
+    flat = np.abs(vals).max(axis=1) <= 1e-12 * scale
+    circle = ((vals > sign_tol[:, None]).any(axis=1)
+              & (vals < -sign_tol[:, None]).any(axis=1))
+    tags = [SectionTag.FULL_LINE if f else SectionTag.CIRCLE if c else None
+            for f, c in zip(flat.tolist(), circle.tolist())]
+    live = np.flatnonzero(~(flat | circle))
+    if live.size:
+        for i, tag in zip(live, _pattern_search(
+                vals[live], g[live], w[live], scale[live])):
+            tags[i] = tag
+    return tags
+
+
+def _pattern_search(vals, g, w, scale):
+    # Tags of lines the raw grid does not decide, from their grid values
+    # ``vals`` (m, _GRID) and line forms (g, w): four signed pattern
+    # searches per line, flat in line order, 0-1 maximizing the value
+    # and 2-3 minimizing it, each from its two best grid seeds.  A step
+    # writes the 25 stencil rows of every search into ``buf``, whose
+    # first entries keep imaginary part 0, and a line leaves the batch
+    # once its tag is known.
+    theta, phi = fib_angles(_GRID)
+    tags = [None] * len(vals)
+    live = np.arange(len(vals))
+    order = np.argsort(vals, axis=1)
+    idx = np.concatenate([order[:, -2:], order[:, :2]], axis=1)
+    th, ph = theta[idx].ravel(), phi[idx].ravel()
+    best = (_SGN * vals[live[:, None], idx]).ravel()
+    step = np.full(best.size, 0.35)
+    buf = np.zeros((best.size, 5, 5, 2), dtype=complex)
+    cos_buf, z_buf = buf[..., 0].real, buf[..., 1]
+    arg = np.zeros((best.size, 5), dtype=complex)
+    sgn = np.repeat(_SGN, 25)
+    sign_tol = np.repeat(_GRID_SIGN * scale, 4)
+    imp = np.repeat(1e-14 * scale, 4)
+    r = np.arange(best.size)
+
+    def finish(done, tag=None):
+        # record the tags of the lines ``done`` and drop them
+        nonlocal live, th, ph, best, step, g, w, scale, sign_tol, imp, r
+        for k in np.flatnonzero(done):
+            tags[live[k]] = tag if tag is not None else _search_tag(
+                float(np.max(best[4 * k:4 * k + 2])),
+                float(-np.max(best[4 * k + 2:4 * k + 4])), 1e-10 * scale[k])
+        keep = ~done
+        rows = np.repeat(keep, 4)
+        live, g, w, scale = live[keep], g[keep], w[keep], scale[keep]
+        th, ph, best, step = th[rows], ph[rows], best[rows], step[rows]
+        sign_tol, imp, r = sign_tol[rows], imp[rows], r[:step.size]
+
+    for _ in range(80):
+        # a line is done once all four of its steps are below 1e-9, which
+        # no line is while every step is at least that
+        if step.min(initial=np.inf) < 1e-9:
+            done = step.reshape(-1, 4).max(axis=1) < 1e-9
+            if done.any():
+                finish(done)
+        n = live.size
+        if n == 0:
+            break
+        s = 4 * n
+        tt, pp = _stencil_rows(th, ph, step, arg[:s], cos_buf[:s], z_buf[:s])
+        vn = form_values(buf[:s].reshape(n, 100, 2), (g, w))
+        v = vn[..., 0] / vn[..., 1]
+        v *= sgn
+        v = v.reshape(s, 25)
+        j = v.argmax(axis=1)
+        vbest = v[r, j]
+        improved = vbest > best + imp
+        jt, jp = np.divmod(j, 5)
+        th = np.where(improved, tt[r, jt], th)
+        ph = np.where(improved, pp[r, jp], ph)
+        best = np.maximum(best, vbest)
+        step = np.where(improved, step, 0.5 * step)
+        # a circle once the largest and the smallest value both pass the
+        # sign tolerance: both byte pairs of a line's (best > sign_tol)
+        # hold a True
+        half = (best > sign_tol).view(np.uint16) != 0
+        circle = half.view(np.uint16) == 0x0101
+        if circle.any():
+            finish(circle, SectionTag.CIRCLE)
+    finish(np.ones(live.size, dtype=bool))
+    return tags
 
 
 @dataclass
@@ -403,19 +504,23 @@ def bidisk_oracle(radii=(1.0, 1.0)):
 
     Inside (both coordinates strictly under their radius) is labeled U,
     outside V.  Its line sections are lens-shaped curves, so the axiom
-    verifier must report violations on it.
+    verifier must report violations on it.  A row is labelled by its
+    gauge g = max(|z1| / r1, |z2| / r2) / |z0|: 0 within _BIDISK_BAND of
+    1, else +1 below 1 and -1 above; a row at z0 = 0 has g = inf, or NaN
+    for a zero row, and so the label -1.
     """
     r1, r2 = float(radii[0]), float(radii[1])
 
     def side(pts):
-        pts = np.asarray(pts, dtype=complex)
+        mag = np.abs(np.asarray(pts, dtype=complex))
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.maximum(np.abs(pts[:, 1]) / r1, np.abs(pts[:, 2]) / r2)
-            g = np.where(np.abs(pts[:, 0]) == 0, np.inf,
-                         g / np.abs(pts[:, 0]))
-        out = np.where(g < 1.0, 1, -1)
-        return np.where(np.abs(g - 1.0) <= _BIDISK_BAND, 0,
-                        out).astype(np.int8)
+            g = np.maximum(mag[:, 1] / r1, mag[:, 2] / r2)
+            g /= mag[:, 0]
+        # int8 arithmetic, as in convexity._inside
+        out = (g < 1.0).view(np.int8) * np.int8(2)
+        out -= 1
+        out[np.abs(g - 1.0) <= _BIDISK_BAND] = 0
+        return out
 
     return OracleSet(side=side, description=f"bidisk(r=({r1}, {r2}))", dim=2)
 
@@ -656,7 +761,8 @@ def _circle_fit(m, zeros):
         return None, "could not bracket the zero set"
     if np.linalg.det(m).real >= 0:
         return None, "zero set fit is not mixed-signature"
-    frame = circle_frame(hermitian_eig(m))
+    # the fitted form is Hermitian by construction
+    frame = circle_frame(_hermitian_eig(m, DEFAULT_TOL))
     hom = np.linalg.solve(frame, zeros.T).T
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.abs(hom[:, 0] / hom[:, 1])

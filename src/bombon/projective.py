@@ -26,6 +26,9 @@ from .linalg import (DEFAULT_TOL, _hermitian_eig, _require_finite, as_cvector,
                      max_abs, nullspace, orthonormal_columns, sym)
 
 _PIVOT_RTOL = 1e-12
+# smallest norm whose sum of squares is a normal float: the square root
+# of the smallest one
+_UNIT_LO = 2.0 ** -511
 
 
 def canonicalize(v):
@@ -61,10 +64,25 @@ def unit_rep(v):
     return _unit(as_cvector(v))
 
 
+def _norm(w):
+    # np.linalg.norm(w) bit for bit: the same two dot products of the
+    # real and imaginary parts, which np.vdot takes without warning when
+    # a square overflows
+    return math.sqrt(np.vdot(w.real, w.real) + np.vdot(w.imag, w.imag))
+
+
 def _unit(w):
-    n = np.linalg.norm(w)
-    if n < 1e-300:
-        raise ZeroVector("zero vector has no unit representative")
+    # The squares in the norm lose digits below _UNIT_LO and overflow
+    # above 1.3e154.  Such a w is first scaled by a power of two, which is
+    # exact, to largest entry in [1, 2), as in ``_form_value``; any other
+    # w keeps its bits.
+    n = _norm(w)
+    if not _UNIT_LO <= n < math.inf:
+        big = max_abs(w)
+        if big < 1e-300:
+            raise ZeroVector("zero vector has no unit representative")
+        w = w * math.ldexp(1.0, 1 - math.frexp(big)[1])
+        n = _norm(w)
     return w / n
 
 
@@ -209,6 +227,9 @@ class Subspace:
         if b.ndim != 2:
             raise ValueError("basis must be a matrix of column vectors")
         if not orthonormal:
+            # a NaN column norm would drop every column, not raise
+            if not np.isfinite(b).all():
+                raise ValueError("coordinates must be finite")
             b = orthonormal_columns(b)
         self.basis = b
         self._n = b.shape[0] - 1 if ambient_dim is None else ambient_dim

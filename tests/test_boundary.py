@@ -4,22 +4,29 @@ Public entry points coerce and check outside input, then call a private
 core that trusts arrays the library built.  These tests hold the two
 halves together: every public entry point still rejects NaN, inf and
 zero input with its typed error and message, each core gives bit for
-bit what its public path gives, and the section classifier re-validates
-nothing it built itself.
+bit what its public path gives, and neither the section classifier nor
+the axiom verifier re-validates anything it built itself.
 """
 
+import io
+import json
 import sys
 
 import numpy as np
 import pytest
 
 from bombon import jsonio, linalg
+from bombon.cli import main
+from bombon.convexity import AffineComplexLine
 from bombon.errors import CoincidentPoints, NotABombon, ZeroVector
 from bombon.linalg import (_hermitian_eig, circle_frame, hermitian_eig,
                            hermitize, random_unitary, sym, zero_tol)
-from bombon.projective import (ProjLine, ProjPoint, _canonical, _form_value,
-                               canonicalize, form_value, line_through,
-                               proj_close, sample_line, span)
+from bombon.oracles import (RunConfig, bidisk_oracle, oracle_from_quadric,
+                            verify_axioms)
+from bombon.projective import (ProjLine, ProjPoint, Subspace, _canonical,
+                               _form_value, canonicalize, form_value,
+                               line_through, proj_close, sample_line, span,
+                               unit_rep)
 from bombon.quadrics import QuadricBombon, SideSign, random_bombon
 from bombon.sections import (SectionTag, classify_line_section, restrict_form,
                              side_rings)
@@ -244,19 +251,14 @@ def test_private_constructors_match_public():
                     make(v, np.append(w, 1.0))
 
 
-# --- no re-validation inside the classifier -------------------------------
+# --- no re-validation inside the classifier or the verifier --------------
 
 
-def test_classifier_does_not_revalidate(monkeypatch):
-    # Every module binding of hermitize, as_cvector and zero_tol counts its
-    # calls; one classify_line_section call with sides on a circle line
-    # must make none of them.
-    rng = np.random.default_rng(3)
-    u = random_unitary(rng, 4)
-    x = QuadricBombon(u @ np.diag([1.0, 2.0, -1.0, 0.5]) @ u.conj().T)
-    line = ProjLine(u[:, 0] + 0.2 * u[:, 1], u[:, 2] + 0.3j * u[:, 3])
+def _count_calls(monkeypatch, names):
+    # a dict that counts the calls of each named linalg function through
+    # every module binding of it
     calls = {}
-    for name in ("hermitize", "as_cvector", "zero_tol"):
+    for name in names:
         original = getattr(linalg, name)
 
         def counted(*args, _name=name, _fn=original, **kwargs):
@@ -272,9 +274,111 @@ def test_classifier_does_not_revalidate(monkeypatch):
                     monkeypatch.setattr(mod, key, counted)
                     bound += 1
         assert bound >= 2, name
+    return calls
+
+
+def test_classifier_does_not_revalidate(monkeypatch):
+    # Every module binding of hermitize, as_cvector and zero_tol counts its
+    # calls; one classify_line_section call with sides on a circle line
+    # must make none of them.
+    rng = np.random.default_rng(3)
+    u = random_unitary(rng, 4)
+    x = QuadricBombon(u @ np.diag([1.0, 2.0, -1.0, 0.5]) @ u.conj().T)
+    line = ProjLine(u[:, 0] + 0.2 * u[:, 1], u[:, 2] + 0.3j * u[:, 3])
+    calls = _count_calls(monkeypatch, ("hermitize", "as_cvector", "zero_tol"))
     sec, rep = classify_line_section(x, line, with_sides=True)
     assert sec.tag is SectionTag.CIRCLE and rep.separates
     assert calls == {}
     # the counting wrappers do see a public call
     x.side(GOOD.tolist() + [1.0])
     assert calls == {"as_cvector": 1}
+
+
+def test_verifier_does_not_revalidate(monkeypatch):
+    # A 20-line verify_axioms run on a quadric oracle and on the bidisk,
+    # circle fits included, validates none of the arrays it built.
+    oracles = (oracle_from_quadric(ELL3), bidisk_oracle())
+    calls = _count_calls(monkeypatch, ("hermitize", "as_cmatrix",
+                                       "hermitian_eig", "as_cvector"))
+    for oracle in oracles:
+        rep = verify_axioms(oracle, RunConfig(seed=7, n_lines=20))
+        assert rep.tallies["circle"] > 0
+    assert calls == {}
+    linalg.hermitian_eig(np.eye(2))
+    assert calls == {"hermitian_eig": 1, "hermitize": 1}
+
+
+# --- finite coordinates for subspaces and affine lines --------------------
+
+
+def _section_cli(capsys, monkeypatch, payload):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code = main(["section"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf"])
+def test_subspaces_and_affine_lines_reject_nonfinite(kind, capsys,
+                                                     monkeypatch):
+    bad = np.array(BAD_VECTORS[kind], dtype=complex)
+    basis = np.column_stack([bad, OTHER])
+    calls = {
+        "Subspace": lambda: Subspace(basis),
+        "decode_subspace": lambda: jsonio.decode_subspace(
+            {"basis": [_pairs(bad), _pairs(OTHER)]}),
+        "AffineComplexLine.base": lambda: AffineComplexLine(bad, OTHER),
+        "AffineComplexLine.direction": lambda: AffineComplexLine(GOOD, bad),
+        "decode_affine_line.base": lambda: jsonio.decode_affine_line(
+            {"base": _pairs(bad), "direction": _pairs(OTHER)}),
+        "decode_affine_line.direction": lambda: jsonio.decode_affine_line(
+            {"base": _pairs(GOOD), "direction": _pairs(bad)}),
+        "decode_body.ball": lambda: jsonio.decode_body(
+            {"type": "ball", "n": 3, "center": _pairs(bad)}),
+        "decode_body.ellipsoid": lambda: jsonio.decode_body(
+            {"type": "ellipsoid", "H": [_pairs(r) for r in np.eye(3)],
+             "center": _pairs(bad)}),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == NOT_FINITE[1], name
+    # the CLI answered a NaN basis with an empty section and exit 0
+    code, out = _section_cli(capsys, monkeypatch, {
+        "quadric": jsonio.encode_quadric(ELL3),
+        "subspace": {"basis": [_pairs(bad), _pairs(OTHER)]}})
+    assert (code, out) == (2, {"error": NOT_FINITE[1]})
+    code, out = _section_cli(capsys, monkeypatch, {
+        "quadric": jsonio.encode_quadric(ELL3),
+        "subspace": {"basis": [_pairs(GOOD), _pairs(OTHER)]}})
+    assert code == 0
+    # an orthonormal basis the library built is not scanned again
+    assert Subspace(basis, orthonormal=True).basis is basis
+
+
+# --- unit representatives at any scale ------------------------------------
+
+
+def test_unit_rep_scales_tiny_and_huge_vectors():
+    # largest entry in [1, 2), so a power-of-two scale and its undoing
+    # are exact: the unit representative of 2^k v is that of v
+    rng = np.random.default_rng(41)
+    for n in range(1, 6):
+        v = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        v = v / np.abs(v).max() * 1.5
+        w = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        unit = unit_rep(v)
+        # normal-range representatives keep their bits
+        assert unit.tobytes() == (v / np.linalg.norm(v)).tobytes()
+        for k in (-990, -600, -520, 520, 600, 1000):
+            s = 2.0 ** k
+            assert unit_rep(s * v).tobytes() == unit.tobytes()
+            assert proj_close(s * v, s * v)
+            assert proj_close(s * v, v) and not proj_close(s * v, w)
+            line = ProjLine(s * v, s * w)
+            assert line.a.tobytes() == (s * v).tobytes()
+            with pytest.raises(CoincidentPoints):
+                ProjLine(s * v, (2.0 - 1j) * s * v)
+    assert ProjLine(np.array([1.0, 2.0, 0.5]) * 2.0 ** -600,
+                    np.array([0.0, 1.0, 0.0]) * 2.0 ** -600).n == 2
+    with pytest.raises(ZeroVector, match="no unit representative"):
+        unit_rep([1e-301, 0.0, 0.0])

@@ -284,6 +284,72 @@ def test_mvee_affine_equivariance():
     assert max_abs(sym(s.conj().T @ e2.h @ s) - e1.h) < 1e-6
 
 
+def _mvee_full_inverse(points, eps):
+    # (iterations, weights) of the Khachiyan/Wolfe-Atwood loop with a
+    # fresh inverse and fresh leverages on every iteration, as
+    # mvee_complex computed them before it updated them by rank one
+    pts = np.asarray(points, dtype=complex)
+    m, n = pts.shape
+    lifted = np.hstack([pts, np.ones((m, 1), dtype=complex)])
+    nn = n + 1
+    u = np.full(m, 1.0 / m)
+    target = nn + n * eps
+    for it in range(convexity._MVEE_MAX_ITER):
+        vinv = np.linalg.inv((lifted.T * u) @ lifted.conj())
+        w = np.real(np.einsum("ij,jk,ik->i", lifted.conj(), vinv, lifted))
+        kappa = float(np.max(w))
+        if kappa <= target:
+            return it + 1, u
+        j = int(np.argmax(w))
+        alpha = (kappa - nn) / (nn * (kappa - 1.0))
+        gain_fw = nn * np.log1p(-alpha) + np.log1p(alpha / (1.0 - alpha)
+                                                   * kappa)
+        support = np.where(u > 1e-15)[0]
+        i = support[int(np.argmin(w[support]))]
+        wi = float(w[i])
+        gain_aw = -np.inf
+        beta = 0.0
+        if wi < nn and wi > 1.0 + 1e-14 and u[i] < 1.0:
+            beta = min((nn - wi) / (nn * (wi - 1.0)), u[i] / (1.0 - u[i]))
+            if beta > 0:
+                gain_aw = nn * np.log1p(beta) + np.log1p(-beta * wi
+                                                         / (1.0 + beta))
+        if gain_aw > gain_fw:
+            u = (1.0 + beta) * u
+            u[i] -= beta
+        else:
+            u = (1.0 - alpha) * u
+            u[j] += alpha
+        u = np.maximum(u, 0.0)
+        u /= u.sum()
+    raise AssertionError("reference loop did not converge")
+
+
+def test_mvee_rank_one_updates_match_full_inverse():
+    # Seeded clouds in C^1..C^4 with n+1 to 5n+5 points, scaled 1e-6 to
+    # 1e6: the rank-one updates take the steps of the full-inverse loop,
+    # and the gap of the returned weights, from a fresh inverse, meets eps.
+    rng = np.random.default_rng(113)
+    for _ in range(120):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(n + 1, 5 * n + 6))
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        pts = scale * (rng.standard_normal((m, n))
+                       + 1j * rng.standard_normal((m, n)))
+        for eps in (1e-6, 1e-9):
+            ell = mvee_complex(pts, eps=eps)
+            iterations, weights = _mvee_full_inverse(pts, eps)
+            assert ell.iterations == iterations
+            assert np.max(np.abs(ell.weights - weights)) <= 1e-9
+            assert len(ell.gap_history) == iterations
+            lifted = np.hstack([pts, np.ones((m, 1))])
+            vinv = np.linalg.inv((lifted.T * ell.weights) @ lifted.conj())
+            lev = np.real(np.einsum("ij,jk,ik->i", lifted.conj(), vinv,
+                                    lifted))
+            assert lev.max() / (n + 1) - 1.0 <= eps
+            assert ell.gap_history[-1] == lev.max() / (n + 1) - 1.0
+
+
 @pytest.mark.parametrize("eps", [-1.0, np.nan, np.inf])
 def test_mvee_rejects_unreachable_eps(eps):
     # the largest leverage is at least n + 1, so eps < 0 is never met

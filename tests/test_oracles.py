@@ -92,6 +92,49 @@ def test_bidisk_oracle_labels():
     assert oracle.labels(np.array([1.0, 1.0, 0.5], dtype=complex)) == 0
 
 
+def _bidisk_formula(pts, r1, r2):
+    # the bidisk oracle's labels as first written: four column abs calls
+    # and np.where
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.maximum(np.abs(pts[:, 1]) / r1, np.abs(pts[:, 2]) / r2)
+        g = np.where(np.abs(pts[:, 0]) == 0, np.inf, g / np.abs(pts[:, 0]))
+    out = np.where(g < 1.0, 1, -1)
+    return np.where(np.abs(g - 1.0) <= oracles._BIDISK_BAND, 0,
+                    out).astype(np.int8)
+
+
+def test_bidisk_labels_match_formula_bit_for_bit():
+    # rows at z0 = 0, a zero row, gauges a few ulps either side of both
+    # edges of the ON band, entries near 1e-300 and 1e300 (and quotients
+    # that overflow), and random rows
+    rng = np.random.default_rng(137)
+    gauges = []
+    for edge in (1.0 - oracles._BIDISK_BAND, 1.0 + oracles._BIDISK_BAND):
+        x = edge
+        for _ in range(4):
+            x = np.nextafter(x, 0.0)
+        for _ in range(9):
+            gauges.append(x)
+            x = np.nextafter(x, 2.0)
+    rows = [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1e-300, 1e300],
+            [1e-300, 1e300, 0.0], [1e300, 1e-300, 1e-300]]
+    for gauge in gauges:
+        for scale in (1.0, 1e300, 1e-300, 3.7e-151):
+            rows += [[scale, scale * gauge, 0.0],
+                     [scale, 0.3 * scale, scale * gauge * 1j]]
+    pts = np.vstack([np.array(rows, dtype=complex),
+                     rng.standard_normal((400, 3))
+                     + 1j * rng.standard_normal((400, 3))])
+    for r1, r2 in ((1.0, 1.0), (0.5, 2.0), (3.0, 1e-3)):
+        with np.errstate(over="ignore"):
+            got = bidisk_oracle((r1, r2)).side(pts)
+            want = _bidisk_formula(pts, r1, r2)
+        assert got.dtype == np.int8
+        assert got.tobytes() == want.tobytes()
+    labels = bidisk_oracle().side(np.array(rows[5:], dtype=complex))
+    assert {-1, 0, 1} <= set(labels.tolist())
+
+
 def test_verify_axioms_consistent_on_quadric():
     cfg = RunConfig(seed=5, n_lines=60)
     rep = verify_axioms(oracle_from_quadric(ELLIPTIC), cfg)
@@ -345,6 +388,87 @@ def test_grid_line_tags_pinned():
     assert set(tags) == {tag.value for tag in SectionTag}
     assert hashlib.sha256(" ".join(tags).encode()).hexdigest() == (
         "45388cf364cd21852f2a5135e48dac8ae80936ec6dd5570452f3288994d3a3da")
+
+
+def test_grid_line_tags_batch_matches_per_line(monkeypatch):
+    # One lockstep call over the pinned corpus gives the pinned tags, and
+    # each line the tag of its own call, whatever lines share the batch.
+    # Its 362 searched lines take 16158 steps in all, as many as the
+    # scalar judge took one line at a time.
+    corpus = _judge_corpus(np.random.default_rng(103), 1000)
+    line_steps = []
+    stencil = oracles._stencil_rows
+
+    def counted(th, *args):
+        line_steps.append(th.size // 4)
+        return stencil(th, *args)
+
+    monkeypatch.setattr(oracles, "_stencil_rows", counted)
+    tags = oracles.grid_line_tags([a for a, _ in corpus],
+                                  [b for _, b in corpus])
+    assert (line_steps[0], sum(line_steps), len(line_steps)) == (362, 16158,
+                                                                 52)
+    assert hashlib.sha256(" ".join(t.value for t in tags).encode()) \
+        .hexdigest() == ("45388cf364cd21852f2a5135e48dac8ae80936ec6dd5570452f"
+                         "3288994d3a3da")
+    assert [grid_line_tag(a, b) for a, b in corpus[::7]] == tags[::7]
+    back = oracles.grid_line_tags([a for a, _ in corpus[::-3]],
+                                  [b for _, b in corpus[::-3]])
+    assert back == tags[::-3]
+    assert oracles.grid_line_tags([], []) == []
+
+
+def test_grid_line_tags_reports_first_bad_line():
+    good = sample_line(np.random.default_rng(5), 2).basis()
+    v = np.array([1.0, 0.5j, 0.0])
+    flat = np.column_stack([v, 2j * v])
+    nan = np.column_stack([v, [np.nan, 1.0, 0.0]])
+    for bases, msg in (([good, flat, nan], "rank two"),
+                       ([good, nan, flat], "must be finite")):
+        with pytest.raises(ValueError, match=msg):
+            oracles.grid_line_tags([ELLIPTIC.a] * 3, bases)
+    # lines of two dimensions, judged in two groups
+    a3 = np.diag([1.0, 1.0, 1.0, -1.0])
+    nan3 = np.vstack([nan, [0.0, 1.0]])
+    with pytest.raises(ValueError, match="must be finite"):
+        oracles.grid_line_tags([ELLIPTIC.a, a3, ELLIPTIC.a],
+                               [good, nan3, flat])
+    with pytest.raises(ValueError, match="forms for"):
+        oracles.grid_line_tags([ELLIPTIC.a], [good, good])
+
+
+def test_stencil_rows_match_spinor_bit_for_bit():
+    # A search step writes the rows spinor(tt, pp) of its 5 x 5 stencil,
+    # and the judge's stacked product reads from them the values that
+    # form_values gives one line at a time.
+    rng = np.random.default_rng(131)
+    corpus = _judge_corpus(rng, 16)
+    g = np.empty((16, 4, 4))
+    w = np.empty((16, 4, 2))
+    for k, (a, b) in enumerate(corpus):
+        (g[k:k + 1], w[k:k + 1]), ok = oracles._line_form(a[None], b[None])
+        assert ok[0]
+    th = rng.uniform(-1.0, 4.0, 64)
+    ph = rng.uniform(-20.0, 20.0, 64)
+    step = 0.35 * 2.0 ** -rng.integers(0, 40, 64).astype(float)
+    buf = np.zeros((64, 5, 5, 2), dtype=complex)
+    arg = np.zeros((64, 5), dtype=complex)
+    tt, pp = oracles._stencil_rows(th, ph, step, arg, buf[..., 0].real,
+                                   buf[..., 1])
+    assert tt.tobytes() == (th[:, None] + step[:, None] * oracles._OFF) \
+        .tobytes()
+    assert pp.tobytes() == (ph[:, None] + step[:, None] * oracles._OFF) \
+        .tobytes()
+    ref = spinor(tt[:, :, None], pp[:, None, :])
+    assert buf.tobytes() == ref.tobytes()
+    y = buf.view(np.float64).reshape(16, 100, 4) @ g
+    y *= y
+    vn = (y @ w).reshape(16, 4, 5, 5, 2)
+    for k in range(16):
+        want = form_values(spinor(tt[4 * k:4 * k + 4, :, None],
+                                  pp[4 * k:4 * k + 4, None, :]),
+                           (g[k], w[k]))
+        assert vn[k].tobytes() == want.tobytes()
 
 
 def test_cp1_grid_cached_read_only():

@@ -1,10 +1,14 @@
 import hashlib
 
+import numpy as np
 import pytest
 
+from bombon.errors import NotABombon
 from bombon.jsonio import canonical_dumps
 from bombon.oracles import RunConfig
-from bombon.suite import REGISTRY, theorem_suite
+from bombon.quadrics import QuadricBombon
+from bombon.sections import SectionTag
+from bombon.suite import REGISTRY, _grid_judged, theorem_suite
 
 
 def small(seed=7, n_lines=10):
@@ -76,3 +80,30 @@ def test_corrupt_report_is_pinned():
 def test_unknown_property_name_rejected():
     with pytest.raises(ValueError):
         theorem_suite(small(), names=("no_such_property",))
+
+
+def test_grid_judged_reports_the_first_event_in_draw_order():
+    # Lines are drawn first and judged together; a disputed line still
+    # wins over a later failure, and a failure over a later dispute.
+    a = QuadricBombon.from_epsilons([1, 1, -1]).a
+    circle = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    nan = np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 0.0]])
+    good = (a, circle, SectionTag.CIRCLE, 1)
+    disputed = (a, circle, SectionTag.EMPTY, 2)
+
+    def draws(lines, end):
+        yield from lines
+        if isinstance(end, Exception):
+            raise end
+        return end
+
+    want = ("classifier said empty, grid oracle said circle", 2)
+    assert _grid_judged(draws([good, good], (None, 7))) == (None, 7)
+    assert _grid_judged(draws([good, disputed], ("later", 3))) == want
+    assert _grid_judged(draws([disputed], NotABombon("later"))) == want
+    assert _grid_judged(draws([good, disputed, (a, nan, None, 3)],
+                              (None, 3))) == want
+    with pytest.raises(NotABombon, match="first"):
+        _grid_judged(draws([good], NotABombon("first")))
+    with pytest.raises(ValueError, match="must be finite"):
+        _grid_judged(draws([good, (a, nan, None, 2), disputed], (None, 3)))
