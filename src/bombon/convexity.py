@@ -24,9 +24,10 @@ import numpy as np
 
 from .errors import (DegenerateSpan, NoConvergence, NotOnSphere,
                      OracleInconsistent)
-from .linalg import (finite_nonnegative, form_values, hermitian_eig,
-                     orthonormal_columns, real_form, sym)
-from .oracles import OracleSet, _grid_tag, _traced_fits
+from .linalg import (as_cvector, finite_nonnegative, form_values,
+                     hermitian_eig, orthonormal_columns, real_form, sym)
+from .oracles import (_GRID as _LINE_GRID, OracleSet, _grid_labels,
+                      _grid_tag, _traced_fits, cp1_grid)
 
 # sections wider than 2 * bounding_radius / _GRID hold stage-2 grid points
 _GRID = 64
@@ -65,9 +66,7 @@ class ConvexBodyOracle:
 
 
 def ball_body(n, radius=1.0, center=None):
-    c = np.zeros(n, dtype=complex) if center is None else np.asarray(center, complex)
-    if not np.isfinite(c).all():
-        raise ValueError("coordinates must be finite")
+    c = np.zeros(n, dtype=complex) if center is None else as_cvector(center)
 
     def member(pts):
         return np.linalg.norm(pts - c, axis=1) <= radius
@@ -84,11 +83,9 @@ def ellipsoid_body(center, h):
     E = [[c* H c - 1, -(H c)*], [-H c, H]], which is positive at
     z0 = 0, so the row at infinity is outside: the chart oracle labels
     the points of a line from the line's 2x2 restriction of E.  Raises
-    ValueError for a center that is not finite.
+    ValueError for a center that is not a finite vector.
     """
-    c = np.asarray(center, dtype=complex)
-    if not np.isfinite(c).all():
-        raise ValueError("coordinates must be finite")
+    c = as_cvector(center)
     hm = sym(np.asarray(h, dtype=complex))
     sig = hermitian_eig(hm)
     if sig.n_pos != hm.shape[0]:
@@ -121,19 +118,16 @@ def polydisk_body(radii):
 class AffineComplexLine:
     """Parametrized complex line t -> base + t * direction in C^n.
 
-    Raises ValueError for a base or direction that is not finite, and
-    for a zero direction.
+    Raises ValueError for a base or direction that is not a finite
+    vector, and for a zero direction.
     """
 
     base: np.ndarray
     direction: np.ndarray
 
     def __post_init__(self):
-        base = np.asarray(self.base, complex)
-        d = np.asarray(self.direction, complex)
-        if not (np.isfinite(base).all() and np.isfinite(d).all()):
-            raise ValueError("coordinates must be finite")
-        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "base", as_cvector(self.base))
+        d = as_cvector(self.direction)
         nd = np.linalg.norm(d)
         if nd == 0:
             raise ValueError("line direction must be nonzero")
@@ -201,7 +195,9 @@ def disk_sections(body, lines, tol=1e-3, rng=None):
         chord = float(np.sqrt(big_r ** 2 - dmin ** 2)) + 1e-12
         basis = np.column_stack([np.append(1.0, p),
                                  np.append(0.0, chord * line.direction)])
-        _, grid, labels = _grid_tag(oracle, basis)
+        label = oracle.on_lines(basis[None])
+        labels, = _grid_labels(label, cp1_grid(_LINE_GRID))
+        _, grid, labels = _grid_tag(label, labels)
         inside = labels == 1
         if not np.any(inside):
             continue

@@ -38,6 +38,9 @@ import numpy as np
 from .errors import NoConvergence
 
 DEFAULT_TOL = 1e-9
+# smallest norm whose sum of squares is a normal float: the square root
+# of the smallest one
+_UNIT_LO = 2.0 ** -511
 
 
 def as_cvector(v):
@@ -272,7 +275,10 @@ def orthonormal_columns(cols, rtol=DEFAULT_TOL):
     """Orthonormalize by modified Gram-Schmidt with re-orthogonalization.
 
     ``cols`` is (dim, m); dependent columns are dropped.  The rank cut is
-    ``rtol`` relative to the largest input column norm.
+    ``rtol`` relative to the largest input column norm.  Columns whose
+    squares under- or overflow there are first scaled by a power of two,
+    which is exact, to largest entry in [1, 2).  Raises ValueError for
+    entries that are not finite.
     """
     a = np.asarray(cols, dtype=complex)
     if a.ndim != 2:
@@ -280,10 +286,13 @@ def orthonormal_columns(cols, rtol=DEFAULT_TOL):
     dim, m = a.shape
     if m == 0:
         return np.zeros((dim, 0), dtype=complex)
-    norms = np.linalg.norm(a, axis=0)
-    biggest = float(norms.max())
-    if biggest == 0.0:
-        return np.zeros((dim, 0), dtype=complex)
+    with np.errstate(all="ignore"):
+        biggest = float(np.linalg.norm(a, axis=0).max())
+    _require_finite(a, biggest, "coordinates")
+    if not _UNIT_LO <= biggest < math.inf:
+        a = np.ldexp(np.ascontiguousarray(a).view(np.float64),
+                     1 - math.frexp(max_abs(a))[1]).view(complex)
+        biggest = float(np.linalg.norm(a, axis=0).max())
     thresh = rtol * biggest
     basis = []
     for j in range(m):

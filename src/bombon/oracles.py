@@ -7,10 +7,11 @@ its batch of one), or side labels of an arbitrary membership oracle
 (verify_axioms).  The two views are compared against the exact
 classifier by the regression suite.
 
-The verifier reads its lines 32 at a time and tags them in stages, so
-that no labelling call exceeds 4096 rows and a run's working memory
-does not grow with its number of lines:
-- stage 1 labels the 128-point grids of 32 lines in one call;
+The verifier reads its lines 32 at a time and tags each chunk in
+stages, with one labeller that carries the chunk's line forms, so that
+no labelling call exceeds 4096 rows and a run's working memory does not
+grow with its number of lines:
+- stage 1 labels the 128-point grids of the chunk in one call;
 - a line that shows only one side there is labelled again on the
   131072-point stage-2 grid, in blocks of 4096 rows so that each
   block's temporaries stay in cache.  That grid is built once, a block
@@ -18,14 +19,13 @@ does not grow with its number of lines:
   from a form settles a line whose 2x2 line form is definite, beyond
   rounding, on that side from the form's eigenvalues (``_line_label``):
   every grid row would get that label, so the grid is not labelled;
-- two-sided lines wait until 64 of them (or the last ones) are there;
-  their zero sets are traced along 64 rays per line.  An oracle built
-  from a form places each ray's zero in closed form from the line
-  form and keeps it where labels certify it (``_trace_zeros``); the
-  other rays, and every ray of other oracles, are bisected, in one
-  labelling call per step;
+- the chunk's two-sided lines have their zero sets traced along 64
+  rays per line.  An oracle built from a form places each ray's zero in
+  closed form from the line form and keeps it where labels certify it
+  (``_trace_zeros``); the other rays, and every ray of other oracles,
+  are bisected, in one labelling call per step;
 - each zero set gets its own circle fit, and the side rings of the
-  fitted lines among those 64 are labelled in one call.
+  chunk's fitted lines are labelled in one call.
 Every line point is labelled through ``OracleSet.on_lines``, which
 labels rows of the line's CP^1: the grids' rows, shared by all lines,
 and the rays' chart rows, one set per line.  By default each block is
@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import PreconditionError, ZeroVector
 from .linalg import (DEFAULT_TOL, _hermitian_eig, circle_frame, form_values,
-                     max_abs, real_form, real_map, zero_tol)
+                     real_form, real_map, zero_tol)
 from .moebius import _fit_hermitian_through
 from .projective import ProjPoint, line_through, sample_line, sample_point
 from .sections import SectionTag, classify_line_section, side_rings
@@ -420,45 +420,58 @@ class OracleSet:
 
         ``bases`` is an (m, dim+1, 2) stack of bases B; the labeller maps
         CP^1 rows s, (r, 2) for all lines or (m, r, 2) per line, to the
-        (m, r) int8 labels of their points.  The points are one real
-        matmul of the rows' floats with ``real_map`` of the bases, unless
-        the oracle has a ``_form``: then each row's value and squared
-        norm come from its line's ``_line_form``, and only the rows whose
-        squared norm there is not a normal float (every row of a line of
-        rank one) are built as points.  Raises ValueError for bases that
-        are not finite, before any point is built.
+        (m, r) int8 labels of their points, and its ``line(i)`` is line
+        i's labeller.  The points are one real matmul of the rows' floats
+        with ``real_map`` of the bases, unless the oracle has a
+        ``_form``: then the labeller holds each line's ``_line_form``, a
+        row's value and squared norm come from it, and only the rows
+        whose squared norm there is not a normal float (every row of a
+        line of rank one) are built as points.  Raises ValueError for
+        bases that are not finite, before any point is built.
         """
         bases = np.asarray(bases, dtype=complex)
         if not np.isfinite(bases).all():
             raise ValueError("coordinates must be finite")
         to_pts = real_map(bases.transpose(0, 2, 1))
-
-        def points(rows):
-            return (np.ascontiguousarray(rows, dtype=complex).view(np.float64)
-                    @ to_pts).view(complex)
-
-        def from_points(rows):
-            pts = points(rows)
-            return self.labels(pts.reshape(-1, bases.shape[1])).reshape(
-                pts.shape[:-1])
-
         if self._form is None:
-            return from_points
-        form, sides = self._form
-        lform, _ = _line_form(form, bases)
+            return _LineLabeller(self, to_pts)
+        (g, w), ok = _line_form(self._form[0], bases)
+        return _LineLabeller(self, to_pts, g, w, ok)
 
-        def from_form(rows):
-            with np.errstate(all="ignore"):
-                vn = form_values(rows, lform)
-                vals = vn[..., 0] / vn[..., 1]
-            out = sides(vals)
-            if (not np.isfinite(vals).all()
-                    or vn[..., 1].min(initial=np.inf) < _TINY):
-                bad = ~np.isfinite(vals) | (vn[..., 1] < _TINY)
-                out[bad] = self.labels(points(rows)[bad])
-            return out
 
-        return from_form
+class _LineLabeller:
+    # ``OracleSet.on_lines`` of a stack of lines: the real point map
+    # ``to_pts`` of their bases and, for an oracle with a ``_form``, their
+    # line forms (g, w) and rank flags ``ok`` from ``_line_form``
+
+    def __init__(self, oracle, to_pts, g=None, w=None, ok=None):
+        self.oracle, self.to_pts = oracle, to_pts
+        self.g, self.w, self.ok = g, w, ok
+
+    def line(self, i):
+        # line i's labeller, on slices of these arrays
+        return _LineLabeller(self.oracle, *(
+            None if a is None else a[i:i + 1]
+            for a in (self.to_pts, self.g, self.w, self.ok)))
+
+    def _points(self, rows):
+        return (np.ascontiguousarray(rows, dtype=complex).view(np.float64)
+                @ self.to_pts).view(complex)
+
+    def __call__(self, rows):
+        if self.g is None:
+            pts = self._points(rows)
+            return self.oracle.labels(
+                pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1])
+        with np.errstate(all="ignore"):
+            vn = form_values(rows, (self.g, self.w))
+            vals = vn[..., 0] / vn[..., 1]
+        out = self.oracle._form[1](vals)
+        if (not np.isfinite(vals).all()
+                or vn[..., 1].min(initial=np.inf) < _TINY):
+            bad = ~np.isfinite(vals) | (vn[..., 1] < _TINY)
+            out[bad] = self.oracle.labels(self._points(rows)[bad])
+        return out
 
 
 def _band(vals, thr):
@@ -506,14 +519,15 @@ def bidisk_oracle(radii=(1.0, 1.0)):
     outside V.  Its line sections are lens-shaped curves, so the axiom
     verifier must report violations on it.  A row is labelled by its
     gauge g = max(|z1| / r1, |z2| / r2) / |z0|: 0 within _BIDISK_BAND of
-    1, else +1 below 1 and -1 above; a row at z0 = 0 has g = inf, or NaN
-    for a zero row, and so the label -1.
+    1, else +1 below 1 and -1 above; a row at z0 = 0, or whose
+    quotients overflow, has g = inf, or NaN for a zero row, and so the
+    label -1.
     """
     r1, r2 = float(radii[0]), float(radii[1])
 
     def side(pts):
         mag = np.abs(np.asarray(pts, dtype=complex))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             g = np.maximum(mag[:, 1] / r1, mag[:, 2] / r2)
             g /= mag[:, 0]
         # int8 arithmetic, as in convexity._inside
@@ -583,20 +597,19 @@ def _fs_diameter(pts):
     return float(np.arccos(np.clip(g, 0.0, 1.0)))
 
 
-def _ray_zeros(form, traces, ang):
-    # Proposed log10 |w| of the zero of the form ``form`` along each ray
-    # w = r ang_j of each trace basis (p_u, p_v) of the (m, n+1, 2) stack
-    # ``traces``, from the trace basis's 2x2 form M, built from unit-scale
-    # copies and scaled to largest entry 1.  At the row (w, 1) the value
-    # is a r^2 + 2 beta r + c, with a = M_00, c = M_11 and
-    # beta = Re(conj(ang_j) M_01); a ray whose end labels differ has
+def _ray_zeros(g, w, ang):
+    # Proposed log10 |w| of the zero along each ray w = r ang_j of each
+    # trace basis (p_u, p_v) from its ``_line_form`` (g, w): the even rows
+    # of g = real_map(C^T) hold Re and Im of C^T, and the basis's 2x2
+    # form M = C* diag(lam) C is scaled to largest entry 1.  At the row
+    # (w, 1) the value is a r^2 + 2 beta r + c, with a = M_00, c = M_11
+    # and beta = Re(conj(ang_j) M_01); a ray whose end labels differ has
     # ac < 0 and one positive root, taken without cancellation as q / a
     # or c / q for q = -(beta + sign(beta) sqrt(beta^2 - ac)).  (m, _RAYS)
     # floats, not finite or not positive roots where the form gives none.
+    ct = g[:, ::2, ::2] + 1j * g[:, ::2, 1::2]
     with np.errstate(all="ignore"):
-        f = form / max_abs(form)
-        p = traces / np.abs(traces).max(axis=(1, 2), keepdims=True)
-        m = p.conj().transpose(0, 2, 1) @ f @ p
+        m = (ct.conj() * w[:, None, ::2, 0]) @ ct.transpose(0, 2, 1)
         m = m / np.abs(m).max(axis=(1, 2), keepdims=True)
         a, c = m[:, 0, 0].real[:, None], m[:, 1, 1].real[:, None]
         beta = (ang.conj() * m[:, 0, 1][:, None]).real
@@ -611,10 +624,10 @@ def _trace_zeros(oracle, bases, ends):
     Line i is charted by the columns (p_u, p_v) of ends[i]: p_v sits at
     0 and p_u at infinity.  A ray brackets a zero when its labels at
     log10 |z| = -8 and 8 are nonzero and differ.  An oracle with a
-    ``_form`` proposes each bracketed ray's zero x from the form
-    (``_ray_zeros``), and its labels decide: x is kept when it lies in
-    (-8, 8) and its label is 0, or its labels at x -+ _FLANK are those
-    at -8 and 8.  The other bracketed rays, and every ray of an oracle
+    ``_form`` proposes each bracketed ray's zero x from its labeller's
+    line forms (``_ray_zeros``), and its labels decide: x is kept when
+    it lies in (-8, 8) and its label is 0, or its labels at x -+ _FLANK
+    are those at -8 and 8.  The other bracketed rays, and every ray of an oracle
     without a form, bisect the side flip in log10 |z| from [-8, 8], all
     lines in one labelling call per step.  Returns per line the (k, 2)
     CP^1 coordinates of its k bracketed zeros, or None when no ray
@@ -638,8 +651,8 @@ def _trace_zeros(oracle, bases, ends):
     lab_hi = lab(hi)
     valid = (lab_lo != 0) & (lab_hi != 0) & (lab_lo != lab_hi)
     todo = valid
-    if oracle._form is not None and np.any(valid):
-        x = _ray_zeros(oracle._form[0], traces, ang)
+    if label.g is not None and np.any(valid):
+        x = _ray_zeros(label.g, label.w, ang)
         near = valid & (np.abs(x) < 8.0)
         x = np.where(near, x, 0.0)
         kept = near & (lab(x) == 0)
@@ -664,24 +677,21 @@ def _trace_zeros(oracle, bases, ends):
             if np.any(vi) else None for wi, vi, pi in zip(w, valid, ends)]
 
 
-def _grid_labels(oracle, grid, bases):
-    # (m, len(grid)) oracle labels of the points grid @ basis.T of each
-    # line of the (m, n+1, 2) stack ``bases``, in calls of _BLOCK rows:
-    # whole lines while a grid is smaller than a block, else one block
-    # of a line's grid at a time, so that a block's temporaries stay in
-    # cache.  Rows are labelled independently, so blocks change nothing.
-    per = max(1, _BLOCK // grid.shape[0])
-    out = np.empty((bases.shape[0], grid.shape[0]), dtype=np.int8)
-    for s in range(0, bases.shape[0], per):
-        label = oracle.on_lines(bases[s:s + per])
-        for i in range(0, grid.shape[0], _BLOCK):
-            out[s:s + per, i:i + _BLOCK] = label(grid[i:i + _BLOCK])
+def _grid_labels(label, grid):
+    # (m, len(grid)) labels of the grid rows on each of the m lines of the
+    # labeller ``label``, in calls of at most _BLOCK rows, so that a
+    # block's temporaries stay in cache.  Rows are labelled
+    # independently, so blocks change nothing.
+    out = np.empty((label.to_pts.shape[0], grid.shape[0]), dtype=np.int8)
+    per = max(1, _BLOCK // out.shape[0])
+    for i in range(0, grid.shape[0], per):
+        out[:, i:i + per] = label(grid[i:i + per])
     return out
 
 
-def _line_label(oracle, basis):
-    # The label that ``on_lines`` gives every unit row of the line
-    # ``basis`` when the line form makes it certain, else 0.  A row's
+def _line_label(label):
+    # The label that the one-line labeller ``label`` gives every unit row
+    # of its line when the line form makes it certain, else 0.  A row's
     # value is v = fl(N / S), where N = sum lam_j z_j and S = sum z_j
     # over the same squares z_j >= 0, so N / S is a weighted mean of lam.
     # With fl(a op b) = (a op b)(1 + d) + e, |d| <= eps / 2 and |e| <=
@@ -696,42 +706,40 @@ def _line_label(oracle, basis):
     # normal, so no row takes the point path.  kappa is twice the bound
     # above, and ``sides`` is monotone: equal labels at both ends of
     # [min lam - kappa, max lam + kappa] are every row's label.
-    if oracle._form is None:
+    if label.g is None:
         return 0
-    form, sides = oracle._form
-    (g, w), ok = _line_form(form, basis[None])
-    g, lam = g[0], w[0, ::2, 0]
+    g, lam = label.g[0], label.w[0, ::2, 0]
     mx, gf = float(np.abs(lam).max()), float(np.square(g).sum())
     # 4 mx gf bounds every partial sum of N: finite, it also rules out a
     # non-finite g or lam
-    if not (ok[0] and np.isfinite(4.0 * mx * gf)):
+    if not (label.ok[0] and np.isfinite(4.0 * mx * gf)):
         return 0
     lo = np.linalg.svd(g, compute_uv=False)[-1] - 64.0 * _EPS * gf ** 0.5
     s2 = lo * lo
     if lo <= 0.0 or s2 < 4.0 * _TINY:
         return 0
     kappa = 16.0 * _EPS * mx + 16.0 * _SUB / s2 + 2.0 * _SUB
-    ends = sides(np.array([lam.min() - kappa, lam.max() + kappa]))
+    ends = label.oracle._form[1](np.array([lam.min() - kappa,
+                                           lam.max() + kappa]))
     return int(ends[0]) if ends[0] == ends[1] else 0
 
 
-def _grid_tag(oracle, basis, labels=None):
-    # (tag, grid, labels) of a line: the grid whose labels decide it,
-    # those labels and the line's tag, or None for the tag when they show
-    # both sides.  ``labels`` are the stage-1 labels, labelled here when
-    # None; a one-sided line is labelled again on the stage-2 grid, unless
-    # its line form settles that grid's labels as its stage-1 side.
+def _grid_tag(label, labels):
+    # (tag, grid, labels) of the line of the one-line labeller ``label``:
+    # the grid whose labels decide it, those labels and the line's tag,
+    # or None for the tag when they show both sides.  ``labels`` are the
+    # stage-1 labels; a one-sided line is labelled again on the stage-2
+    # grid, unless its line form settles that grid's labels as its
+    # stage-1 side.
     grid = cp1_grid(_GRID)
-    if labels is None:
-        labels, = _grid_labels(oracle, grid, basis[None])
     if bool(np.all(labels == 0)):
         return ("full_line", True, ""), grid, labels
     if not (np.any(labels == 1) and np.any(labels == -1)):
         grid = cp1_grid(_STAGE2)
-        side = _line_label(oracle, basis)
+        side = _line_label(label)
         if side != 0 and np.any(labels == side):
             return ("empty", True, ""), grid, np.full(_STAGE2, side, np.int8)
-        labels, = _grid_labels(oracle, grid, basis[None])
+        labels, = _grid_labels(label, grid)
     if np.any(labels == 1) and np.any(labels == -1):
         return None, grid, labels
     ons = grid[labels == 0]
@@ -772,60 +780,52 @@ def _circle_fit(m, zeros):
     return frame, ""
 
 
-def _circle_tags(oracle, pending):
-    # (index, basis, result) of each two-sided line of ``pending``, a
-    # list of at most _TRACE_LINES (index, basis, ends): traced zeros, a
-    # circle fit per line, and the side rings of all fitted lines in
-    # one labels call
-    idx, bases, ends = zip(*pending)
-    fits = _traced_fits(oracle, np.array(bases), np.array(ends))
+def _circle_tags(oracle, bases, ends):
+    # result of each two-sided line of ``bases`` (m, n+1, 2), m <=
+    # _TRACE_LINES, traced from ``ends``: traced zeros, a circle fit per
+    # line, and the side rings of all fitted lines in one labels call
     out, fitted, rings = [], [], []
-    for i, basis, (m, z) in zip(idx, bases, fits):
+    for i, (basis, (m, z)) in enumerate(zip(
+            bases, _traced_fits(oracle, bases, ends))):
         frame, summary = _circle_fit(m, z)
-        if frame is None:
-            out.append((i, basis, ("nonconforming", True, summary)))
-        else:
-            fitted.append((i, basis))
+        out.append(("nonconforming", True, summary))
+        if frame is not None:
+            fitted.append(i)
             rings.append(side_rings(basis, frame))
     if fitted:
         sides = oracle.labels(np.concatenate(rings).reshape(
-            -1, bases[0].shape[0]))
-        for (i, basis), (inner, outer) in zip(
+            -1, bases.shape[1]))
+        for i, (inner, outer) in zip(
                 fitted, sides.reshape(len(fitted), 2, -1)):
             ok = (np.all(inner == inner[0]) and np.all(outer == outer[0])
                   and inner[0] != 0 and outer[0] != 0
                   and inner[0] != outer[0])
-            out.append((i, basis, ("circle", bool(ok), "")))
+            out[i] = ("circle", bool(ok), "")
     return out
 
 
 def _tag_stream(oracle, lines):
-    # (index, basis, result) of each line of the iterable ``lines`` as
-    # soon as its result is known, in the stages the module docstring
-    # lists
+    # (basis, result) of each line of the iterable ``lines``, in order, a
+    # chunk at a time in the stages the module docstring lists
     it = iter(lines)
-    pending = []
-    count = 0
-    while True:
-        chunk = list(islice(it, _BLOCK // _GRID))
-        if chunk:
-            bases = np.array(chunk, dtype=complex)
-            for basis, labels in zip(
-                    bases, _grid_labels(oracle, cp1_grid(_GRID), bases)):
-                tag, grid, labels = _grid_tag(oracle, basis, labels)
-                if tag is None:
-                    # the columns (p_u, p_v) of a U and a V grid point
-                    pending.append((count, basis, np.column_stack([
-                        grid[int(np.argmax(labels == 1))],
-                        grid[int(np.argmax(labels == -1))]])))
-                else:
-                    yield count, basis, tag
-                count += 1
-        while len(pending) >= _TRACE_LINES or (pending and not chunk):
-            yield from _circle_tags(oracle, pending[:_TRACE_LINES])
-            del pending[:_TRACE_LINES]
-        if not chunk:
-            return
+    while chunk := list(islice(it, _BLOCK // _GRID)):
+        bases = np.array(chunk, dtype=complex)
+        label = oracle.on_lines(bases)
+        tags, two, ends = [], [], []
+        for i, labels in enumerate(_grid_labels(label, cp1_grid(_GRID))):
+            tag, grid, labels = _grid_tag(label.line(i), labels)
+            tags.append(tag)
+            if tag is None:
+                # the columns (p_u, p_v) of a U and a V grid point
+                two.append(i)
+                ends.append(np.column_stack([
+                    grid[int(np.argmax(labels == 1))],
+                    grid[int(np.argmax(labels == -1))]]))
+        if two:
+            for i, tag in zip(two, _circle_tags(oracle, bases[two],
+                                                np.array(ends))):
+                tags[i] = tag
+        yield from zip(bases, tags)
 
 
 def oracle_line_tags(oracle, lines):
@@ -839,10 +839,8 @@ def oracle_line_tags(oracle, lines):
     complementary-component check for circle fits (True when not
     applicable); summary is a short text for nonconforming lines.
     """
-    tags = {}
-    for i, basis, result in _tag_stream(oracle, lines):
-        tags[i] = oracle_line_tag(oracle, basis, tagged=result)
-    return [tags[i] for i in range(len(tags))]
+    return [oracle_line_tag(oracle, basis, tagged=result)
+            for basis, result in _tag_stream(oracle, lines)]
 
 
 def oracle_line_tag(oracle, basis, tagged=None):
@@ -853,7 +851,7 @@ def oracle_line_tag(oracle, basis, tagged=None):
     goes through this one function, so a wrapper of it sees each line.
     """
     if tagged is None:
-        (_, _, tagged), = _tag_stream(oracle, [basis])
+        (_, tagged), = _tag_stream(oracle, [basis])
     return tagged
 
 

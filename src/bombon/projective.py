@@ -22,13 +22,10 @@ import math
 import numpy as np
 
 from .errors import CoincidentPoints, ZeroVector
-from .linalg import (DEFAULT_TOL, _hermitian_eig, _require_finite, as_cvector,
-                     max_abs, nullspace, orthonormal_columns, sym)
+from .linalg import (DEFAULT_TOL, _UNIT_LO, _hermitian_eig, _require_finite,
+                     as_cvector, max_abs, nullspace, orthonormal_columns, sym)
 
 _PIVOT_RTOL = 1e-12
-# smallest norm whose sum of squares is a normal float: the square root
-# of the smallest one
-_UNIT_LO = 2.0 ** -511
 
 
 def canonicalize(v):
@@ -227,9 +224,6 @@ class Subspace:
         if b.ndim != 2:
             raise ValueError("basis must be a matrix of column vectors")
         if not orthonormal:
-            # a NaN column norm would drop every column, not raise
-            if not np.isfinite(b).all():
-                raise ValueError("coordinates must be finite")
             b = orthonormal_columns(b)
         self.basis = b
         self._n = b.shape[0] - 1 if ambient_dim is None else ambient_dim

@@ -15,9 +15,10 @@ import sys
 import numpy as np
 import pytest
 
-from bombon import jsonio, linalg
+from bombon import jsonio, linalg, oracles
 from bombon.cli import main
-from bombon.convexity import AffineComplexLine
+from bombon.convexity import (AffineComplexLine, ball_body, disk_section_test,
+                              ellipsoid_body)
 from bombon.errors import CoincidentPoints, NotABombon, ZeroVector
 from bombon.linalg import (_hermitian_eig, circle_frame, hermitian_eig,
                            hermitize, random_unitary, sym, zero_tol)
@@ -308,6 +309,48 @@ def test_verifier_does_not_revalidate(monkeypatch):
     assert calls == {"hermitian_eig": 1, "hermitize": 1}
 
 
+def test_verifier_builds_each_line_form_once(monkeypatch):
+    # One labeller per chunk of 32 lines builds their line forms, and the
+    # stages of each line read its slice: a 60-line verify_axioms run,
+    # two chunks with two-sided lines in each, builds one per chunk and
+    # one per chunk's zero trace, and a one-sided disk_section_test line
+    # builds one.  _line_label, _grid_tag and _ray_zeros build none.
+    calls, seen = [], {}
+    line_form = oracles._line_form
+
+    def counted(a, bases):
+        calls.append(len(bases))
+        return line_form(a, bases)
+
+    def builds_none(name):
+        fn = getattr(oracles, name)
+
+        def wrapped(*args):
+            before = len(calls)
+            out = fn(*args)
+            assert len(calls) == before, name
+            seen[name] = seen.get(name, 0) + 1
+            return out
+
+        monkeypatch.setattr(oracles, name, wrapped)
+
+    monkeypatch.setattr(oracles, "_line_form", counted)
+    for name in ("_line_label", "_grid_tag", "_ray_zeros"):
+        builds_none(name)
+    x = QuadricBombon(np.diag([1.0, 1.0, -1.0, -1.0]))
+    rep = verify_axioms(oracle_from_quadric(x),
+                        RunConfig(seed=8, n_lines=60))
+    assert rep.tallies["circle"] > 0 and rep.tallies["empty"] > 0
+    assert len(calls) == 4 and calls[0] == 32 and calls[2] == 28
+    assert seen["_grid_tag"] == 60 and seen["_ray_zeros"] == 2
+    assert seen["_line_label"] >= rep.tallies["empty"]
+    calls.clear()
+    body = ellipsoid_body(np.zeros(2), np.diag([1.0, 4.0]))
+    verdict = disk_section_test(body, AffineComplexLine([0.0, 0.9],
+                                                        [1.0, 0.0]))
+    assert verdict.tag.value == "empty" and calls == [1]
+
+
 # --- finite coordinates for subspaces and affine lines --------------------
 
 
@@ -324,6 +367,7 @@ def test_subspaces_and_affine_lines_reject_nonfinite(kind, capsys,
     basis = np.column_stack([bad, OTHER])
     calls = {
         "Subspace": lambda: Subspace(basis),
+        "orthonormal_columns": lambda: linalg.orthonormal_columns(basis),
         "decode_subspace": lambda: jsonio.decode_subspace(
             {"basis": [_pairs(bad), _pairs(OTHER)]}),
         "AffineComplexLine.base": lambda: AffineComplexLine(bad, OTHER),
@@ -353,6 +397,84 @@ def test_subspaces_and_affine_lines_reject_nonfinite(kind, capsys,
     assert code == 0
     # an orthonormal basis the library built is not scanned again
     assert Subspace(basis, orthonormal=True).basis is basis
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: ball_body(2, center=v),
+    lambda v: ellipsoid_body(v, np.eye(2)),
+    lambda v: AffineComplexLine(v, [1.0, 0.0]),
+    lambda v: AffineComplexLine([0.0, 0.0], v)],
+    ids=["ball_body", "ellipsoid_body", "AffineComplexLine.base",
+         "AffineComplexLine.direction"])
+def test_body_centers_and_affine_lines_are_vectors(make):
+    # centers, bases and directions go through as_cvector: a (2, 1) or
+    # (2, 2) array is not a coordinate vector, and NaN keeps its message
+    for bad in (np.ones((2, 1)), np.ones((2, 2))):
+        with pytest.raises(ValueError,
+                           match="^expected a 1-d coordinate vector$"):
+            make(bad)
+    with pytest.raises(ValueError, match=f"^{NOT_FINITE[1]}$"):
+        make([NAN, 0.0])
+    make([0.5, 0.25j])
+
+
+def test_mvee_nonfinite_point_exits_2(capsys, monkeypatch):
+    # the span check read a NaN point as degenerate
+    for bad in ([NAN, 0.0], [0.0, INF]):
+        pts = [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]],
+               _pairs(bad)]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(pts)))
+        code = main(["mvee"])
+        assert (code, json.loads(capsys.readouterr().out)) == (
+            2, {"error": NOT_FINITE[1]})
+
+
+# --- orthonormal columns and unit representatives at any scale -------------
+
+
+def _gram_schmidt(a, rtol=linalg.DEFAULT_TOL):
+    # orthonormal_columns without its scaling and finiteness check
+    thresh = rtol * float(np.linalg.norm(a, axis=0).max())
+    basis = []
+    for j in range(a.shape[1]):
+        w = a[:, j].copy()
+        for _ in range(2):
+            for b in basis:
+                w = w - b * np.vdot(b, w)
+        nw = np.linalg.norm(w)
+        if nw > thresh:
+            basis.append(w / nw)
+    return np.column_stack(basis) if basis else np.zeros((a.shape[0], 0))
+
+
+def test_orthonormal_columns_at_any_scale():
+    # Columns at 2^+-700 give the bits of the unscaled columns, 1e+-200
+    # keeps the dimension, and columns whose squares neither under- nor
+    # overflow keep the bits of plain Gram-Schmidt.
+    rng = np.random.default_rng(43)
+    for n in range(1, 6):
+        for k in range(1, n + 2):
+            b = rng.standard_normal((n + 1, k)) \
+                + 1j * rng.standard_normal((n + 1, k))
+            if k > 1:
+                # a dependent column, which is dropped
+                b[:, -1] = b[:, 0] * (0.5 - 2j)
+            want = Subspace(b)
+            assert want.basis.tobytes() == _gram_schmidt(b).tobytes()
+            for s in 10.0 ** rng.uniform(-150.0, 150.0, 4):
+                got = linalg.orthonormal_columns(s * b)
+                assert got.tobytes() == _gram_schmidt(s * b).tobytes()
+            with np.errstate(all="raise"):
+                for s in (2.0 ** -700, 2.0 ** 700):
+                    assert Subspace(s * b).basis.tobytes() == \
+                        want.basis.tobytes()
+                for s in (1e-200, 1e200):
+                    assert Subspace(s * b).projective_dim == \
+                        want.projective_dim
+    with np.errstate(all="raise"):
+        for s in (1e-200, 1e200):
+            assert Subspace(s * np.eye(3)[:, :2]).projective_dim == 1
+    assert Subspace(np.zeros((3, 2))).projective_dim == -1
 
 
 # --- unit representatives at any scale ------------------------------------

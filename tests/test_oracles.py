@@ -126,8 +126,8 @@ def test_bidisk_labels_match_formula_bit_for_bit():
                      rng.standard_normal((400, 3))
                      + 1j * rng.standard_normal((400, 3))])
     for r1, r2 in ((1.0, 1.0), (0.5, 2.0), (3.0, 1e-3)):
+        got = bidisk_oracle((r1, r2)).side(pts)
         with np.errstate(over="ignore"):
-            got = bidisk_oracle((r1, r2)).side(pts)
             want = _bidisk_formula(pts, r1, r2)
         assert got.dtype == np.int8
         assert got.tobytes() == want.tobytes()
@@ -543,10 +543,10 @@ def _spy_stage2(monkeypatch):
     calls = []
     grid_labels = oracles._grid_labels
 
-    def spy(oracle, grid, bases):
+    def spy(label, grid):
         if grid.shape[0] == oracles._STAGE2:
-            calls.append(len(bases))
-        return grid_labels(oracle, grid, bases)
+            calls.append(label.to_pts.shape[0])
+        return grid_labels(label, grid)
 
     monkeypatch.setattr(oracles, "_grid_labels", spy)
     return calls
@@ -555,7 +555,8 @@ def _spy_stage2(monkeypatch):
 def _one_sided(oracle, bases):
     # whether each line shows one side on its stage-1 grid, and not only
     # the set
-    lab = oracles._grid_labels(oracle, cp1_grid(oracles._GRID), bases)
+    lab = oracles._grid_labels(oracle.on_lines(bases),
+                               cp1_grid(oracles._GRID))
     two = np.any(lab == 1, axis=1) & np.any(lab == -1, axis=1)
     return ~two & np.any(lab != 0, axis=1)
 
@@ -598,7 +599,7 @@ def test_stage2_grids_labelled_only_where_a_form_cannot_settle(monkeypatch):
     assert {v.tag for v in got} == {convexity.DiskTag.EMPTY,
                                     convexity.DiskTag.DISK}
     # the same tags when every stage-2 grid is labelled
-    monkeypatch.setattr(oracles, "_line_label", lambda oracle, basis: 0)
+    monkeypatch.setattr(oracles, "_line_label", lambda label: 0)
     assert oracle_line_tags(quad, bases) == want[0]
     assert _disk_sections_of(body, lines) == want_disks
 
@@ -689,7 +690,7 @@ def test_grid_labels_blocked_equal_whole_grid():
     bidisk = bidisk_oracle()
     cases += [(bidisk, sample_line(rng, 2).basis(), False) for _ in range(4)]
     for oracle, basis, on_set in cases:
-        got, = oracles._grid_labels(oracle, grid, basis[None])
+        got, = oracles._grid_labels(oracle.on_lines(basis[None]), grid)
         want = oracle.labels(grid @ basis.T)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         if on_set:
@@ -698,7 +699,7 @@ def test_grid_labels_blocked_equal_whole_grid():
     bases = np.array([sample_line(rng, 3).basis() for _ in range(70)])
     oracle = oracle_from_quadric(random_bombon(rng, 3))
     assert np.array_equal(
-        oracles._grid_labels(oracle, cp1_grid(128), bases),
+        oracles._grid_labels(oracle.on_lines(bases), cp1_grid(128)),
         [oracle.labels(cp1_grid(128) @ basis.T) for basis in bases])
 
 
@@ -722,9 +723,10 @@ def _settled(oracle, bases):
     grid = cp1_grid(oracles._STAGE2)
     out = []
     for basis in bases:
-        side = oracles._line_label(oracle, basis)
+        label = oracle.on_lines(basis[None])
+        side = oracles._line_label(label)
         if side != 0:
-            labels, = oracles._grid_labels(oracle, grid, basis[None])
+            labels, = oracles._grid_labels(label, grid)
             assert np.all(labels == side), (oracle.description, basis)
         out.append(side)
     return out
@@ -796,11 +798,11 @@ def test_line_label_is_every_stage2_label():
 
 
 def test_line_label_declines_degenerate_bases(monkeypatch):
-    # A basis of rank one, the lopsided basis (1e-160 e0, e1), which
+    # A basis of rank one and the lopsided basis (1e-160 e0, e1), which
     # passes the rank cut but whose line form has a singular value
-    # whose square is below the normal range, and a basis holding NaN:
-    # the line form settles none of them, and their tags are those of
-    # labelling.
+    # whose square is below the normal range: the line form settles
+    # neither, and their tags are those of labelling.  A basis holding
+    # NaN gets no labeller.
     oracle = oracle_from_quadric(ELLIPTIC)
     v = np.array([1.0, 0.5j, 0.3])
     e = np.eye(3, dtype=complex)
@@ -818,10 +820,13 @@ def test_line_label_declines_degenerate_bases(monkeypatch):
                 out.append(str(err))
         return out
 
-    assert [oracles._line_label(oracle, b) for b in bases] == [0, 0, 0]
+    assert [oracles._line_label(oracle.on_lines(b[None]))
+            for b in bases[:2]] == [0, 0]
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        oracle.on_lines(bases[2][None])
     got = tags()
     assert got[1:] == [("empty", True, ""), "coordinates must be finite"]
-    monkeypatch.setattr(oracles, "_line_label", lambda oracle, basis: 0)
+    monkeypatch.setattr(oracles, "_line_label", lambda label: 0)
     assert tags() == got
 
 
@@ -1038,7 +1043,7 @@ def _two_sided_traces(oracle, bases):
     # the zero trace of the lines of ``bases`` that show both sides on the
     # stage-1 grid, with the trace ends that oracle_line_tags gives them
     grid = cp1_grid(oracles._GRID)
-    lab = oracles._grid_labels(oracle, grid, bases)
+    lab = oracles._grid_labels(oracle.on_lines(bases), grid)
     keep = np.any(lab == 1, axis=1) & np.any(lab == -1, axis=1)
     ends = np.array([np.column_stack([grid[np.argmax(row == 1)],
                                       grid[np.argmax(row == -1)]])
@@ -1103,7 +1108,8 @@ def test_trace_zeros_are_certified_by_labels(monkeypatch):
         got = oracles._trace_zeros(oracle, bases, ends)
         logr, valid, lab_lo, lab_hi, lab = _bisected(oracle, bases, ends)
         traces = _traces_of(bases, ends)
-        x = oracles._ray_zeros(oracle._form[0], traces, ang)
+        label = oracle.on_lines(traces)
+        x = oracles._ray_zeros(label.g, label.w, ang)
         for z, want, prop, xi, li, vi, lo, hi, trace in zip(
                 got, _zeros_at(logr, valid, ends), _zeros_at(x, valid, ends),
                 x, logr, valid, lab_lo, lab_hi, traces):
@@ -1215,37 +1221,32 @@ def test_infinite_basis_is_a_value_error():
         traces = np.array([np.zeros((3, 2)), np.column_stack([e[0], 2j * e[0]]),
                            np.column_stack([1e-170 * e[0], e[1]]),
                            np.column_stack([e[0], e[2]])])
-        assert oracles._ray_zeros(np.zeros((3, 3)), traces,
-                                  _ray_angles()).shape == (4, oracles._RAYS)
-        x = oracles._ray_zeros(ELLIPTIC.a, traces, _ray_angles())
+        for form in (np.zeros((3, 3)), ELLIPTIC.a):
+            (g, w), _ = oracles._line_form(form, traces)
+            x = oracles._ray_zeros(g, w, _ray_angles())
+            assert x.shape == (4, oracles._RAYS)
     # the line (e0, e2) meets diag(1, 1, -1) where |w| = 1
     assert np.all(x[3] == 0.0)
 
 
 def test_line_tags_labels_calls_stay_within_block(monkeypatch):
     # No labels call and no line-labeller call exceeds _BLOCK rows, and
-    # fewer than _TRACE_LINES + 32 lines are ever read but not yet
-    # tagged, so a run's working memory does not grow with its number of
-    # lines.
+    # at most one chunk of 32 lines is ever read but not yet tagged, so a
+    # run's working memory does not grow with its number of lines.
     x = QuadricBombon.from_epsilons([1, 1, -1, -1])
     inner = oracle_from_quadric(x)
     rng = np.random.default_rng(71)
     bases = np.array([sample_line(rng, 3).basis() for _ in range(300)])
     want = oracle_line_tags(inner, bases)
     sizes, line_sizes, open_lines, read, done = [], [], [], [], []
-    on_lines = OracleSet.on_lines
+    call = oracles._LineLabeller.__call__
 
-    def spy_on_lines(self, line_bases):
-        label = on_lines(self, line_bases)
+    def spy_call(self, rows):
+        out = call(self, rows)
+        line_sizes.append(out.size)
+        return out
 
-        def spy(rows):
-            out = label(rows)
-            line_sizes.append(out.size)
-            return out
-
-        return spy
-
-    monkeypatch.setattr(OracleSet, "on_lines", spy_on_lines)
+    monkeypatch.setattr(oracles._LineLabeller, "__call__", spy_call)
     assert oracle_line_tags(inner, bases) == want
     assert max(line_sizes) == oracles._BLOCK
     line_sizes.clear()
@@ -1272,8 +1273,7 @@ def test_line_tags_labels_calls_stay_within_block(monkeypatch):
     assert len(done) == 300
     assert max(sizes) == oracles._BLOCK
     assert max(line_sizes) == oracles._BLOCK
-    assert max(open_lines) < (oracles._TRACE_LINES
-                              + oracles._BLOCK // oracles._GRID)
+    assert max(open_lines) <= oracles._BLOCK // oracles._GRID
 
 
 def test_fs_diameter_memory_is_bounded():
