@@ -23,11 +23,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (DegenerateSpan, NoConvergence, NotOnSphere,
-                     OracleInconsistent)
+                     OracleInconsistent, ZeroVector)
 from .linalg import (as_cvector, finite_nonnegative, form_values,
                      hermitian_eig, orthonormal_columns, real_form, sym)
 from .oracles import (_GRID as _LINE_GRID, OracleSet, _grid_labels,
                       _grid_tag, _traced_fits, cp1_grid)
+from .projective import _unit
 
 # sections wider than 2 * bounding_radius / _GRID hold stage-2 grid points
 _GRID = 64
@@ -66,7 +67,14 @@ class ConvexBodyOracle:
 
 
 def ball_body(n, radius=1.0, center=None):
+    """The ball of ``radius`` about ``center`` (the origin) in C^n.
+
+    Raises ValueError for a center that is not a finite vector of n
+    entries.
+    """
     c = np.zeros(n, dtype=complex) if center is None else as_cvector(center)
+    if c.size != n:
+        raise ValueError(f"ball center must have {n} entries, got {c.size}")
 
     def member(pts):
         return np.linalg.norm(pts - c, axis=1) <= radius
@@ -118,8 +126,10 @@ def polydisk_body(radii):
 class AffineComplexLine:
     """Parametrized complex line t -> base + t * direction in C^n.
 
-    Raises ValueError for a base or direction that is not a finite
-    vector, and for a zero direction.
+    The direction is kept as a unit vector at any scale
+    (``projective._unit``).  Raises ValueError for a base or direction
+    that is not a finite vector, and for a direction too small for that
+    scaling: zero, or of largest entry below 1e-300.
     """
 
     base: np.ndarray
@@ -127,11 +137,11 @@ class AffineComplexLine:
 
     def __post_init__(self):
         object.__setattr__(self, "base", as_cvector(self.base))
-        d = as_cvector(self.direction)
-        nd = np.linalg.norm(d)
-        if nd == 0:
-            raise ValueError("line direction must be nonzero")
-        object.__setattr__(self, "direction", d / nd)
+        try:
+            d = _unit(as_cvector(self.direction))
+        except ZeroVector:
+            raise ValueError("line direction must be nonzero") from None
+        object.__setattr__(self, "direction", d)
 
     def at(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=complex))

@@ -68,6 +68,20 @@ def max_abs(m):
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def _gauge(a, axis=None):
+    # (a 2^e, e) for complex a: each slice that max(axis=axis) reduces,
+    # scaled so that its largest |Re| or |Im|, which cannot overflow, is
+    # in [1, 2); e has that max's keepdims shape, and is 0 for a zero or
+    # non-finite slice.  Exact unless an entry falls below the normal range.
+    a = np.asarray(a, dtype=complex)
+    big = np.maximum(np.abs(a.real), np.abs(a.imag)).max(
+        axis=axis, keepdims=True, initial=0.0)
+    e = np.where(np.isfinite(big) & (big > 0.0), 1 - np.frexp(big)[1], 0)
+    out = np.empty_like(a)
+    out.real, out.imag = np.ldexp(a.real, e), np.ldexp(a.imag, e)
+    return out, e
+
+
 def finite_nonnegative(x, name):
     """``x`` as a float; ValueError naming ``name`` unless finite and >= 0."""
     v = float(x)

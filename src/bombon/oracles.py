@@ -1,10 +1,11 @@
 """Brute-force line oracles and the Monte-Carlo axiom verifier.
 
-Everything here judges a set by sampling, never by the signature
-classifier: values of the Hermitian form on a spherical grid of a line
-(grid_line_tags, which judges many lines in lockstep, and grid_line_tag,
-its batch of one), or side labels of an arbitrary membership oracle
-(verify_axioms).  The two views are compared against the exact
+Everything here judges a set without the signature classifier.  The
+grid judge (grid_line_tags, and grid_line_tag, its batch of one) reads
+each line's own 2x2 form: its values on a 128-point grid of the line,
+then its two eigenvalues, the ends of the range of those values.  The
+verifier (verify_axioms) reads only side labels of an arbitrary
+membership oracle.  The two views are compared against the exact
 classifier by the regression suite.
 
 The verifier reads its lines 32 at a time and tags each chunk in
@@ -50,8 +51,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError, ZeroVector
-from .linalg import (DEFAULT_TOL, _hermitian_eig, circle_frame, form_values,
-                     real_form, real_map, zero_tol)
+from .linalg import (DEFAULT_TOL, _gauge, _hermitian_eig, circle_frame,
+                     form_values, real_form, real_map, zero_tol)
 from .moebius import _fit_hermitian_through
 from .projective import ProjPoint, line_through, sample_line, sample_point
 from .sections import SectionTag, classify_line_section, side_rings
@@ -63,11 +64,6 @@ _GOLDEN = (1.0 + 5.0 ** 0.5) / 2.0
 _GRID = 128
 # relative value that counts as a sign on the grid oracle's raw grid
 _GRID_SIGN = 1e-6
-# the grid judge's pattern searches: the signs of the two ascending and
-# the two descending searches of a line, and the offsets of a step's
-# 5 x 5 stencil in step lengths
-_SGN = np.array([1.0, 1.0, -1.0, -1.0])
-_OFF = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 _STAGE2 = 131072
 # zero tracing: rays and bisection steps
 _RAYS = 64
@@ -190,35 +186,13 @@ def _line_form(a, bases):
     return (real_map(rt @ v.conj()), w), ok
 
 
-def _stencil_rows(th, ph, step, arg, cos_out, z_out):
-    # Write the CP^1 rows of the pattern searches' 5 x 5 stencils: row
-    # (i, j) of search k is spinor(tt[k, i], pp[k, j]) for
-    # tt = th + step _OFF and pp = ph + step _OFF, its first entry into
-    # the float ``cos_out`` (s, 5, 5) and its second into the complex
-    # ``z_out`` (s, 5, 5), by the operations of ``spinor`` on the (s, 5, 1)
-    # and (s, 1, 5) angles.  ``arg`` is an (s, 5) complex work array
-    # with real part 0, where pp is written: exp(arg) equals
-    # exp(1j * pp) bit for bit.  Returns (tt, pp).
-    d = step[:, None] * _OFF
-    tt = th[:, None] + d
-    pp = np.add(ph[:, None], d, out=arg.imag)
-    h = tt / 2.0
-    cos_out[...] = np.cos(h)[:, :, None]
-    np.multiply(np.sin(h)[:, :, None], np.exp(arg)[:, None, :], out=z_out)
-    return tt, pp
-
-
-def _search_tag(vmax, vmin, ztol):
-    # the tag of the value range [vmin, vmax] that the searches found
-    pos = vmax > ztol
-    neg = vmin < -ztol
-    if pos and neg:
-        return SectionTag.CIRCLE
-    if not pos and not neg:
-        return SectionTag.FULL_LINE
-    if pos:
-        return SectionTag.EMPTY if vmin > ztol else SectionTag.SINGLE_POINT
-    return SectionTag.EMPTY if vmax < -ztol else SectionTag.SINGLE_POINT
+def _range_tag(vmax, vmin, ztol):
+    # the tag of a line whose values fill the range [vmin, vmax]
+    pos, neg = vmax > ztol, vmin < -ztol
+    if pos == neg:
+        return SectionTag.CIRCLE if pos else SectionTag.FULL_LINE
+    definite = vmin > ztol or vmax < -ztol
+    return SectionTag.EMPTY if definite else SectionTag.SINGLE_POINT
 
 
 def grid_line_tag(a, basis):
@@ -233,27 +207,19 @@ def grid_line_tag(a, basis):
 def grid_line_tags(forms, bases):
     """Brute-force section tag of each line ``bases[i]`` of ``forms[i]``.
 
-    Uses only values of the form at points of the line's CP^1, never
-    eigenvalues: both signs on the raw 128-point grid means Circle,
-    everything flat means FullLine.  Otherwise pattern searches ascend
-    to the largest and descend to the smallest value; the restricted
-    value function has no extrema besides its global pair, so the
-    searches recover the exact range and with it circles far too small
-    for the coarse grid, semidefinite contact points and definite
-    emptiness.  The values come from each line's own 2x2 form
-    (``_line_form``), computed here and not by
-    ``sections.restrict_form``, so that a fault there cannot reach both
-    the classifier and this judge.
-
-    The lines, any mix of forms and dimensions, are judged in lockstep:
-    one line-form call per dimension and one grid product for all lines,
-    then one step of every undecided line's searches per call, each
-    step's stencil rows written into one preallocated buffer
-    (``_stencil_rows``).  A line leaves the batch once its tag is known.
-    Every value is the one ``form_values`` gives for that line alone, so
-    each line takes the steps, and gets the tag, of a batch of one.
-    Raises ValueError for the first line, in order, whose basis is not
-    finite or of rank one, and for lists of different lengths.
+    Reads each line's own 2x2 form (``_line_form``, its own frame and
+    ``eigh``, not ``sections.restrict_form``, so that a fault there
+    cannot reach both the classifier and this judge).  Both signs on the
+    raw 128-point grid mean Circle, everything flat means FullLine.
+    Otherwise the form's two eigenvalues, the ends of the range of its
+    values on the line, give the tag: circles far too small for the
+    grid, semidefinite contact points and definite emptiness.  Basis
+    columns are first scaled by powers of two (``linalg._gauge``), so
+    that a lopsided basis keeps rank two.  Lines of any mix of forms and
+    dimensions take one line-form call per shape and one grid product,
+    and each line gets the tag of a batch of one.  Raises ValueError for
+    the first line, in order, whose basis is not finite or of rank one,
+    and for lists of different lengths.
     """
     forms = [np.asarray(a, dtype=complex) for a in forms]
     bases = [np.asarray(b, dtype=complex) for b in bases]
@@ -270,7 +236,7 @@ def grid_line_tags(forms, bases):
         a = np.stack([forms[i] for i in idx])
         b = np.stack([bases[i] for i in idx])
         finite = np.isfinite(b).all(axis=(1, 2))
-        (g[idx], w[idx]), ok = _line_form(a, b)
+        (g[idx], w[idx]), ok = _line_form(a, _gauge(b, axis=1)[0])
         scale[idx] = np.fmax(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
         for k in np.flatnonzero(~(finite & ok))[:1]:
             errors.append((idx[k], "coordinates must be finite"
@@ -285,86 +251,11 @@ def grid_line_tags(forms, bases):
     flat = np.abs(vals).max(axis=1) <= 1e-12 * scale
     circle = ((vals > sign_tol[:, None]).any(axis=1)
               & (vals < -sign_tol[:, None]).any(axis=1))
-    tags = [SectionTag.FULL_LINE if f else SectionTag.CIRCLE if c else None
-            for f, c in zip(flat.tolist(), circle.tolist())]
-    live = np.flatnonzero(~(flat | circle))
-    if live.size:
-        for i, tag in zip(live, _pattern_search(
-                vals[live], g[live], w[live], scale[live])):
-            tags[i] = tag
-    return tags
-
-
-def _pattern_search(vals, g, w, scale):
-    # Tags of lines the raw grid does not decide, from their grid values
-    # ``vals`` (m, _GRID) and line forms (g, w): four signed pattern
-    # searches per line, flat in line order, 0-1 maximizing the value
-    # and 2-3 minimizing it, each from its two best grid seeds.  A step
-    # writes the 25 stencil rows of every search into ``buf``, whose
-    # first entries keep imaginary part 0, and a line leaves the batch
-    # once its tag is known.
-    theta, phi = fib_angles(_GRID)
-    tags = [None] * len(vals)
-    live = np.arange(len(vals))
-    order = np.argsort(vals, axis=1)
-    idx = np.concatenate([order[:, -2:], order[:, :2]], axis=1)
-    th, ph = theta[idx].ravel(), phi[idx].ravel()
-    best = (_SGN * vals[live[:, None], idx]).ravel()
-    step = np.full(best.size, 0.35)
-    buf = np.zeros((best.size, 5, 5, 2), dtype=complex)
-    cos_buf, z_buf = buf[..., 0].real, buf[..., 1]
-    arg = np.zeros((best.size, 5), dtype=complex)
-    sgn = np.repeat(_SGN, 25)
-    sign_tol = np.repeat(_GRID_SIGN * scale, 4)
-    imp = np.repeat(1e-14 * scale, 4)
-    r = np.arange(best.size)
-
-    def finish(done, tag=None):
-        # record the tags of the lines ``done`` and drop them
-        nonlocal live, th, ph, best, step, g, w, scale, sign_tol, imp, r
-        for k in np.flatnonzero(done):
-            tags[live[k]] = tag if tag is not None else _search_tag(
-                float(np.max(best[4 * k:4 * k + 2])),
-                float(-np.max(best[4 * k + 2:4 * k + 4])), 1e-10 * scale[k])
-        keep = ~done
-        rows = np.repeat(keep, 4)
-        live, g, w, scale = live[keep], g[keep], w[keep], scale[keep]
-        th, ph, best, step = th[rows], ph[rows], best[rows], step[rows]
-        sign_tol, imp, r = sign_tol[rows], imp[rows], r[:step.size]
-
-    for _ in range(80):
-        # a line is done once all four of its steps are below 1e-9, which
-        # no line is while every step is at least that
-        if step.min(initial=np.inf) < 1e-9:
-            done = step.reshape(-1, 4).max(axis=1) < 1e-9
-            if done.any():
-                finish(done)
-        n = live.size
-        if n == 0:
-            break
-        s = 4 * n
-        tt, pp = _stencil_rows(th, ph, step, arg[:s], cos_buf[:s], z_buf[:s])
-        vn = form_values(buf[:s].reshape(n, 100, 2), (g, w))
-        v = vn[..., 0] / vn[..., 1]
-        v *= sgn
-        v = v.reshape(s, 25)
-        j = v.argmax(axis=1)
-        vbest = v[r, j]
-        improved = vbest > best + imp
-        jt, jp = np.divmod(j, 5)
-        th = np.where(improved, tt[r, jt], th)
-        ph = np.where(improved, pp[r, jp], ph)
-        best = np.maximum(best, vbest)
-        step = np.where(improved, step, 0.5 * step)
-        # a circle once the largest and the smallest value both pass the
-        # sign tolerance: both byte pairs of a line's (best > sign_tol)
-        # hold a True
-        half = (best > sign_tol).view(np.uint16) != 0
-        circle = half.view(np.uint16) == 0x0101
-        if circle.any():
-            finish(circle, SectionTag.CIRCLE)
-    finish(np.ones(live.size, dtype=bool))
-    return tags
+    lam = w[:, ::2, 0]
+    return [SectionTag.FULL_LINE if f else SectionTag.CIRCLE if c else
+            _range_tag(hi, lo, 1e-10 * s) for f, c, hi, lo, s in zip(
+                flat.tolist(), circle.tolist(), lam.max(axis=1).tolist(),
+                lam.min(axis=1).tolist(), scale.tolist())]
 
 
 @dataclass

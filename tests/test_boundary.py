@@ -11,6 +11,7 @@ the axiom verifier re-validates anything it built itself.
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -416,6 +417,38 @@ def test_body_centers_and_affine_lines_are_vectors(make):
     with pytest.raises(ValueError, match=f"^{NOT_FINITE[1]}$"):
         make([NAN, 0.0])
     make([0.5, 0.25j])
+
+
+def test_ball_center_has_n_entries():
+    # a center of another length failed later, on the first batch, with
+    # a numpy broadcast error
+    for n, center in ((2, [0.0, 0.0, 0.0]), (3, [0.5, 0.25j])):
+        with pytest.raises(ValueError, match=f"^ball center must have {n} "
+                           f"entries, got {len(center)}$"):
+            ball_body(n, center=center)
+    assert ball_body(2, center=[0.5, 0.25j]).inside([0.5, 0.0])
+
+
+def test_affine_line_direction_at_any_scale():
+    # The direction is made a unit vector by projective._unit: tiny and
+    # huge directions scale without a warning, normal-range directions
+    # keep the bits of d / |d|, and one too small to scale is zero.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = AffineComplexLine([0.0, 0.0], [1e-200, 0.0]).direction
+        huge = AffineComplexLine([0.0, 0.0], [1e200, 1e200j]).direction
+    assert tiny.tolist() == [1.0, 0.0]
+    assert np.allclose(huge, [2.0 ** -0.5, 2.0 ** -0.5 * 1j], rtol=1e-15)
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        d = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) \
+            * 10.0 ** rng.uniform(-100.0, 100.0)
+        got = AffineComplexLine(np.zeros(3), d).direction
+        assert got.tobytes() == (d / np.linalg.norm(d)).tobytes()
+    for d in ([0.0, 0.0], [1e-301, 0.0]):
+        with pytest.raises(ValueError,
+                           match="^line direction must be nonzero$"):
+            AffineComplexLine([0.0, 0.0], d)
 
 
 def test_mvee_nonfinite_point_exits_2(capsys, monkeypatch):

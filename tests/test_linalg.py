@@ -9,11 +9,11 @@ import pytest
 
 from bombon import cli
 from bombon.errors import NoConvergence
-from bombon.linalg import (DEFAULT_TOL, as_cvector, congruence_to_signs,
-                           form_values, hermitian_eig, hermitize, max_abs,
-                           nullspace, orthonormal_columns, random_hermitian,
-                           random_unitary, real_form, real_map, sym,
-                           zero_tol)
+from bombon.linalg import (DEFAULT_TOL, _gauge, as_cvector,
+                           congruence_to_signs, form_values, hermitian_eig,
+                           hermitize, max_abs, nullspace, orthonormal_columns,
+                           random_hermitian, random_unitary, real_form,
+                           real_map, sym, zero_tol)
 
 
 def test_zero_tol_floor():
@@ -378,3 +378,28 @@ def test_form_values_match_high_precision_reference():
                 norms2 = np.sum(np.abs(rows) ** 2, axis=1)
                 bound = 16 * k * eps * np.linalg.norm(a, 2) * norms2
                 assert np.all(np.abs(got - ref) <= bound)
+
+
+def test_gauge_scales_each_slice_exactly():
+    # Each column of a stack, or the whole array, scaled by 2^e to
+    # largest entry (by |Re| or |Im|) in [1, 2), undone bit for bit by
+    # 2^-e; zero and non-finite columns keep e = 0 and their entries.
+    rng = np.random.default_rng(53)
+    b = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+    b *= 10.0 ** rng.uniform(-300.0, 300.0, (3, 1, 2))
+    b[1, :, 0] = 0.0
+    b[2, 1, 1] = np.nan
+    b[0, :, 1] = [1e308 + 1e308j, 0.5, 0.0, -1e308]
+    got, e = _gauge(b, axis=1)
+    assert e.shape == (3, 1, 2) and e.dtype.kind == "i"
+    assert e[1, 0, 0] == 0 and e[2, 0, 1] == 0
+    big = np.maximum(np.abs(got.real), np.abs(got.imag)).max(axis=1)
+    live = np.isfinite(big) & (big > 0.0)
+    assert np.all((big[live] >= 1.0) & (big[live] < 2.0))
+    undone = np.ldexp(got.real, -e) + 1j * np.ldexp(got.imag, -e)
+    assert np.array_equal(undone, b, equal_nan=True)
+    x, ex = _gauge(np.array([0.0, -3e-200, 1e-201]))
+    assert ex.shape == (1,) and x[1] == np.ldexp(-3e-200, int(ex[0]))
+    assert x.dtype == complex and -2.0 < x[1].real <= -1.0
+    assert _gauge(np.zeros(3))[1].tolist() == [0]
+

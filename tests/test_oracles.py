@@ -10,14 +10,15 @@ import tracemalloc
 import warnings
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
 import bombon
-from bombon import convexity, oracles
+from bombon import convexity, linalg, oracles
 from bombon.errors import PreconditionError, ZeroVector
 from bombon.jsonio import canonical_dumps
-from bombon.linalg import form_values, zero_tol
+from bombon.linalg import _gauge, form_values, zero_tol
 from bombon.oracles import (OracleSet, RunConfig, bidisk_oracle, cp1_grid,
                             fib_angles, grid_line_tag, oracle_from_quadric,
                             oracle_line_tag, oracle_line_tags, spinor,
@@ -391,26 +392,27 @@ def test_grid_line_tags_pinned():
 
 
 def test_grid_line_tags_batch_matches_per_line(monkeypatch):
-    # One lockstep call over the pinned corpus gives the pinned tags, and
-    # each line the tag of its own call, whatever lines share the batch.
-    # Its 362 searched lines take 16158 steps in all, as many as the
-    # scalar judge took one line at a time.
+    # One call over the pinned corpus gives the pinned tags, with one
+    # line form per shape of form and basis, and each line the tag of its
+    # own call, whatever lines share the batch.
     corpus = _judge_corpus(np.random.default_rng(103), 1000)
-    line_steps = []
-    stencil = oracles._stencil_rows
+    calls = []
+    line_form = oracles._line_form
 
-    def counted(th, *args):
-        line_steps.append(th.size // 4)
-        return stencil(th, *args)
+    def counted(a, b):
+        calls.append(a.shape[1:] + b.shape)
+        return line_form(a, b)
 
-    monkeypatch.setattr(oracles, "_stencil_rows", counted)
+    monkeypatch.setattr(oracles, "_line_form", counted)
     tags = oracles.grid_line_tags([a for a, _ in corpus],
                                   [b for _, b in corpus])
-    assert (line_steps[0], sum(line_steps), len(line_steps)) == (362, 16158,
-                                                                 52)
+    shapes = Counter((a.shape, np.shape(b)) for a, b in corpus)
+    assert sorted(calls) == sorted(a + (k,) + b for (a, b), k in
+                                   shapes.items())
     assert hashlib.sha256(" ".join(t.value for t in tags).encode()) \
         .hexdigest() == ("45388cf364cd21852f2a5135e48dac8ae80936ec6dd5570452f"
                          "3288994d3a3da")
+    monkeypatch.setattr(oracles, "_line_form", line_form)
     assert [grid_line_tag(a, b) for a, b in corpus[::7]] == tags[::7]
     back = oracles.grid_line_tags([a for a, _ in corpus[::-3]],
                                   [b for _, b in corpus[::-3]])
@@ -437,38 +439,89 @@ def test_grid_line_tags_reports_first_bad_line():
         oracles.grid_line_tags([ELLIPTIC.a], [good, good])
 
 
-def test_stencil_rows_match_spinor_bit_for_bit():
-    # A search step writes the rows spinor(tt, pp) of its 5 x 5 stencil,
-    # and the judge's stacked product reads from them the values that
-    # form_values gives one line at a time.
-    rng = np.random.default_rng(131)
-    corpus = _judge_corpus(rng, 16)
-    g = np.empty((16, 4, 4))
-    w = np.empty((16, 4, 2))
-    for k, (a, b) in enumerate(corpus):
-        (g[k:k + 1], w[k:k + 1]), ok = oracles._line_form(a[None], b[None])
-        assert ok[0]
-    th = rng.uniform(-1.0, 4.0, 64)
-    ph = rng.uniform(-20.0, 20.0, 64)
-    step = 0.35 * 2.0 ** -rng.integers(0, 40, 64).astype(float)
-    buf = np.zeros((64, 5, 5, 2), dtype=complex)
-    arg = np.zeros((64, 5), dtype=complex)
-    tt, pp = oracles._stencil_rows(th, ph, step, arg, buf[..., 0].real,
-                                   buf[..., 1])
-    assert tt.tobytes() == (th[:, None] + step[:, None] * oracles._OFF) \
-        .tobytes()
-    assert pp.tobytes() == (ph[:, None] + step[:, None] * oracles._OFF) \
-        .tobytes()
-    ref = spinor(tt[:, :, None], pp[:, None, :])
-    assert buf.tobytes() == ref.tobytes()
-    y = buf.view(np.float64).reshape(16, 100, 4) @ g
-    y *= y
-    vn = (y @ w).reshape(16, 4, 5, 5, 2)
-    for k in range(16):
-        want = form_values(spinor(tt[4 * k:4 * k + 4, :, None],
-                                  pp[4 * k:4 * k + 4, None, :]),
-                           (g[k], w[k]))
-        assert vn[k].tobytes() == want.tobytes()
+def _mp_line_range(a, b):
+    # (min, max) eigenvalue, as floats, of the 2x2 form of ``a`` in a
+    # Gram-Schmidt frame of the columns of ``b``, in 50-digit arithmetic
+    with mpmath.workdps(50):
+        am = mpmath.matrix(a.tolist())
+        c0, c1 = (mpmath.matrix(b[:, j].tolist()) for j in range(2))
+        q0 = c0 / mpmath.norm(c0)
+        u = c1 - q0 * (q0.H * c1)[0]
+        q1 = u / mpmath.norm(u)
+        a00 = mpmath.re((q0.H * am * q0)[0])
+        a11 = mpmath.re((q1.H * am * q1)[0])
+        r = mpmath.sqrt(((a00 - a11) / 2) ** 2
+                        + abs((q0.H * am * q1)[0]) ** 2)
+        return float((a00 + a11) / 2 - r), float((a00 + a11) / 2 + r)
+
+
+def test_judge_range_matches_mpmath_eigenvalues():
+    # The judge tags an open line by the eigenvalues lam of its line
+    # form, the ends of its value range.  On sampled lines of CP^1-CP^5,
+    # with A scaled by 1e-3..1e3, both lie within 16 eps max|lam| of the
+    # 50-digit eigenvalues of the line's orthonormalized 2x2 form (at
+    # most 4.7 eps max|lam| over 2300 such lines).
+    rng = np.random.default_rng(149)
+    eps = np.finfo(float).eps
+    for n in range(1, 6):
+        for _ in range(24):
+            x = random_bombon(rng, n, n_zero=int(rng.integers(0, n)))
+            a = x.a * 10.0 ** rng.uniform(-3.0, 3.0)
+            b = sample_line(rng, n).basis()
+            (_, w), ok = oracles._line_form(a[None],
+                                            _gauge(b[None], axis=1)[0])
+            lam = w[0, ::2, 0]
+            lo, hi = _mp_line_range(a, b)
+            bound = 16.0 * eps * max(abs(lo), abs(hi))
+            assert ok[0]
+            assert abs(lam.min() - lo) <= bound
+            assert abs(lam.max() - hi) <= bound
+
+
+def test_judge_tags_at_the_cut():
+    # Lines whose restricted form has eigenvalues mu and t * cut, for the
+    # cut 1e-10 * max(1, max|A|) and t = +-0.5 and +-2, in a skewed basis
+    # of the line, with mu = -+1 or t * cut / 4: the raw grid decides
+    # none of them, and each gets the tag of its exact range.  Setting
+    # the two eigenvalues moves max|A|, and with it the cut, by at most
+    # 2e-10 relative, far inside the factor 2 margins.
+    rng = np.random.default_rng(151)
+    skew = np.array([[1.0, 0.3 - 0.2j], [0.1j, 0.7]])
+    forms, bases, want = [], [], []
+    for n in range(1, 6):
+        for t in (-2.0, -0.5, 0.5, 2.0):
+            for mu in (-1.0, 1.0, None):
+                u = linalg.random_unitary(rng, n + 1)
+                s = 10.0 ** rng.uniform(-3.0, 3.0)
+                d = np.concatenate([[mu or 0.0, 0.0],
+                                    rng.uniform(-3.0, 3.0, n - 1)])
+                cut = 1e-10 * max(1.0, np.abs((u * (s * d)) @ u.conj().T)
+                                  .max())
+                d[1] = t * cut / s
+                if mu is None:
+                    d[0] = 0.25 * d[1]
+                a = (u * (s * d)) @ u.conj().T
+                forms.append(a)
+                bases.append(u[:, :2] @ skew)
+                want.append(oracles._range_tag(
+                    s * d[:2].max(), s * d[:2].min(),
+                    1e-10 * max(1.0, np.abs(a).max())))
+    assert oracles.grid_line_tags(forms, bases) == want
+    assert set(want) == set(SectionTag)
+
+
+def test_judge_lopsided_bases_read_empty():
+    # Each judge basis column is scaled by a power of two, so a line
+    # spanned by a tiny or huge column and a unit one keeps rank two and
+    # reads empty on diag(1, 1, -1), as the quadric oracle reads it.
+    a = np.diag([1.0, 1.0, -1.0])
+    oracle = oracle_from_quadric(QuadricBombon(a))
+    e0, e1 = np.eye(3)[:, 0], np.eye(3)[:, 1]
+    for s in (1e-300, 1e-170, 1e-150, 1e150, 1e300):
+        for basis in (np.column_stack([s * e0, e1]),
+                      np.column_stack([e0, s * e1])):
+            assert grid_line_tag(a, basis) is SectionTag.EMPTY
+            assert oracle_line_tag(oracle, basis)[0] == "empty"
 
 
 def test_cp1_grid_cached_read_only():
