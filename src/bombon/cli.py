@@ -19,7 +19,7 @@ from .actions import CoreSplit, bundle_projection, homogeneity_transport, \
 from .convexity import disk_section_test, mvee_complex
 from .errors import (BombonError, ExpectationViolated, NoConvergence,
                      OracleInconsistent, TypeMismatch)
-from .linalg import DEFAULT_TOL, finite_nonnegative
+from .linalg import DEFAULT_TOL
 from .moebius import GenCircle, rotation
 from .oracles import (RunConfig, bidisk_oracle, oracle_from_quadric,
                       verify_axioms, verify_point_star)
@@ -255,11 +255,7 @@ def _oracle_from_spec(obj, tol):
         return oracle_from_quadric(jsonio.decode_quadric(spec["quadric"],
                                                          tol=tol))
     if kind == "bidisk":
-        radii = spec.get("radii", [1.0, 1.0])
-        if not isinstance(radii, list) or len(radii) != 2:
-            raise ValueError("bidisk oracle needs two radii")
-        return bidisk_oracle(tuple(finite_nonnegative(r, "bidisk radius")
-                                   for r in radii))
+        return bidisk_oracle(spec.get("radii", [1.0, 1.0]))
     raise ValueError(f"unknown oracle type: {kind!r}")
 
 

@@ -311,11 +311,7 @@ def decode_body(obj):
                   if "center" in obj else np.zeros(h.shape[0], dtype=complex))
         return ellipsoid_body(center, h)
     if kind == "bidisk":
-        radii = obj.get("radii", [1.0, 1.0])
-        if not isinstance(radii, list) or not radii:
-            raise ValueError("bidisk radii must be a nonempty array")
-        return polydisk_body([finite_nonnegative(r, "bidisk radius")
-                              for r in radii])
+        return polydisk_body(obj.get("radii", [1.0, 1.0]))
     raise ValueError(f"unknown body type: {kind!r}")
 
 

@@ -21,10 +21,13 @@ grow with its number of lines:
   rounding, on that side from the form's eigenvalues (``_line_label``):
   every grid row would get that label, so the grid is not labelled;
 - the chunk's two-sided lines have their zero sets traced along 64
-  rays per line.  An oracle built from a form places each ray's zero in
-  closed form from the line form and keeps it where labels certify it
-  (``_trace_zeros``); the other rays, and every ray of other oracles,
-  are bisected, in one labelling call per step;
+  rays per line.  An oracle built from a form, and one whose boundary
+  lies on Hermitian pieces (the bidisk, a polydisk chart), proposes
+  each ray's zero in closed form from the roots of those forms on the
+  ray and keeps it where it is the ray's one crossing and labels
+  certify it (``_trace_zeros``); the other rays, and every ray of other
+  oracles, are bisected on the lines that have them, in one labelling
+  call per step;
 - each zero set gets its own circle fit, and the side rings of the
   chunk's fitted lines are labelled in one call.
 Every line point is labelled through ``OracleSet.on_lines``, which
@@ -52,7 +55,8 @@ import numpy as np
 
 from .errors import PreconditionError, ZeroVector
 from .linalg import (DEFAULT_TOL, _gauge, _hermitian_eig, circle_frame,
-                     form_values, real_form, real_map, zero_tol)
+                     finite_nonnegative, form_values, real_form, real_map,
+                     zero_tol)
 from .moebius import _fit_hermitian_through
 from .projective import ProjPoint, line_through, sample_line, sample_point
 from .sections import SectionTag, classify_line_section, side_rings
@@ -291,6 +295,12 @@ class OracleSet:
     # points
     _form: tuple = field(default=None, init=False, repr=False,
                          compare=False)
+    # (k, dim+1, dim+1) stack of Hermitian forms F_i of an oracle whose
+    # side flips only where some p* F_i p is 0, set by its builder, so
+    # that ``_trace_zeros`` proposes zeros from their roots; dropped by
+    # ``dataclasses.replace`` like ``_form``
+    _pieces: np.ndarray = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def labels(self, pts):
         arr = np.asarray(pts, dtype=complex)
@@ -339,10 +349,11 @@ class _LineLabeller:
         self.oracle, self.to_pts = oracle, to_pts
         self.g, self.w, self.ok = g, w, ok
 
-    def line(self, i):
-        # line i's labeller, on slices of these arrays
+    def lines(self, idx):
+        # the labeller of the lines ``idx``, a slice or an index array, on
+        # those lines' rows of these arrays
         return _LineLabeller(self.oracle, *(
-            None if a is None else a[i:i + 1]
+            None if a is None else a[idx]
             for a in (self.to_pts, self.g, self.w, self.ok)))
 
     def _points(self, rows):
@@ -403,6 +414,26 @@ def oracle_from_quadric(x):
     return oracle
 
 
+def _radii(radii, pair=False):
+    # ``radii`` as a float array, and the forms diag(-r_i^2, e_i) of the
+    # Hermitian quadrics |z_i|^2 = r_i^2 |z_0|^2, one per radius.  Raises
+    # ValueError unless radii is a nonempty 1-D list of finite radii >= 0,
+    # of two entries for a ``pair``.
+    try:
+        r = np.asarray(radii, dtype=float)
+    except (TypeError, ValueError):
+        r = np.empty((0, 0))
+    if r.ndim != 1 or r.size == 0 or pair and r.size != 2:
+        raise ValueError("bidisk oracle needs two radii" if pair else
+                         "bidisk radii must be a nonempty 1-D list")
+    r = np.array([finite_nonnegative(v, "bidisk radius") for v in r.tolist()])
+    pieces = np.zeros((r.size, r.size + 1, r.size + 1))
+    pieces[:, 0, 0] = -np.square(r)
+    idx = np.arange(1, r.size + 1)
+    pieces[idx - 1, idx, idx] = 1.0
+    return r, pieces
+
+
 def bidisk_oracle(radii=(1.0, 1.0)):
     """Boundary of the closed bidisk in the affine chart z0 = 1 of CP^2.
 
@@ -412,9 +443,11 @@ def bidisk_oracle(radii=(1.0, 1.0)):
     gauge g = max(|z1| / r1, |z2| / r2) / |z0|: 0 within _BIDISK_BAND of
     1, else +1 below 1 and -1 above; a row at z0 = 0, or whose
     quotients overflow, has g = inf, or NaN for a zero row, and so the
-    label -1.
+    label -1.  Its boundary lies on the quadrics |z_i| = r_i |z0|, the
+    oracle's ``_pieces``.  Raises ValueError unless ``radii`` is a list
+    of two finite radii >= 0.
     """
-    r1, r2 = float(radii[0]), float(radii[1])
+    (r1, r2), pieces = _radii(radii, pair=True)
 
     def side(pts):
         mag = np.abs(np.asarray(pts, dtype=complex))
@@ -427,7 +460,10 @@ def bidisk_oracle(radii=(1.0, 1.0)):
         out[np.abs(g - 1.0) <= _BIDISK_BAND] = 0
         return out
 
-    return OracleSet(side=side, description=f"bidisk(r=({r1}, {r2}))", dim=2)
+    oracle = OracleSet(side=side, description=f"bidisk(r=({r1}, {r2}))",
+                       dim=2)
+    oracle._pieces = pieces
+    return oracle
 
 
 @dataclass
@@ -488,24 +524,85 @@ def _fs_diameter(pts):
     return float(np.arccos(np.clip(g, 0.0, 1.0)))
 
 
-def _ray_zeros(g, w, ang):
-    # Proposed log10 |w| of the zero along each ray w = r ang_j of each
-    # trace basis (p_u, p_v) from its ``_line_form`` (g, w): the even rows
-    # of g = real_map(C^T) hold Re and Im of C^T, and the basis's 2x2
-    # form M = C* diag(lam) C is scaled to largest entry 1.  At the row
-    # (w, 1) the value is a r^2 + 2 beta r + c, with a = M_00, c = M_11
-    # and beta = Re(conj(ang_j) M_01); a ray whose end labels differ has
-    # ac < 0 and one positive root, taken without cancellation as q / a
-    # or c / q for q = -(beta + sign(beta) sqrt(beta^2 - ac)).  (m, _RAYS)
-    # floats, not finite or not positive roots where the form gives none.
-    ct = g[:, ::2, ::2] + 1j * g[:, ::2, 1::2]
+def _ray_forms(label, traces):
+    # (m, k, 2, 2) Hermitian 2x2 forms, on each trace basis (p_u, p_v) of
+    # the labeller ``label``, of the k forms whose zero sets hold every
+    # boundary crossing of its oracle, or None for an oracle without any.
+    # An oracle with a ``_form`` reads its one form from the labeller's
+    # line forms (g, w): the even rows of g = real_map(C^T) hold Re and Im
+    # of C^T, and the form is C* diag(lam) C.  An oracle with ``_pieces``
+    # restricts each piece to the trace bases, scaled by powers of two.
     with np.errstate(all="ignore"):
-        m = (ct.conj() * w[:, None, ::2, 0]) @ ct.transpose(0, 2, 1)
-        m = m / np.abs(m).max(axis=(1, 2), keepdims=True)
-        a, c = m[:, 0, 0].real[:, None], m[:, 1, 1].real[:, None]
-        beta = (ang.conj() * m[:, 0, 1][:, None]).real
+        if label.g is not None:
+            ct = label.g[:, ::2, ::2] + 1j * label.g[:, ::2, 1::2]
+            m = (ct.conj() * label.w[:, None, ::2, 0]) @ ct.transpose(0, 2, 1)
+            return m[:, None]
+        if label.oracle._pieces is None:
+            return None
+        p = _gauge(traces, axis=(1, 2))[0][:, None]
+        return p.conj().transpose(0, 1, 3, 2) @ label.oracle._pieces @ p
+
+
+def _ray_zeros(m, ang):
+    # log10 |w| of the zeros along each ray w = r ang_j of the 2x2 forms
+    # m (..., 2, 2), each scaled to largest entry 1.  At the row (w, 1) a
+    # form's value is a r^2 + 2 beta r + c, with a = M_00, c = M_11 and
+    # beta = Re(conj(ang_j) M_01), whose roots are taken without
+    # cancellation as q / a and c / q for q = -(beta + sign(beta)
+    # sqrt(beta^2 - ac)).  (..., 2, _RAYS) floats, those two roots per
+    # ray, not finite where a root is not real and positive.
+    with np.errstate(all="ignore"):
+        m = m / np.abs(m).max(axis=(-2, -1), keepdims=True)
+        a, c = m[..., 0, 0].real[..., None], m[..., 1, 1].real[..., None]
+        beta = (ang.conj() * m[..., 0, 1][..., None]).real
         q = -(beta + np.copysign(np.sqrt(beta * beta - a * c), beta))
-        return np.log10(np.fmax(q / a, c / q))
+        return np.log10(np.stack([q / a, c / q], axis=-2))
+
+
+def _ray_labels(label, logr, ang):
+    # labels of the chart rows (w, 1), w = 10^logr ang_j, of the rays of
+    # the labeller's l lines, for logr (l, u, _RAYS): u rows per ray, in
+    # calls of at most _BLOCK rows
+    out = np.empty(logr.shape, dtype=np.int8)
+    per = _TRACE_LINES // logr.shape[0]
+    for s in range(0, logr.shape[1], per):
+        part = logr[:, s:s + per]
+        rows = np.ones(part.shape + (2,), dtype=complex)
+        rows[..., 0] = np.power(10.0, part) * ang
+        out[:, s:s + per] = label(rows.reshape(part.shape[0], -1, 2)).reshape(
+            part.shape)
+    return out
+
+
+def _certified_zeros(label, x, ang, valid, lab_lo, lab_hi):
+    # (kept, zero) per ray, for the rays ``valid`` that bracket a zero,
+    # from the roots x (m, k, _RAYS) in log10 |w|; the candidates are the
+    # roots in (-8, 8), gathered into each ray's first slots, and slots
+    # that no ray fills are not labelled.  A candidate is a crossing when
+    # its label is 0 or its labels at x -+ _FLANK differ, and it is
+    # certified when its label is 0 or those labels are lab_lo and lab_hi.
+    # A ray is kept when exactly one of its candidates is a crossing and
+    # that one is certified; flanks are labelled only when some candidate
+    # has a side label.
+    x = np.where(valid[:, None] & (np.abs(x) < 8.0), x, np.nan)
+    k = int(np.isfinite(x).sum(axis=1).max())
+    x = (np.fmax.reduce(x, axis=1, keepdims=True) if k <= 1 else
+         np.sort(x, axis=1)[:, :k])
+    cand = np.isfinite(x)
+    x = np.where(cand, x, 0.0)
+    on = _ray_labels(label, x, ang)
+    cross = cert = cand & (on == 0)
+    side = cand & (on != 0)
+    if np.any(side):
+        flank = _ray_labels(label, np.concatenate(
+            [x - _FLANK, x + _FLANK], axis=1), ang)
+        below, above = np.split(flank, 2, axis=1)
+        cert = cross | side & (below == lab_lo[:, None]) & (
+            above == lab_hi[:, None])
+        cross = cross | side & (below != above)
+    kept = (cross.sum(axis=1) == 1) & (cross & cert).any(axis=1)
+    # x of the one crossing of a kept ray, the others' zeros added exactly
+    return kept, np.where(cross, x, 0.0).sum(axis=1)
 
 
 def _trace_zeros(oracle, bases, ends):
@@ -515,54 +612,51 @@ def _trace_zeros(oracle, bases, ends):
     Line i is charted by the columns (p_u, p_v) of ends[i]: p_v sits at
     0 and p_u at infinity.  A ray brackets a zero when its labels at
     log10 |z| = -8 and 8 are nonzero and differ.  An oracle with a
-    ``_form`` proposes each bracketed ray's zero x from its labeller's
-    line forms (``_ray_zeros``), and its labels decide: x is kept when
-    it lies in (-8, 8) and its label is 0, or its labels at x -+ _FLANK
-    are those at -8 and 8.  The other bracketed rays, and every ray of an oracle
-    without a form, bisect the side flip in log10 |z| from [-8, 8], all
-    lines in one labelling call per step.  Returns per line the (k, 2)
-    CP^1 coordinates of its k bracketed zeros, or None when no ray
-    brackets a flip.
+    ``_form`` or ``_pieces`` proposes a bracketed ray's zero from every
+    positive root in (-8, 8) of its forms' 2x2 restrictions to the ray
+    (``_ray_forms`` and ``_ray_zeros``), and its labels at each candidate
+    x and at x -+ _FLANK decide (``_certified_zeros``): a ray keeps its
+    one candidate that is a crossing, when it has exactly one and that
+    one's label is 0, or its flank labels are those at -8 and 8.  The
+    other bracketed rays, and every ray of an oracle without forms,
+    bisect the side flip in log10 |z| from [-8, 8], on the lines that
+    have such rays, in one labelling call per step.  No labelling call
+    exceeds _BLOCK rows.  Returns per line the (k, 2) CP^1 coordinates
+    of its k bracketed zeros, or None when no ray brackets a flip.
     """
+    m = bases.shape[0]
     ang = np.exp(2j * np.pi * np.arange(_RAYS) / _RAYS)
-    # chart coordinates (w, 1) of the ray points, w rewritten per call,
-    # on each line's basis (p_u, p_v), the transpose of ends_t @ basis_t
-    chart = np.ones((bases.shape[0], _RAYS, 2), dtype=complex)
+    # each line's trace basis (p_u, p_v), the transpose of ends_t @ basis_t
     traces = np.swapaxes(
         ends.transpose(0, 2, 1) @ bases.transpose(0, 2, 1), 1, 2)
     label = oracle.on_lines(traces)
-
-    def lab(logr):
-        chart[..., 0] = np.power(10.0, logr) * ang
-        return label(chart)
-
-    lo = np.full(chart.shape[:2], -8.0)
-    hi = np.full(chart.shape[:2], 8.0)
-    lab_lo = lab(lo)
-    lab_hi = lab(hi)
+    lo = np.full((m, _RAYS), -8.0)
+    hi = np.full((m, _RAYS), 8.0)
+    lab_lo, lab_hi = _ray_labels(label, np.stack([lo, hi], axis=1),
+                                 ang).transpose(1, 0, 2)
     valid = (lab_lo != 0) & (lab_hi != 0) & (lab_lo != lab_hi)
     todo = valid
-    if label.g is not None and np.any(valid):
-        x = _ray_zeros(label.g, label.w, ang)
-        near = valid & (np.abs(x) < 8.0)
-        x = np.where(near, x, 0.0)
-        kept = near & (lab(x) == 0)
-        flank = near & ~kept
-        if np.any(flank):
-            kept |= flank & (lab(x - _FLANK) == lab_lo) & (
-                lab(x + _FLANK) == lab_hi)
-        lo[kept] = hi[kept] = x[kept]
+    forms = _ray_forms(label, traces) if np.any(valid) else None
+    if forms is not None:
+        kept, zero = _certified_zeros(
+            label, _ray_zeros(forms, ang).reshape(m, -1, _RAYS), ang, valid,
+            lab_lo, lab_hi)
+        lo[kept] = hi[kept] = zero[kept]
         todo = valid & ~kept
     if np.any(todo):
         # a midpoint's label times lab_lo is > 0 on lo's side, < 0 on
         # hi's side and 0 on the set, where both ends move; NaN keeps the
         # ends of the rays not bisected
-        ref = np.where(todo, lab_lo, np.nan)
+        rows = np.flatnonzero(todo.any(axis=1))
+        sub = label.lines(rows)
+        ref = np.where(todo[rows], lab_lo[rows], np.nan)
+        a, b = lo[rows], hi[rows]
         for _ in range(_BISECT_ITERS):
-            mid = (lo + hi) / 2.0
-            t = lab(mid) * ref
-            lo = np.where(t >= 0, mid, lo)
-            hi = np.where(t <= 0, mid, hi)
+            mid = (a + b) / 2.0
+            t = _ray_labels(sub, mid[:, None], ang)[:, 0] * ref
+            a = np.where(t >= 0, mid, a)
+            b = np.where(t <= 0, mid, b)
+        lo[rows], hi[rows] = a, b
     w = np.power(10.0, (lo + hi) / 2.0) * ang
     return [np.column_stack([wi[vi], np.ones(int(vi.sum()))]) @ pi.T
             if np.any(vi) else None for wi, vi, pi in zip(w, valid, ends)]
@@ -704,7 +798,7 @@ def _tag_stream(oracle, lines):
         label = oracle.on_lines(bases)
         tags, two, ends = [], [], []
         for i, labels in enumerate(_grid_labels(label, cp1_grid(_GRID))):
-            tag, grid, labels = _grid_tag(label.line(i), labels)
+            tag, grid, labels = _grid_tag(label.lines(slice(i, i + 1)), labels)
             tags.append(tag)
             if tag is None:
                 # the columns (p_u, p_v) of a U and a V grid point

@@ -19,7 +19,7 @@ import pytest
 from bombon import jsonio, linalg, oracles
 from bombon.cli import main
 from bombon.convexity import (AffineComplexLine, ball_body, disk_section_test,
-                              ellipsoid_body)
+                              ellipsoid_body, polydisk_body)
 from bombon.errors import CoincidentPoints, NotABombon, ZeroVector
 from bombon.linalg import (_hermitian_eig, circle_frame, hermitian_eig,
                            hermitize, random_unitary, sym, zero_tol)
@@ -427,6 +427,32 @@ def test_ball_center_has_n_entries():
                            f"entries, got {len(center)}$"):
             ball_body(n, center=center)
     assert ball_body(2, center=[0.5, 0.25j]).inside([0.5, 0.0])
+
+
+@pytest.mark.parametrize("make, pair", [
+    (polydisk_body, False), (bidisk_oracle, True)],
+    ids=["polydisk_body", "bidisk_oracle"])
+def test_disk_radii_are_checked_at_construction(make, pair):
+    # Radii are a nonempty 1-D list of finite radii >= 0, two of them for
+    # the bidisk oracle.  Before this check a negative radius read every
+    # line empty (polydisk) or verified with circles (bidisk), NaN failed
+    # later on finiteness, an empty list made a 0-dimensional body, and a
+    # nested list or a single bidisk radius raised a numpy error.
+    for bad, value in (([-1, 1], "-1.0"), ([NAN, 1], "nan"),
+                       ([1, INF], "inf")):
+        with pytest.raises(ValueError, match="^bidisk radius must be finite "
+                           f"and >= 0, got {value}$"):
+            make(bad)
+    shape = ("^bidisk oracle needs two radii$" if pair else
+             "^bidisk radii must be a nonempty 1-D list$")
+    for bad in ([], [[1, 1]], "radii", {"r": 1}, [1j, 1]) + (
+            ((1.0,), (1.0, 1.0, 1.0)) if pair else ()):
+        with pytest.raises(ValueError, match=shape):
+            make(bad)
+    made = make([1, 0.5])
+    assert made.dim == 2
+    if not pair:
+        assert make([0.5]).dim == 1 and make((1.0, 1.0, 0.5)).dim == 3
 
 
 def test_affine_line_direction_at_any_scale():

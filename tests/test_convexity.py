@@ -163,6 +163,62 @@ def test_bidisk_sections_match_their_shape():
     assert {tag for _, tag in corpus} == set(DiskTag) - {DiskTag.POINT}
 
 
+def _lens_corpus(rng, count):
+    # (line, p, (c1, r1, c2, r2)) of unit-bidisk lines, drawn as in
+    # _bidisk_corpus, whose section is a lens: the smaller disk (c1, r1)
+    # of the t-plane pokes out of the larger (c2, r2) by
+    # dist + r1 - r2 = p r1 with 0 < p < 3%
+    out = []
+    while len(out) < count:
+        base, d = 0.5 * _cgauss(rng, 4096, 2), _cgauss(rng, 4096, 2)
+        c, r = -base / d, 1.0 / np.abs(d)
+        order = np.argsort(r, axis=1)
+        (c1, c2), (r1, r2) = (np.take_along_axis(c, order, 1).T,
+                              np.take_along_axis(r, order, 1).T)
+        p = (np.abs(c1 - c2) + r1 - r2) / r1
+        out += [(AffineComplexLine(base[k], d[k]), p[k],
+                 (c1[k], r1[k], c2[k], r2[k]))
+                for k in np.flatnonzero((p > 0.0) & (p < 0.03))]
+    return out[:count]
+
+
+def _lens_deviation(c1, r1, c2, r2, k=4096):
+    # largest | |t - c| - R | / R over the lens boundary, k points of each
+    # circle kept where inside the other disk, for the least-squares
+    # circle (c, R) through them: a bound on how far the lens is from
+    # being a disk
+    t = np.exp(2j * np.pi * np.arange(k) / k)
+    a, b = c1 + r1 * t, c2 + r2 * t
+    pts = np.concatenate([a[np.abs(a - c2) <= r2], b[np.abs(b - c1) <= r1]])
+    m = np.column_stack([pts.real, pts.imag, np.ones(pts.size)])
+    u, v, w = np.linalg.lstsq(m, np.abs(pts) ** 2, rcond=None)[0]
+    center = complex(u, v) / 2.0
+    radius = np.sqrt(w + abs(center) ** 2)
+    return float(np.max(np.abs(np.abs(pts - center) - radius))) / radius
+
+
+def test_lens_protrusion_bound():
+    # The measured lens bound of disk_section_test at tol 1e-3 with 64
+    # rays: every lens whose small disk pokes out by p > 2 tol of its
+    # radius reads not_a_disk.  The worst lens of this corpus read as a
+    # disk pokes out 1.5e-3.  A lens of two nearly equal disks lies
+    # within about p / pi of a circle, so it may read disk at a larger
+    # p, and rightly: it is excepted only when its exact boundary is
+    # within tol of a circle.
+    tol = 1e-3
+    corpus = _lens_corpus(np.random.default_rng(239), 1000)
+    got = disk_sections(polydisk_body((1.0, 1.0)),
+                        [line for line, _, _ in corpus], tol=tol)
+    wide = [(v.tag, disks) for v, (_, p, disks) in zip(got, corpus)
+            if p > 2.0 * tol]
+    assert len(wide) >= 500
+    for tag, disks in wide:
+        assert tag is DiskTag.NOT_A_DISK or _lens_deviation(*disks) <= tol
+    # lenses within tol of their small disk read disk
+    assert all(v.tag is DiskTag.DISK
+               for v, (_, p, _) in zip(got, corpus) if p <= tol)
+
+
 def test_disk_sections_equal_single_lines():
     # lines of one body share labels calls; each verdict is the one its
     # line gets alone, bit for bit

@@ -1146,64 +1146,131 @@ def _band_width(form, trace, w, thr):
     return 2.0 * (thr / scale) * d / (np.abs(slope) * r * np.log(10.0))
 
 
-def test_trace_zeros_are_certified_by_labels(monkeypatch):
-    # A form oracle keeps a ray's proposed zero only where its labels
-    # certify it: its own label is 0, or the labels at -+ _FLANK are the
-    # ray's end labels.  Every other bracketed ray is bisected as before,
-    # bit for bit.  A kept zero lies within the ON band's width, or within
-    # 2 _FLANK, of the bisected zero, in log10 |w|.
-    rng = np.random.default_rng(241)
+def _piece_traces(monkeypatch, rng):
+    # trace calls of oracles whose ``_pieces`` propose the zeros: the
+    # two-sided lines of bidisks with radii (1, 1) and (1, 0.6), and the
+    # disk sections of polydisks in C^2 and C^3
+    out = []
+    for radii in ((1.0, 1.0), (1.0, 0.6)):
+        for _ in range(3):
+            out.append(_two_sided_traces(bidisk_oracle(radii), np.array(
+                [sample_line(rng, 2).basis() for _ in range(60)])))
+    for radii in ((1.0, 1.0), (1.0, 0.3), (0.7, 0.7, 0.5)):
+        n = len(radii)
+        lines = [convexity.AffineComplexLine(0.5 * _cgauss(rng, n),
+                                             _cgauss(rng, n))
+                 for _ in range(40)]
+        out += _record_traces(monkeypatch, [
+            lambda: convexity.disk_sections(convexity.polydisk_body(radii),
+                                            lines)])
+    return [call for call in out if len(call[1])]
+
+
+def _check_trace(oracle, bases, ends):
+    # Checks one zero trace against its candidates and the bisection, and
+    # returns per line (kept log10 |w|, bisected ones there, those rays'
+    # directions, kept by label 0, kept by flanks, bisected rays, rays
+    # with several crossing candidates).  Every zero is bisection's bit
+    # for bit, or one of its ray's candidates: the ray's only crossing,
+    # certified by its label 0 or by flank labels that are the ray's end
+    # labels.
     ang = _ray_angles()
     delta = oracles._FLANK
-    kept, on, flanked, bisected = Counter(), Counter(), Counter(), 0
-    for (oracle, bases, ends), thr in _form_traces(monkeypatch, rng):
-        kind = "chart" if thr == 0.0 else "quadric"
-        got = oracles._trace_zeros(oracle, bases, ends)
-        logr, valid, lab_lo, lab_hi, lab = _bisected(oracle, bases, ends)
-        traces = _traces_of(bases, ends)
-        label = oracle.on_lines(traces)
-        x = oracles._ray_zeros(label.g, label.w, ang)
-        for z, want, prop, xi, li, vi, lo, hi, trace in zip(
-                got, _zeros_at(logr, valid, ends), _zeros_at(x, valid, ends),
-                x, logr, valid, lab_lo, lab_hi, traces):
-            assert (z is None) == (want is None)
-            if z is None:
-                continue
-            same = np.all(z == prop, axis=1)
-            assert np.all(same | np.all(z == want, axis=1))
-            bisected += int((~same).sum())
-            xs, ls, a = xi[vi][same], li[vi][same], ang[vi][same]
-            lo, hi = lo[vi][same], hi[vi][same]
+    got = oracles._trace_zeros(oracle, bases, ends)
+    logr, valid, lab_lo, lab_hi, _ = _bisected(oracle, bases, ends)
+    traces = _traces_of(bases, ends)
+    label = oracle.on_lines(traces)
+    x = oracles._ray_zeros(oracles._ray_forms(label, traces), ang)
+    x = x.reshape(len(bases), -1, oracles._RAYS)
+    cand = np.isfinite(x) & (np.abs(x) < 8.0)
+    x = np.where(cand, x, 0.0)
+    props = [_zeros_at(x[:, s], valid, ends) for s in range(x.shape[1])]
+    out = []
+    for i, (z, want) in enumerate(zip(got, _zeros_at(logr, valid, ends))):
+        assert (z is None) == (want is None)
+        if z is None:
+            continue
+        vi = valid[i]
+        xs, cs, a = x[i][:, vi], cand[i][:, vi], ang[vi]
 
-            def label(logs):
-                rows = np.stack([np.power(10.0, logs) * a, np.ones(a.size)],
-                                axis=-1)
-                return oracle.on_lines(trace[None])(rows)[0]
+        def lab(logs):
+            rows = np.stack([np.power(10.0, logs) * a,
+                             np.ones(logs.shape)], axis=-1)
+            return oracle.on_lines(traces[i:i + 1])(
+                rows.reshape(1, -1, 2))[0].reshape(logs.shape)
 
-            zero = label(xs) == 0
-            flip = (label(xs - delta) == lo) & (label(xs + delta) == hi)
-            assert np.all(zero | flip)
-            assert np.all(np.abs(xs) < 8.0)
-            width = _band_width(oracle._form[0], trace,
-                                np.power(10.0, xs) * a, thr)
-            assert np.all(np.abs(xs - ls) <= np.maximum(1.01 * width,
-                                                        2.0 * delta))
-            kept[kind] += xs.size
-            on[kind] += int(zero.sum())
-            flanked[kind] += int((flip & ~zero).sum())
-    # nearly every ray keeps its proposal: quadric rays by their ON label,
-    # chart rays, whose oracle has no ON band, by their flanks
+        on, below, above = lab(xs), lab(xs - delta), lab(xs + delta)
+        cross = cs & ((on == 0) | (below != above))
+        cert = cs & ((on == 0) | (below == lab_lo[i][vi])
+                     & (above == lab_hi[i][vi]))
+        same = np.array([np.all(z == p[i], axis=1) for p in props]) & cs
+        bisected = np.all(z == want, axis=1)
+        one = cross.sum(axis=0) == 1
+        # a zero that is not bisection's is its ray's one crossing,
+        # certified; bisection can land on a candidate's bits exactly
+        assert np.all(bisected | same.any(axis=0))
+        assert np.all((one & (same & cross & cert).any(axis=0))[~bisected])
+        assert np.all(bisected[~one])
+        kept = one & same.any(axis=0)
+        pick = same.argmax(axis=0)
+        xk = np.take_along_axis(xs, pick[None], 0)[0][kept]
+        zero = (np.take_along_axis(on, pick[None], 0)[0] == 0)[kept]
+        out.append((xk, logr[i][vi][kept], a[kept], int(zero.sum()),
+                    int((~zero).sum()), int((~kept).sum()),
+                    int((cross.sum(axis=0) > 1).sum())))
+    return out
+
+
+def test_trace_zeros_are_certified_by_labels(monkeypatch):
+    # An oracle with a form or pieces keeps a ray's proposed zero only
+    # where it is the ray's one crossing candidate and labels certify it:
+    # its own label is 0, or the labels at -+ _FLANK are the ray's end
+    # labels.  Every other bracketed ray is bisected as before, bit for
+    # bit, among them the bidisk's rays that cross the set three times.
+    # A form's kept zero lies within the ON band's width, or within
+    # 2 _FLANK, of the bisected zero, in log10 |w|.
+    rng = np.random.default_rng(241)
+    kept, on, flanked, bisected, several = (Counter() for _ in range(5))
+    calls = [(call, "chart" if thr == 0.0 else "quadric", thr)
+             for call, thr in _form_traces(monkeypatch, rng)]
+    calls += [(call, "bidisk" if call[0].description.startswith("bidisk")
+               else "polydisk", None)
+              for call in _piece_traces(monkeypatch, rng)]
+    for (oracle, bases, ends), kind, thr in calls:
+        for trace, (xk, lk, a, n_on, n_flank, n_bis, n_several) in zip(
+                _traces_of(bases, ends), _check_trace(oracle, bases, ends)):
+            kept[kind] += xk.size
+            on[kind] += n_on
+            flanked[kind] += n_flank
+            bisected[kind] += n_bis
+            several[kind] += n_several
+            if thr is not None:
+                width = _band_width(oracle._form[0], trace,
+                                    np.power(10.0, xk) * a, thr)
+                assert np.all(np.abs(xk - lk) <= np.maximum(
+                    1.01 * width, 2.0 * oracles._FLANK))
+    # nearly every ray keeps its proposal: quadric and bidisk rays by
+    # their ON label, chart rays, whose oracles have no ON band, by their
+    # flanks
+    assert set(kept) == {"quadric", "chart", "bidisk", "polydisk"}
     assert on["quadric"] > 0 and flanked["chart"] == kept["chart"] > 0
-    assert bisected <= 1e-3 * (kept["quadric"] + kept["chart"])
+    assert on["bidisk"] > 0.99 * kept["bidisk"]
+    assert flanked["polydisk"] == kept["polydisk"] > 0
+    assert bisected["quadric"] + bisected["chart"] <= 1e-3 * (
+        kept["quadric"] + kept["chart"])
+    # every bidisk ray that is not kept crosses the set several times
+    assert 0 < bisected["bidisk"] == several["bidisk"] <= 1e-2 * kept[
+        "bidisk"]
 
 
 @pytest.mark.parametrize("shift", [-0.1, 0.1])
 def test_trace_zeros_fall_back_to_bisection(monkeypatch, shift):
     # Proposals a tenth of a decade off fail their certification, and
     # every ray falls back to the bisection, whose zeros are the old
-    # tracer's bit for bit; so are the traces of oracles without a form:
-    # the bidisk, an oracle made with ``dataclasses.replace`` and the
-    # polydisk chart.
+    # tracer's bit for bit: those of form oracles and of the pieces of
+    # the bidisk and the polydisk chart.  So are the traces of oracles
+    # without either: an oracle made with ``dataclasses.replace`` and a
+    # black-box shell.
     rng = np.random.default_rng(251)
     calls = [call for call, _ in _form_traces(monkeypatch, rng)]
     quad = oracle_from_quadric(QuadricBombon.from_epsilons([1, 1, -1, -1]))
@@ -1219,7 +1286,11 @@ def test_trace_zeros_fall_back_to_bisection(monkeypatch, shift):
             [sample_line(rng, 2).basis() for _ in range(30)])),
         lambda: convexity.disk_sections(convexity.polydisk_body((1.0, 1.0)),
                                         cd)])
-    assert {o._form is None for o, _, _ in calls} == {True, False}
+    proposes = [o._form is not None or o._pieces is not None
+                for o, _, _ in calls]
+    assert set(proposes) == {True, False}
+    assert {o.description.split("(")[0] for (o, _, _), p in zip(
+        calls, proposes) if p and o._form is None} == {"bidisk", "chart"}
     ray_zeros = oracles._ray_zeros
     proposed = []
 
@@ -1234,7 +1305,87 @@ def test_trace_zeros_fall_back_to_bisection(monkeypatch, shift):
         for z, want in zip(got, _zeros_at(logr, valid, ends)):
             assert (z is None) == (want is None)
             assert z is None or z.tobytes() == want.tobytes()
-    assert len(proposed) == sum(o._form is not None for o, _, _ in calls)
+    assert len(proposed) == sum(proposes)
+
+
+def test_certified_zeros_keep_one_certified_crossing():
+    # The rule of _certified_zeros on rays whose labels step from -1 to 0
+    # at log10 |w| = 0.5 and to +1 at 0.6, and on ray 6 from -1 to +1 at
+    # 0.6: a ray keeps its one candidate that is a crossing when that
+    # candidate's label is 0 (rays 0 and 2) or its flanks read -1 and +1
+    # (ray 6); a crossing whose flanks read -1 and 0 (ray 1), two
+    # crossings (ray 3), no crossing (ray 4) and a ray that brackets no
+    # zero (ray 5) keep nothing.
+    delta = oracles._FLANK
+
+    def label(rows):
+        x = np.log10(np.abs(rows[..., 0]))
+        ray = np.rint(np.angle(rows[..., 0]) * oracles._RAYS / (2 * np.pi))
+        step = np.where(ray == 6, 0.6, 0.5)
+        return ((x >= step).astype(np.int8) + (x >= 0.6) - 1).astype(np.int8)
+
+    cands = [[0.55], [0.5 - delta / 2], [0.3, 0.55], [0.55, 0.56], [0.3],
+             [0.55], [0.6 - delta / 10]]
+    x = np.full((1, 2, oracles._RAYS), np.nan)
+    for j, c in enumerate(cands):
+        x[0, :len(c), j] = c
+    valid = np.zeros((1, oracles._RAYS), dtype=bool)
+    valid[0, :len(cands)] = True
+    valid[0, 5] = False
+    lab_lo = np.full((1, oracles._RAYS), -1, dtype=np.int8)
+    kept, zero = oracles._certified_zeros(label, x, _ray_angles(), valid,
+                                          lab_lo, -lab_lo)
+    assert np.flatnonzero(kept).tolist() == [0, 2, 6]
+    assert zero[0, [0, 2, 6]].tolist() == [0.55, 0.55, 0.6 - delta / 10]
+
+
+def test_piece_traces_label_in_few_block_calls(monkeypatch):
+    # A 64-line bidisk trace labels its ends, its ray candidates at the
+    # zeros and at their flanks, and the lines it still bisects, in
+    # labels calls of at most _BLOCK rows.  A trace whose rays all keep
+    # their proposals makes, for 64 lines, two calls for the ends, and one
+    # call per candidate slot at the zeros and two at the flanks: with two
+    # roots per piece, at most 2 + 3 * 4 = 14 calls, where bisecting
+    # every ray made 62.
+    rng = np.random.default_rng(257)
+    oracle, bases, ends = _two_sided_traces(bidisk_oracle(), np.array(
+        [sample_line(rng, 2).basis() for _ in range(160)]))
+    lines = [convexity.AffineComplexLine(0.5 * _cgauss(rng, 2),
+                                         _cgauss(rng, 2)) for _ in range(120)]
+    chart_call = _record_traces(monkeypatch, [
+        lambda: convexity.disk_sections(convexity.polydisk_body((1.0, 1.0)),
+                                        lines)])[0]
+    bisected = []
+    certified = oracles._certified_zeros
+
+    def spy_certified(*args):
+        kept, zero = certified(*args)
+        bisected.append(int((~kept).sum()))
+        return kept, zero
+
+    def labels_calls(o, b, e):
+        # the row counts of the labels calls of the trace of b's first
+        # _TRACE_LINES lines
+        assert len(b) >= oracles._TRACE_LINES
+        sizes, side = [], o.side
+
+        def spy(pts):
+            sizes.append(len(pts))
+            return side(pts)
+
+        monkeypatch.setattr(o, "side", spy)
+        oracles._trace_zeros(o, b[:oracles._TRACE_LINES],
+                             e[:oracles._TRACE_LINES])
+        return sizes
+
+    monkeypatch.setattr(oracles, "_certified_zeros", spy_certified)
+    bidisk = labels_calls(oracle, bases, ends)
+    chart = labels_calls(*chart_call)
+    # the bidisk trace bisects its rays that cross the set three times
+    assert bisected[0] > 0 and len(bidisk) > oracles._BISECT_ITERS
+    assert max(bidisk) <= oracles._BLOCK
+    assert bisected[1] == 0 and len(chart) <= 14
+    assert max(chart) <= oracles._BLOCK
 
 
 def test_tiny_circles_read_circles():
@@ -1274,12 +1425,15 @@ def test_infinite_basis_is_a_value_error():
         traces = np.array([np.zeros((3, 2)), np.column_stack([e[0], 2j * e[0]]),
                            np.column_stack([1e-170 * e[0], e[1]]),
                            np.column_stack([e[0], e[2]])])
-        for form in (np.zeros((3, 3)), ELLIPTIC.a):
-            (g, w), _ = oracles._line_form(form, traces)
-            x = oracles._ray_zeros(g, w, _ray_angles())
-            assert x.shape == (4, oracles._RAYS)
-    # the line (e0, e2) meets diag(1, 1, -1) where |w| = 1
-    assert np.all(x[3] == 0.0)
+        for oracle in (_form_oracle(np.zeros((3, 3)), np.sign),
+                       bidisk_oracle(), oracle_from_quadric(ELLIPTIC)):
+            label = oracle.on_lines(traces)
+            x = oracles._ray_zeros(oracles._ray_forms(label, traces),
+                                   _ray_angles())
+            assert x.shape[0] == 4 and x.shape[2:] == (2, oracles._RAYS)
+    # the line (e0, e2) meets diag(1, 1, -1) where |w| = 1, and nowhere
+    # else along a ray
+    assert np.all(np.fmax(*x[3, 0]) == 0.0)
 
 
 def test_line_tags_labels_calls_stay_within_block(monkeypatch):
