@@ -74,9 +74,10 @@ class ConvexBodyOracle:
 def ball_body(n, radius=1.0, center=None):
     """The ball of ``radius`` about ``center`` (the origin) in C^n.
 
-    Raises ValueError for a center that is not a finite vector of n
-    entries.
+    Raises ValueError for a radius that is not finite and >= 0, and for a
+    center that is not a finite vector of n entries.
     """
+    radius = finite_nonnegative(radius, "ball radius")
     c = np.zeros(n, dtype=complex) if center is None else as_cvector(center)
     if c.size != n:
         raise ValueError(f"ball center must have {n} entries, got {c.size}")
@@ -141,10 +142,10 @@ def polydisk_body(radii):
 class AffineComplexLine:
     """Parametrized complex line t -> base + t * direction in C^n.
 
-    The direction is kept as a unit vector at any scale
-    (``projective._unit``).  Raises ValueError for a base or direction
-    that is not a finite vector, and for a direction too small for that
-    scaling: zero, or of largest entry below 1e-300.
+    The direction is kept as a unit vector (``projective._unit``, gauged
+    where its norm under- or overflows), even where moduli overflow.
+    Raises ValueError for a base or direction that is not a finite
+    vector, and for a zero direction: of largest modulus below 1e-300.
     """
 
     base: np.ndarray

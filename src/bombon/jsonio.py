@@ -22,7 +22,6 @@ from itertools import chain
 import numpy as np
 
 from .convexity import AffineComplexLine, ball_body, ellipsoid_body, polydisk_body
-from .linalg import finite_nonnegative
 from .projective import ProjLine, ProjPoint, Subspace
 from .quadrics import QuadricBombon
 
@@ -299,10 +298,8 @@ def decode_body(obj):
     kind = obj["type"]
     if kind == "ball":
         n = int(obj.get("n", 2))
-        radius = finite_nonnegative(obj.get("radius", 1.0), "ball radius")
-        center = (decode_vector(obj["center"], n) if "center" in obj
-                  else np.zeros(n, dtype=complex))
-        return ball_body(n, radius=radius, center=center)
+        center = decode_vector(obj["center"], n) if "center" in obj else None
+        return ball_body(n, radius=obj.get("radius", 1.0), center=center)
     if kind == "ellipsoid":
         if "H" not in obj:
             raise ValueError('an ellipsoid spec needs "H" (Hermitian matrix)')

@@ -21,6 +21,13 @@ Large stacks of complex rows are worked on as real rows of interleaved
   ``((x @ q) ** 2) @ lam``.  Because ``q`` is orthogonal, weights
   ``[lam, 1]`` give each row's value and squared norm in one product.
 
+Every array brought into floating range goes through one rule, the
+gauge ``_gauge(a, axis)``: each slice times the power of two 2^e that
+puts its largest |Re| or |Im|, which cannot overflow where a modulus
+can, in [1, 2).  That is exact unless an entry falls below the normal
+range.  Zero and non-finite slices keep e = 0, so callers keep their own
+zero and finiteness checks.  No other module scales by magnitude.
+
 Input is validated once, at the public boundary.  ``hermitian_eig`` and
 ``congruence_to_signs`` pass what they are given through ``hermitize``,
 which checks that it is a finite square Hermitian matrix, and then call
@@ -69,11 +76,18 @@ def max_abs(m):
 
 
 def _gauge(a, axis=None):
-    # (a 2^e, e) for complex a: each slice that max(axis=axis) reduces,
-    # scaled so that its largest |Re| or |Im|, which cannot overflow, is
-    # in [1, 2); e has that max's keepdims shape, and is 0 for a zero or
-    # non-finite slice.  Exact unless an entry falls below the normal range.
+    # (a 2^e, e), the gauge of the module docstring: e has the keepdims
+    # shape of max(axis=axis), or is one int with no axis, found in one
+    # pass and applied in two steps where it passes 1023.  A copy, not a
+    # product by 1.0, keeps a non-finite a: complex inf * 1 has NaN parts.
     a = np.asarray(a, dtype=complex)
+    if axis is None:
+        big = float(np.maximum.reduce(np.abs(
+            np.ascontiguousarray(a).view(float)), axis=None, initial=0.0))
+        e = 1 - math.frexp(big)[1] if 0.0 < big < math.inf else 0
+        if e > 1023:
+            return a * 2.0 ** 1023 * math.ldexp(1.0, e - 1023), e
+        return (a * math.ldexp(1.0, e) if e else a.copy()), e
     big = np.maximum(np.abs(a.real), np.abs(a.imag)).max(
         axis=axis, keepdims=True, initial=0.0)
     e = np.where(np.isfinite(big) & (big > 0.0), 1 - np.frexp(big)[1], 0)
@@ -290,9 +304,8 @@ def orthonormal_columns(cols, rtol=DEFAULT_TOL):
 
     ``cols`` is (dim, m); dependent columns are dropped.  The rank cut is
     ``rtol`` relative to the largest input column norm.  Columns whose
-    squares under- or overflow there are first scaled by a power of two,
-    which is exact, to largest entry in [1, 2).  Raises ValueError for
-    entries that are not finite.
+    squares under- or overflow there are first gauged as a whole
+    (``_gauge``).  Raises ValueError for entries that are not finite.
     """
     a = np.asarray(cols, dtype=complex)
     if a.ndim != 2:
@@ -304,8 +317,7 @@ def orthonormal_columns(cols, rtol=DEFAULT_TOL):
         biggest = float(np.linalg.norm(a, axis=0).max())
     _require_finite(a, biggest, "coordinates")
     if not _UNIT_LO <= biggest < math.inf:
-        a = np.ldexp(np.ascontiguousarray(a).view(np.float64),
-                     1 - math.frexp(max_abs(a))[1]).view(complex)
+        a = _gauge(a)[0]
         biggest = float(np.linalg.norm(a, axis=0).max())
     thresh = rtol * biggest
     basis = []

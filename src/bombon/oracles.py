@@ -155,18 +155,18 @@ def _value_form(a):
 def _line_form(a, bases):
     """Factored real forms of the 2x2 restrictions of ``a`` to lines.
 
-    Each basis B of the (m, k, 2) stack ``bases`` is scaled to largest
-    entry 1 and written B = Q R in a Gram-Schmidt frame Q.  With
-    Q* a Q = V diag(lam) V*, g = real_map(R^T conj(V)) and the weights
-    w = [lam, 1] of each float pair make ``form_values(s, (g, w))`` the
-    pair (Re(p* a p), |p|^2) at p = B s, over the square of B's scale,
-    for CP^1 rows s of shape (r, 2) or (m, r, 2).  Returns
+    Each basis B of the (m, k, 2) stack ``bases`` is gauged as a whole
+    (``linalg._gauge``) and written B = Q R in a Gram-Schmidt frame Q.
+    With Q* a Q = V diag(lam) V*, g = real_map(R^T conj(V)) and the
+    weights w = [lam, 1] of each float pair make ``form_values(s, (g, w))``
+    the pair (Re(p* a p), |p|^2) at p = B s, times the square of B's
+    gauge, for CP^1 rows s of shape (r, 2) or (m, r, 2).  Returns
     ((g, w), ok); a line not ok, of rank one by the rank cut, gets the
     zero form, so that each of its rows reads a squared norm of 0.
     """
     b = np.asarray(bases, dtype=complex)
     with np.errstate(all="ignore"):
-        b = b / np.abs(b).max(axis=(1, 2), keepdims=True)
+        b = _gauge(b, axis=(1, 2))[0]
         r00 = np.linalg.norm(b[:, :, 0], axis=1)
         q0 = b[:, :, 0] / r00[:, None]
         u = b[:, :, 1]
@@ -365,15 +365,23 @@ class _LineLabeller:
             pts = self._points(rows)
             return self.oracle.labels(
                 pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1])
-        with np.errstate(all="ignore"):
-            vn = form_values(rows, (self.g, self.w))
-            vals = vn[..., 0] / vn[..., 1]
+        vals, bad = _row_values(rows, (self.g, self.w))
         out = self.oracle._form[1](vals)
-        if (not np.isfinite(vals).all()
-                or vn[..., 1].min(initial=np.inf) < _TINY):
-            bad = ~np.isfinite(vals) | (vn[..., 1] < _TINY)
+        if bad is not None:
             out[bad] = self.oracle.labels(self._points(rows)[bad])
         return out
+
+
+def _row_values(rows, vform):
+    # Re(p* F p) / |p|^2 of each row p from ``form_values`` with weights
+    # [lam, 1] (``_value_form``, ``_line_form``), and the mask of rows whose
+    # value is not finite or squared norm not normal, or None for no row
+    with np.errstate(all="ignore"):
+        vn = form_values(rows, vform)
+        vals = vn[..., 0] / vn[..., 1]
+    if np.isfinite(vals).all() and vn[..., 1].min(initial=np.inf) >= _TINY:
+        return vals, None
+    return vals, ~np.isfinite(vals) | (vn[..., 1] < _TINY)
 
 
 def _band(vals, thr):
@@ -390,21 +398,16 @@ def oracle_from_quadric(x):
     vform = _value_form(x.a)
 
     def side(pts):
-        with np.errstate(all="ignore"):
-            vn = form_values(pts, vform)
-            vals = vn[:, 0] / vn[:, 1]
-        if (not np.isfinite(vals).all()
-                or vn[:, 1].min(initial=np.inf) < _TINY):
+        vals, bad = _row_values(pts, vform)
+        if bad is not None:
             # zero or non-finite rows, and rows whose squares under- or
-            # overflow, which are labelled again at unit scale
-            bad = ~np.isfinite(vals) | (vn[:, 1] < _TINY)
+            # overflow, which are labelled again gauged
             rows = pts[bad]
             if not np.isfinite(rows).all():
                 raise ValueError("coordinates must be finite")
-            big = np.abs(rows).max(axis=1, keepdims=True)
-            if np.any(big == 0):
+            vn = form_values(_gauge(rows, axis=1)[0], vform)
+            if not vn[:, 1].all():
                 raise ZeroVector("zero vector has no side")
-            vn = form_values(rows / big, vform)
             vals[bad] = vn[:, 0] / vn[:, 1]
         return _band(vals, thr)
 
@@ -545,14 +548,14 @@ def _ray_forms(label, traces):
 
 def _ray_zeros(m, ang):
     # log10 |w| of the zeros along each ray w = r ang_j of the 2x2 forms
-    # m (..., 2, 2), each scaled to largest entry 1.  At the row (w, 1) a
+    # m (..., 2, 2), each gauged (``linalg._gauge``).  At the row (w, 1) a
     # form's value is a r^2 + 2 beta r + c, with a = M_00, c = M_11 and
     # beta = Re(conj(ang_j) M_01), whose roots are taken without
     # cancellation as q / a and c / q for q = -(beta + sign(beta)
     # sqrt(beta^2 - ac)).  (..., 2, _RAYS) floats, those two roots per
     # ray, not finite where a root is not real and positive.
     with np.errstate(all="ignore"):
-        m = m / np.abs(m).max(axis=(-2, -1), keepdims=True)
+        m = _gauge(m, axis=(-2, -1))[0]
         a, c = m[..., 0, 0].real[..., None], m[..., 1, 1].real[..., None]
         beta = (ang.conj() * m[..., 0, 1][..., None]).real
         q = -(beta + np.copysign(np.sqrt(beta * beta - a * c), beta))

@@ -22,8 +22,9 @@ import math
 import numpy as np
 
 from .errors import CoincidentPoints, ZeroVector
-from .linalg import (DEFAULT_TOL, _UNIT_LO, _hermitian_eig, _require_finite,
-                     as_cvector, max_abs, nullspace, orthonormal_columns, sym)
+from .linalg import (DEFAULT_TOL, _UNIT_LO, _gauge, _hermitian_eig,
+                     _require_finite, as_cvector, max_abs, nullspace,
+                     orthonormal_columns, sym)
 
 _PIVOT_RTOL = 1e-12
 
@@ -70,16 +71,16 @@ def _norm(w):
 
 def _unit(w):
     # The squares in the norm lose digits below _UNIT_LO and overflow
-    # above 1.3e154.  Such a w is first scaled by a power of two, which is
-    # exact, to largest entry in [1, 2), as in ``_form_value``; any other
-    # w keeps its bits.
+    # above 1.3e154: such a w is gauged, and is zero below the cut of
+    # ``_canonical``, largest modulus 1e-300, which needs a largest |Re|
+    # or |Im| below 2^-996 (e > 996); other w keep their bits.
     n = _norm(w)
     if not _UNIT_LO <= n < math.inf:
-        big = max_abs(w)
-        if big < 1e-300:
+        u, e = _gauge(w)
+        n = _norm(u)
+        if not n or e > 996 and max_abs(w) < 1e-300:
             raise ZeroVector("zero vector has no unit representative")
-        w = w * math.ldexp(1.0, 1 - math.frexp(big)[1])
-        n = _norm(w)
+        w = u
     return w / n
 
 
@@ -91,20 +92,20 @@ def _coords(p):
 def form_value(a, p):
     """Re(v* A v) / (v* v) at a ProjPoint's coordinates or a vector v.
 
-    v is first scaled by a power of two, which is exact, so that tiny
-    and huge v neither under- nor overflow.  ZeroVector for v = 0.
+    v is first gauged (``linalg._gauge``), so that tiny and huge v
+    neither under- nor overflow.  ZeroVector below largest modulus 1e-300.
     """
     return _form_value(a, _coords(p))
 
 
 def _form_value(a, v):
-    # form_value at a finite 1-d complex vector v; math.frexp and
-    # math.ldexp give the same power of two as their numpy namesakes
-    big = max_abs(v)
-    if big < 1e-300:
+    # form_value at a finite 1-d complex vector v, gauged and zero as in
+    # ``_unit``; np.dot gives the bits of a @ u at less call cost
+    u, e = _gauge(v)
+    d = np.vdot(u, u).real
+    if not d or e > 996 and max_abs(v) < 1e-300:
         raise ZeroVector("zero vector has no form value")
-    v = v * math.ldexp(1.0, 1 - math.frexp(big)[1])
-    return float(np.vdot(v, a @ v).real / np.vdot(v, v).real)
+    return float(np.vdot(u, np.dot(a, u)).real / d)
 
 
 def proj_close(u, v, tol=DEFAULT_TOL):

@@ -429,6 +429,17 @@ def test_ball_center_has_n_entries():
     assert ball_body(2, center=[0.5, 0.25j]).inside([0.5, 0.0])
 
 
+def test_ball_radius_is_checked_at_construction():
+    # Before this check a negative radius read every line empty, and NaN
+    # and inf failed later, on the first batch, with a RuntimeWarning.
+    for bad, value in ((-1, "-1.0"), (NAN, "nan"), (INF, "inf")):
+        with pytest.raises(ValueError, match="^ball radius must be finite "
+                           f"and >= 0, got {value}$"):
+            ball_body(2, radius=bad)
+    assert ball_body(2, radius=0).inside([0.0, 0.0])
+    assert not ball_body(2, radius=0.5).inside([0.5, 0.5])
+
+
 @pytest.mark.parametrize("make, pair", [
     (polydisk_body, False), (bidisk_oracle, True)],
     ids=["polydisk_body", "bidisk_oracle"])
@@ -563,3 +574,74 @@ def test_unit_rep_scales_tiny_and_huge_vectors():
                     np.array([0.0, 1.0, 0.0]) * 2.0 ** -600).n == 2
     with pytest.raises(ZeroVector, match="no unit representative"):
         unit_rep([1e-301, 0.0, 0.0])
+
+
+
+# |1.5e308 (1 + i)| overflows although the entry is finite.  Scaled by
+# their modulus, vectors with such an entry read NaN as a unit
+# representative, a form value and an affine direction, rank 0 as
+# columns, and a point apart from [1 + i, 0], so a line was built through
+# it twice.
+HUGE = 1.5e308 + 1.5e308j
+HUGE_V = np.array([HUGE, 1.0])
+FLIP = np.diag([1.0, -1.0])
+
+
+def _check_unit_rep():
+    unit = unit_rep(HUGE_V)
+    assert unit.tobytes() == unit_rep(HUGE_V * 2.0 ** -1023).tobytes()
+    assert np.allclose(unit, [(1 + 1j) / np.sqrt(2.0), 0.0], rtol=0.0,
+                       atol=1e-15)
+
+
+def _check_form_value():
+    w = np.array([HUGE, 1e308])
+    value = form_value(FLIP, w)
+    assert value == form_value(FLIP, w * 2.0 ** -600)
+    assert abs(value - 3.5 / 5.5) < 1e-15
+    assert form_value(FLIP, HUGE_V) == 1.0
+
+
+def _check_quadric_value():
+    assert QuadricBombon(FLIP).value(HUGE_V) == 1.0
+
+
+def _check_orthonormal_columns():
+    # the second column is under the rank cut relative to the first
+    assert linalg.orthonormal_columns([[HUGE, 0.0], [1.0, 1.0]]).shape \
+        == (2, 1)
+    q = linalg.orthonormal_columns([[HUGE, 0.0], [1e308, 1e308]])
+    assert q.shape == (2, 2)
+    assert np.allclose(q.conj().T @ q, np.eye(2), rtol=0.0, atol=1e-15)
+
+
+def _check_affine_line():
+    got = AffineComplexLine([0.0, 0.0], HUGE_V).direction
+    assert got.tobytes() == unit_rep(HUGE_V * 2.0 ** -1023).tobytes()
+
+
+def _check_proj_close():
+    assert proj_close(HUGE_V, [1 + 1j, 0.0])
+
+
+def _check_line_through():
+    with pytest.raises(CoincidentPoints):
+        line_through(HUGE_V, [1 + 1j, 0.0])
+
+
+def _check_quadric_oracle():
+    # a row whose squares overflow is labelled again gauged; scaled by
+    # its infinite modulus it read 0, on the quadric
+    oracle = oracle_from_quadric(QuadricBombon(FLIP))
+    assert oracle.labels([HUGE_V, HUGE_V[::-1]]).tolist() == [1, -1]
+
+
+@pytest.mark.parametrize("check", [
+    _check_unit_rep, _check_form_value, _check_quadric_value,
+    _check_orthonormal_columns, _check_affine_line, _check_proj_close,
+    _check_line_through, _check_quadric_oracle],
+    ids=lambda f: f.__name__[len("_check_"):])
+def test_overflowing_moduli_get_the_right_answer(check):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check()

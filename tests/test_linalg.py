@@ -1,7 +1,10 @@
 """Eigensolver, congruence and tolerance plumbing."""
 
+import ast
 import io
 import json
+import pathlib
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,6 +17,7 @@ from bombon.linalg import (DEFAULT_TOL, _gauge, as_cvector,
                            hermitize, max_abs, nullspace, orthonormal_columns,
                            random_hermitian, random_unitary, real_form,
                            real_map, sym, zero_tol)
+from bombon.projective import _form_value, _unit
 
 
 def test_zero_tol_floor():
@@ -398,8 +402,78 @@ def test_gauge_scales_each_slice_exactly():
     assert np.all((big[live] >= 1.0) & (big[live] < 2.0))
     undone = np.ldexp(got.real, -e) + 1j * np.ldexp(got.imag, -e)
     assert np.array_equal(undone, b, equal_nan=True)
+    # with no axis, e is one int for the whole array
     x, ex = _gauge(np.array([0.0, -3e-200, 1e-201]))
-    assert ex.shape == (1,) and x[1] == np.ldexp(-3e-200, int(ex[0]))
+    assert type(ex) is int and x[1] == np.ldexp(-3e-200, ex)
     assert x.dtype == complex and -2.0 < x[1].real <= -1.0
-    assert _gauge(np.zeros(3))[1].tolist() == [0]
+    assert _gauge(np.zeros(3))[1] == 0
+    tiny = np.finfo(float).smallest_subnormal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, want in (
+                # |Re| and |Im| are finite where the modulus overflows
+                ([[1.5e308 + 1.5e308j, -1.0], [0.0, 0.5j]], -1023),
+                # subnormal only: 2^e itself would overflow
+                ([3 * tiny, -5j * tiny, 0.0], 1072),
+                ([[0.0, -0.0], [0.0, 0.0]], 0)):
+            a = np.array(a, dtype=complex)
+            x, ex = _gauge(a)
+            assert ex == want and x.shape == a.shape and x is not a
+            big = np.maximum(np.abs(x.real), np.abs(x.imag)).max()
+            assert 1.0 <= big < 2.0 or not a.any()
+            undone = np.ldexp(x.real, -ex) + 1j * np.ldexp(x.imag, -ex)
+            assert np.array_equal(undone, a)
 
+
+def _parent_scale(w):
+    # the scaling every core used before the gauge: a power of two from
+    # the largest entry modulus, which overflows where |Re| or |Im| do not
+    return w * np.ldexp(1.0, 1 - np.frexp(np.abs(w).max())[1])
+
+
+def test_gauged_cores_keep_the_bits_of_the_modulus_rule():
+    # On entries whose moduli and products stay in the normal range, the
+    # gauge and the modulus rule differ by at most one power of two, which
+    # the unit representative, the form value and Gram-Schmidt divide out
+    # exactly: each core returns the bits of the rule it replaced.  Gram-
+    # Schmidt itself is unchanged, so the old result is that of columns
+    # the old rule scaled, which are in range and go through unscaled.
+    rng = np.random.default_rng(61)
+    for _ in range(60):
+        k = int(rng.integers(2, 7))
+        s = 10.0 ** rng.uniform(-300.0, 300.0)
+        v = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * s
+        with np.errstate(all="ignore"):
+            n = np.linalg.norm(v)
+        w = v if 2.0 ** -511 <= n < np.inf else _parent_scale(v)
+        assert _unit(v).tobytes() == (w / np.linalg.norm(w)).tobytes()
+        a = random_hermitian(rng, k)
+        u = _parent_scale(v)
+        want = float(np.vdot(u, a @ u).real / np.vdot(u, u).real)
+        assert _form_value(a, v) == want
+        cols = (rng.standard_normal((k, 2)) + 1j * rng.standard_normal(
+            (k, 2))) * s
+        with np.errstate(all="ignore"):
+            big = np.linalg.norm(cols, axis=0).max()
+        plain = cols if 2.0 ** -511 <= big < np.inf else _parent_scale(cols)
+        assert orthonormal_columns(cols).tobytes() == \
+            orthonormal_columns(plain).tobytes()
+
+
+def test_only_linalg_scales_by_powers_of_two():
+    # The gauge is the package's one scaling rule: no module but linalg
+    # calls frexp or ldexp, under any name they are reached by.
+    calls = []
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                    f, "id", None)
+                if name in ("frexp", "ldexp"):
+                    calls.append((path.name, node.lineno, name))
+            elif isinstance(node, ast.ImportFrom):
+                calls += [(path.name, node.lineno, a.name) for a in node.names
+                          if a.name in ("frexp", "ldexp")]
+    outside = [call for call in calls if call[0] != "linalg.py"]
+    assert calls and not outside, outside
