@@ -425,9 +425,9 @@ def test_gauge_scales_each_slice_exactly():
             assert np.array_equal(undone, a)
 
 
-def _parent_scale(w):
-    # the scaling every core used before the gauge: a power of two from
-    # the largest entry modulus, which overflows where |Re| or |Im| do not
+def _modulus_scale(w):
+    # the reference rule: a power of two from the largest entry modulus,
+    # which overflows where |Re| or |Im| do not
     return w * np.ldexp(1.0, 1 - np.frexp(np.abs(w).max())[1])
 
 
@@ -445,17 +445,17 @@ def test_gauged_cores_keep_the_bits_of_the_modulus_rule():
         v = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * s
         with np.errstate(all="ignore"):
             n = np.linalg.norm(v)
-        w = v if 2.0 ** -511 <= n < np.inf else _parent_scale(v)
+        w = v if 2.0 ** -511 <= n < np.inf else _modulus_scale(v)
         assert _unit(v).tobytes() == (w / np.linalg.norm(w)).tobytes()
         a = random_hermitian(rng, k)
-        u = _parent_scale(v)
+        u = _modulus_scale(v)
         want = float(np.vdot(u, a @ u).real / np.vdot(u, u).real)
         assert _form_value(a, v) == want
         cols = (rng.standard_normal((k, 2)) + 1j * rng.standard_normal(
             (k, 2))) * s
         with np.errstate(all="ignore"):
             big = np.linalg.norm(cols, axis=0).max()
-        plain = cols if 2.0 ** -511 <= big < np.inf else _parent_scale(cols)
+        plain = cols if 2.0 ** -511 <= big < np.inf else _modulus_scale(cols)
         assert orthonormal_columns(cols).tobytes() == \
             orthonormal_columns(plain).tobytes()
 
