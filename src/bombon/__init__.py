@@ -21,8 +21,8 @@ from .linalg import (DEFAULT_TOL, Signature, hermitian_eig, hermitize,
 from .moebius import (GenCircle, MoebiusMap, circle_through, conjugate_point,
                       pushforward_circle, rotation)
 from .oracles import (AxiomReport, OracleSet, PointStarReport, RunConfig,
-                      bidisk_oracle, fib_angles, grid_line_tag,
-                      grid_line_tags, oracle_from_quadric, verify_axioms, verify_point_star)
+                      bidisk_oracle, grid_line_tag, grid_line_tags,
+                      oracle_from_quadric, verify_axioms, verify_point_star)
 from .projective import (ProjLine, ProjPoint, Subspace, canonicalize,
                          line_through, meet, perp, proj_close, sample_line,
                          sample_point, span, unit_rep)
@@ -52,7 +52,7 @@ __all__ = [
     "bidisk_oracle", "bundle_projection", "canonicalize", "circle_points",
     "circle_through", "classify_line_section", "conjugate_point",
     "disk_section_test", "ellipsoid_body", "equivalence_witness",
-    "fib_angles", "grid_line_tag", "grid_line_tags", "hermitian_eig", "hermitize",
+    "grid_line_tag", "grid_line_tags", "hermitian_eig", "hermitize",
     "homogeneity_transport", "john_touchpoint_check", "join_with_apex",
     "line_through", "linear_closure", "max_abs", "meet", "mvee_complex",
     "nullspace", "oracle_from_quadric", "orthonormal_columns", "perp",

@@ -17,8 +17,8 @@ circle.
 import numpy as np
 
 from .errors import CoincidentPoints, PointOnCircle
-from .linalg import (DEFAULT_TOL, as_cmatrix, circle_frame, hermitian_eig,
-                     hermitize, max_abs, sym, zero_tol)
+from .linalg import (DEFAULT_TOL, _gauge, as_cmatrix, circle_frame,
+                     hermitian_eig, hermitize, max_abs, sym, zero_tol)
 from .projective import ProjPoint, _close, _coords, form_value
 
 _J_INV = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
@@ -78,8 +78,11 @@ class GenCircle:
         a = hermitize(m)
         if a.shape != (2, 2):
             raise ValueError("a generalized circle is a 2x2 Hermitian form")
-        det = float(np.real(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]))
-        if det >= 0:
+        # the determinant's sign, read on the gauged form (an exact
+        # scaling): its products cannot overflow, and underflow only where
+        # the determinant is negligible at the form's scale
+        g = _gauge(a)[0]
+        if (g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]).real >= 0:
             raise ValueError("form must have signature (1, 1): det < 0 required")
         self.m = a
 

@@ -2,11 +2,11 @@
 
 Everything here judges a set without the signature classifier.  The
 grid judge (grid_line_tags, and grid_line_tag, its batch of one) reads
-each line's own 2x2 form: its values on a 128-point grid of the line,
-then its two eigenvalues, the ends of the range of those values.  The
-verifier (verify_axioms) reads only side labels of an arbitrary
-membership oracle.  The two views are compared against the exact
-classifier by the regression suite.
+only each line's own 2x2 form: its two eigenvalues, the ends of the
+range of its values on the line, give the tag.  The verifier
+(verify_axioms) reads only side labels of an arbitrary membership
+oracle.  The two views are compared against the exact classifier by
+the regression suite.
 
 The verifier reads its lines 32 at a time and tags each chunk in
 stages, with one labeller that carries the chunk's line forms, so that
@@ -55,18 +55,18 @@ import numpy as np
 
 from .errors import PreconditionError, ZeroVector
 from .linalg import (DEFAULT_TOL, _gauge, _hermitian_eig, circle_frame,
-                     finite_nonnegative, form_values, real_form, real_map,
-                     zero_tol)
+                     finite_nonnegative, form_values, real_form, real_map)
 from .moebius import _fit_hermitian_through
 from .projective import ProjPoint, line_through, sample_line, sample_point
 from .sections import SectionTag, classify_line_section, side_rings
 from .version import VERSION
 
 _GOLDEN = (1.0 + 5.0 ** 0.5) / 2.0
-# CP^1 grid sizes: the grid oracle and the first labelling stage, then
-# the fallback stage for one-sided lines
+# CP^1 grid sizes: the first labelling stage, then the fallback stage
+# for one-sided lines
 _GRID = 128
-# relative value that counts as a sign on the grid oracle's raw grid
+# read by no code: the grid oracle's former raw-grid sign cut, printed by
+# RunConfig.to_dict as "grid" so that reports keep their bytes
 _GRID_SIGN = 1e-6
 _STAGE2 = 131072
 # zero tracing: rays and bisection steps
@@ -100,7 +100,6 @@ _TINY = np.finfo(float).tiny
 # machine epsilon and smallest subnormal, for _line_label's error bound
 _EPS = np.finfo(float).eps
 _SUB = np.finfo(float).smallest_subnormal
-_angle_cache = {}
 _grid_cache = {}
 
 
@@ -111,13 +110,6 @@ def _fib_point(i, k):
     theta = np.arccos(1.0 - 2.0 * (i + 0.5) / k)
     phi = 2.0 * np.pi * i / _GOLDEN
     return theta, phi
-
-
-def fib_angles(k):
-    """Colatitude/longitude pairs of a k-point Fibonacci sphere grid."""
-    if k not in _angle_cache:
-        _angle_cache[k] = _fib_point(np.arange(k), k)
-    return _angle_cache[k]
 
 
 def spinor(theta, phi):
@@ -200,7 +192,7 @@ def _range_tag(vmax, vmin, ztol):
 
 
 def grid_line_tag(a, basis):
-    """Classify a line section by brute force on a 128-point grid.
+    """Classify a line section from the line's own 2x2 form.
 
     ``grid_line_tags`` of the one line ``basis`` (n+1, 2) of the form
     ``a``.
@@ -213,25 +205,24 @@ def grid_line_tags(forms, bases):
 
     Reads each line's own 2x2 form (``_line_form``, its own frame and
     ``eigh``, not ``sections.restrict_form``, so that a fault there
-    cannot reach both the classifier and this judge).  Both signs on the
-    raw 128-point grid mean Circle, everything flat means FullLine.
-    Otherwise the form's two eigenvalues, the ends of the range of its
-    values on the line, give the tag: circles far too small for the
-    grid, semidefinite contact points and definite emptiness.  Basis
-    columns are first scaled by powers of two (``linalg._gauge``), so
-    that a lopsided basis keeps rank two.  Lines of any mix of forms and
-    dimensions take one line-form call per shape and one grid product,
-    and each line gets the tag of a batch of one.  Raises ValueError for
-    the first line, in order, whose basis is not finite or of rank one,
-    and for lists of different lengths.
+    cannot reach both the classifier and this judge).  Its two
+    eigenvalues, the ends of the range of its values on the line, give
+    the tag at the cut 1e-10 * max(1, max|A|): ends beyond it on both
+    sides mean Circle, both ends within it FullLine, one end within it
+    SinglePoint and both beyond it on one side Empty.  Basis columns
+    are first scaled by powers of two (``linalg._gauge``), so that a
+    lopsided basis keeps rank two.  Lines of any mix of forms and
+    dimensions take one line-form call per shape, and each line gets
+    the tag of a batch of one.  Raises ValueError for the first line,
+    in order, whose basis is not finite or of rank one, and for lists
+    of different lengths.
     """
     forms = [np.asarray(a, dtype=complex) for a in forms]
     bases = [np.asarray(b, dtype=complex) for b in bases]
     m = len(bases)
     if len(forms) != m:
         raise ValueError(f"{len(forms)} forms for {m} line bases")
-    g = np.empty((m, 4, 4))
-    w = np.empty((m, 4, 2))
+    lam = np.empty((m, 2))
     scale = np.empty(m)
     groups, errors = {}, []
     for i, (a, b) in enumerate(zip(forms, bases)):
@@ -240,7 +231,8 @@ def grid_line_tags(forms, bases):
         a = np.stack([forms[i] for i in idx])
         b = np.stack([bases[i] for i in idx])
         finite = np.isfinite(b).all(axis=(1, 2))
-        (g[idx], w[idx]), ok = _line_form(a, _gauge(b, axis=1)[0])
+        (_, w), ok = _line_form(a, _gauge(b, axis=1)[0])
+        lam[idx] = w[:, ::2, 0]
         scale[idx] = np.fmax(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
         for k in np.flatnonzero(~(finite & ok))[:1]:
             errors.append((idx[k], "coordinates must be finite"
@@ -248,18 +240,8 @@ def grid_line_tags(forms, bases):
                            "a line basis must have rank two"))
     if errors:
         raise ValueError(min(errors)[1])
-
-    vn = form_values(cp1_grid(_GRID), (g, w))
-    vals = vn[..., 0] / vn[..., 1]
-    sign_tol = _GRID_SIGN * scale
-    flat = np.abs(vals).max(axis=1) <= 1e-12 * scale
-    circle = ((vals > sign_tol[:, None]).any(axis=1)
-              & (vals < -sign_tol[:, None]).any(axis=1))
-    lam = w[:, ::2, 0]
-    return [SectionTag.FULL_LINE if f else SectionTag.CIRCLE if c else
-            _range_tag(hi, lo, 1e-10 * s) for f, c, hi, lo, s in zip(
-                flat.tolist(), circle.tolist(), lam.max(axis=1).tolist(),
-                lam.min(axis=1).tolist(), scale.tolist())]
+    return [_range_tag(hi, lo, 1e-10 * s) for hi, lo, s in zip(
+        lam.max(axis=1).tolist(), lam.min(axis=1).tolist(), scale.tolist())]
 
 
 @dataclass
@@ -394,7 +376,7 @@ def oracle_from_quadric(x):
 
     Raises ZeroVector for a zero row and ValueError for a non-finite one.
     """
-    thr = zero_tol(x.a, x.tol)
+    thr = x._cut
     vform = _value_form(x.a)
 
     def side(pts):

@@ -12,10 +12,12 @@ import io
 import json
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import bombon
 from bombon import jsonio, linalg, oracles
 from bombon.cli import main
 from bombon.convexity import (AffineComplexLine, ball_body, disk_section_test,
@@ -23,6 +25,7 @@ from bombon.convexity import (AffineComplexLine, ball_body, disk_section_test,
 from bombon.errors import CoincidentPoints, NotABombon, ZeroVector
 from bombon.linalg import (_hermitian_eig, circle_frame, hermitian_eig,
                            hermitize, random_unitary, sym, zero_tol)
+from bombon.moebius import GenCircle
 from bombon.oracles import (RunConfig, bidisk_oracle, oracle_from_quadric,
                             verify_axioms)
 from bombon.projective import (ProjLine, ProjPoint, Subspace, _canonical,
@@ -636,12 +639,32 @@ def _check_quadric_oracle():
     assert oracle.labels([HUGE_V, HUGE_V[::-1]]).tolist() == [1, -1]
 
 
+def _check_gen_circle():
+    # Unscaled, the first two determinants overflow and the third
+    # underflows to -0.0, which reads as not mixed.
+    for m in (1e160 * FLIP, [[1e308, HUGE], [HUGE.conjugate(), -1e308]],
+              1e-200 * FLIP):
+        assert GenCircle(m).m.tobytes() == np.asarray(m, complex).tobytes()
+    for m in (1e160 * np.eye(2), 1e-200 * np.eye(2),
+              [[1e308, HUGE / 15.0], [HUGE.conjugate() / 15.0, 1e308]]):
+        with pytest.raises(ValueError, match="det < 0 required"):
+            GenCircle(m)
+
+
 @pytest.mark.parametrize("check", [
     _check_unit_rep, _check_form_value, _check_quadric_value,
     _check_orthonormal_columns, _check_affine_line, _check_proj_close,
-    _check_line_through, _check_quadric_oracle],
+    _check_line_through, _check_quadric_oracle, _check_gen_circle],
     ids=lambda f: f.__name__[len("_check_"):])
 def test_overflowing_moduli_get_the_right_answer(check):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         check()
+
+
+def test_public_names_are_exported_once():
+    # every name of ``bombon.__all__`` is an attribute of the package, and
+    # none is listed twice
+    names = bombon.__all__
+    assert [n for n in names if not hasattr(bombon, n)] == []
+    assert sorted(n for n, k in Counter(names).items() if k > 1) == []

@@ -20,7 +20,7 @@ from bombon.errors import PreconditionError, ZeroVector
 from bombon.jsonio import canonical_dumps
 from bombon.linalg import _gauge, form_values, zero_tol
 from bombon.oracles import (OracleSet, RunConfig, bidisk_oracle, cp1_grid,
-                            fib_angles, grid_line_tag, oracle_from_quadric,
+                            grid_line_tag, oracle_from_quadric,
                             oracle_line_tag, oracle_line_tags, spinor,
                             verify_axioms, verify_point_star)
 from bombon.projective import ProjLine, ProjPoint, sample_line
@@ -34,7 +34,7 @@ ELLIPTIC = QuadricBombon.from_epsilons([1, 1, -1])
 
 
 def test_fib_angles_and_grid():
-    th, ph = fib_angles(128)
+    th, ph = oracles._fib_point(np.arange(128), 128)
     assert th.shape == (128,) and ph.shape == (128,)
     assert np.all((th >= 0) & (th <= np.pi))
     grid = cp1_grid(128)
@@ -383,7 +383,9 @@ def _judge_corpus(rng, count):
 def test_grid_line_tags_pinned():
     # The judge's tags on the first 1000 lines of its 5000-line gate
     # corpus, as computed from ambient points and the 2k x 2k real form
-    # of the whole space before the judge read line forms.
+    # of the whole space before the judge read line forms, and then from
+    # a 128-point grid of each line form before it read only the form's
+    # eigenvalues.
     tags = [grid_line_tag(a, b).value
             for a, b in _judge_corpus(np.random.default_rng(103), 1000)]
     assert set(tags) == {tag.value for tag in SectionTag}
@@ -455,10 +457,23 @@ def _mp_line_range(a, b):
         return float((a00 + a11) / 2 - r), float((a00 + a11) / 2 + r)
 
 
+def _lopsided_line(rng):
+    # (a, basis) on CP^1-CP^5: a form of eigenvalues in (-1, 1) scaled by
+    # 10^u(-14, 3), and a line spanned by b0 and b0 + 10^u(-9, 0) r, whose
+    # Gram-Schmidt factor is lopsided up to the rank cut
+    n = int(rng.integers(1, 6))
+    u = linalg.random_unitary(rng, n + 1)
+    a = (u * rng.uniform(-1.0, 1.0, n + 1)) @ u.conj().T
+    b0, r = _cgauss(rng, 2, n + 1)
+    step = 10.0 ** rng.uniform(-9.0, 0.0)
+    return a * 10.0 ** rng.uniform(-14.0, 3.0), np.column_stack(
+        [b0, b0 + step * r])
+
+
 def test_judge_range_matches_mpmath_eigenvalues():
-    # The judge tags an open line by the eigenvalues lam of its line
-    # form, the ends of its value range.  On sampled lines of CP^1-CP^5,
-    # with A scaled by 1e-3..1e3, both lie within 16 eps max|lam| of the
+    # The judge tags a line by the eigenvalues lam of its line form, the
+    # ends of its value range.  On sampled lines of CP^1-CP^5, with A
+    # scaled by 1e-3..1e3, both lie within 16 eps max|lam| of the
     # 50-digit eigenvalues of the line's orthonormalized 2x2 form (at
     # most 4.7 eps max|lam| over 2300 such lines).
     rng = np.random.default_rng(149)
@@ -476,13 +491,24 @@ def test_judge_range_matches_mpmath_eigenvalues():
             assert ok[0]
             assert abs(lam.min() - lo) <= bound
             assert abs(lam.max() - hi) <= bound
+    # Lopsided lines whose range ends lie near the cut 1e-10 * max(1,
+    # max|A|): the seeds below 30000 of ``_lopsided_line`` whose values at
+    # the points B s, for s on a 128-point grid of CP^1, all lie within
+    # 1e-12 * max(1, max|A|).  The basis crowds those points around one
+    # direction, and a flat-grid rule reads full line.  Each reads the
+    # tag of its 50-digit range.
+    for seed in (11466, 16412, 16483, 16927, 18018, 22431, 23799):
+        a, b = _lopsided_line(np.random.default_rng(seed))
+        lo, hi = _mp_line_range(a, b)
+        assert grid_line_tag(a, b) is oracles._range_tag(
+            hi, lo, 1e-10 * max(1.0, np.abs(a).max()))
 
 
 def test_judge_tags_at_the_cut():
     # Lines whose restricted form has eigenvalues mu and t * cut, for the
     # cut 1e-10 * max(1, max|A|) and t = +-0.5 and +-2, in a skewed basis
-    # of the line, with mu = -+1 or t * cut / 4: the raw grid decides
-    # none of them, and each gets the tag of its exact range.  Setting
+    # of the line, with mu = -+1 or t * cut / 4: each gets the tag of its
+    # exact range, whatever the other eigenvalue.  Setting
     # the two eigenvalues moves max|A|, and with it the cut, by at most
     # 2e-10 relative, far inside the factor 2 margins.
     rng = np.random.default_rng(151)
@@ -534,19 +560,18 @@ def test_cp1_grid_cached_read_only():
 
 def test_cp1_grid_pinned_and_built_in_blocks(monkeypatch):
     # The grids as the whole-grid angle arrays gave them.  The stage-2
-    # grid is built a block at a time, caching no angles; a size that is
-    # no multiple of a block matches the whole-grid formula bit for bit.
+    # grid is built a block at a time; a size that is no multiple of a
+    # block matches the whole-grid formula bit for bit.
     monkeypatch.setattr(oracles, "_grid_cache", {})
-    monkeypatch.setattr(oracles, "_angle_cache", {})
     for k, digest in (
             (oracles._STAGE2,
              "72048264c80ba2d9ac2f27f5851e40d9e0b0cbc4782f63ccd05f51a2f20673b8"),
             (128,
              "9ef5594b8018210a1f55ec0943936a8615be6cbabfa2959233c1ca7661e809e7")):
         assert hashlib.sha256(cp1_grid(k).tobytes()).hexdigest() == digest
-    assert oracles._STAGE2 not in oracles._angle_cache
     k = 2 * oracles._BLOCK + 1000
-    assert cp1_grid(k).tobytes() == spinor(*fib_angles(k)).tobytes()
+    assert cp1_grid(k).tobytes() == spinor(
+        *oracles._fib_point(np.arange(k), k)).tobytes()
 
 
 def test_stage2_working_memory_is_the_grid(monkeypatch):
@@ -557,7 +582,6 @@ def test_stage2_working_memory_is_the_grid(monkeypatch):
     cfg = RunConfig(seed=3, n_lines=1)
     verify_axioms(oracle, RunConfig(seed=1, n_lines=1))  # lazy imports
     monkeypatch.setattr(oracles, "_grid_cache", {})
-    monkeypatch.setattr(oracles, "_angle_cache", {})
     tracemalloc.start()
     try:
         rep = verify_axioms(oracle, cfg)
@@ -578,7 +602,6 @@ def test_stage2_working_memory_is_the_grid_when_labelled(monkeypatch):
     cfg = RunConfig(seed=3, n_lines=1)
     verify_axioms(oracle, RunConfig(seed=1, n_lines=1))  # lazy imports
     monkeypatch.setattr(oracles, "_grid_cache", {})
-    monkeypatch.setattr(oracles, "_angle_cache", {})
     stage2 = _spy_stage2(monkeypatch)
     tracemalloc.start()
     try:
@@ -687,12 +710,12 @@ def test_labels_are_int8_and_range_checked():
 
 def test_import_leaves_grid_cache_empty():
     code = ("import bombon, bombon.oracles as o; "
-            "print(len(o._grid_cache), len(o._angle_cache))")
+            "print(len(o._grid_cache))")
     src = os.path.dirname(os.path.dirname(bombon.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["0", "0"]
+    assert out.split() == ["0"]
 
 
 def test_quadric_oracle_labels_scale_invariant():
