@@ -137,17 +137,17 @@ def hermitize(m):
     _require_finite(a, big, "matrix entries")
     if a.shape[0] != a.shape[1]:
         raise ValueError("Hermitian matrix must be square")
-    # Halving first keeps a + a* and a - a* finite for entries up to the
-    # float maximum.  A power-of-two scale is exact, so the result is
-    # (a + a*) / 2 bit for bit apart from subnormal entries and the sign
-    # of exact zeros, and the gap is exactly half of |a - a*|.
+    # Halving first keeps a - a* finite for entries up to the float
+    # maximum; the gap is half of |a - a*|.  Below 2^1023 a + a* cannot
+    # overflow and the result is ``sym(a)``; above, h + h* equals it
+    # apart from subnormal entries, which halving rounds.
     h = a / 2.0
     hh = h.conj().T
     gap = max_abs(h - hh)
     if gap > _HERMITIAN_ATOL * max(0.5, big / 2.0):
         raise ValueError(
             f"matrix is not Hermitian (asymmetry {2.0 * gap:.3e})")
-    return h + hh
+    return sym(a) if big < 2.0 ** 1023 else h + hh
 
 
 def sym(m):
@@ -225,10 +225,6 @@ class Signature:
     eigbasis: np.ndarray
     zero_threshold: float
 
-    @property
-    def rank(self):
-        return self.n_pos + self.n_neg
-
     def kernel(self):
         """Orthonormal columns spanning the numerical kernel."""
         mask = np.abs(self.eigvals) <= self.zero_threshold
@@ -280,8 +276,8 @@ def hermitian_eig(m, tol=DEFAULT_TOL):
 def _hermitian_eig(a, tol):
     """``hermitian_eig`` of a matrix the library built with ``sym`` or
     ``hermitize``: exactly Hermitian, so it skips the coercion and the
-    symmetry check (``hermitize`` would return it bit for bit, apart
-    from subnormal entries).  A non-finite entry, say from an
+    symmetry check (``hermitize`` would return its values whenever its
+    entries are below 2^1023).  A non-finite entry, say from an
     overflowing product, is still a ValueError."""
     big = max_abs(a)
     _require_finite(a, big, "matrix entries")

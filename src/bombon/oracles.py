@@ -54,8 +54,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError, ZeroVector
-from .linalg import (DEFAULT_TOL, _gauge, _hermitian_eig, circle_frame,
-                     finite_nonnegative, form_values, real_form, real_map)
+from .linalg import (DEFAULT_TOL, _cut, _gauge, _hermitian_eig,
+                     circle_frame, finite_nonnegative, form_values,
+                     real_form, real_map)
 from .moebius import _fit_hermitian_through
 from .projective import ProjPoint, line_through, sample_line, sample_point
 from .sections import SectionTag, classify_line_section, side_rings
@@ -207,15 +208,15 @@ def grid_line_tags(forms, bases):
     ``eigh``, not ``sections.restrict_form``, so that a fault there
     cannot reach both the classifier and this judge).  Its two
     eigenvalues, the ends of the range of its values on the line, give
-    the tag at the cut 1e-10 * max(1, max|A|): ends beyond it on both
-    sides mean Circle, both ends within it FullLine, one end within it
-    SinglePoint and both beyond it on one side Empty.  Basis columns
-    are first scaled by powers of two (``linalg._gauge``), so that a
-    lopsided basis keeps rank two.  Lines of any mix of forms and
-    dimensions take one line-form call per shape, and each line gets
-    the tag of a batch of one.  Raises ValueError for the first line,
-    in order, whose basis is not finite or of rank one, and for lists
-    of different lengths.
+    the tag at the cut 1e-10 * max(1, max|A|) (``linalg._cut``): ends
+    beyond it on both sides mean Circle, both ends within it FullLine,
+    one end within it SinglePoint and both beyond it on one side
+    Empty.  Basis columns are first scaled by powers of two
+    (``linalg._gauge``), so that a lopsided basis keeps rank two.  Lines
+    of any mix of forms and dimensions take one line-form call per
+    shape, and each line gets the tag of a batch of one.  Raises
+    ValueError for the first line, in order, whose basis is not finite
+    or of rank one, and for lists of different lengths.
     """
     forms = [np.asarray(a, dtype=complex) for a in forms]
     bases = [np.asarray(b, dtype=complex) for b in bases]
@@ -223,7 +224,7 @@ def grid_line_tags(forms, bases):
     if len(forms) != m:
         raise ValueError(f"{len(forms)} forms for {m} line bases")
     lam = np.empty((m, 2))
-    scale = np.empty(m)
+    big = np.empty(m)
     groups, errors = {}, []
     for i, (a, b) in enumerate(zip(forms, bases)):
         groups.setdefault((a.shape, b.shape), []).append(i)
@@ -233,15 +234,15 @@ def grid_line_tags(forms, bases):
         finite = np.isfinite(b).all(axis=(1, 2))
         (_, w), ok = _line_form(a, _gauge(b, axis=1)[0])
         lam[idx] = w[:, ::2, 0]
-        scale[idx] = np.fmax(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
+        big[idx] = np.abs(a).max(axis=(1, 2), initial=0.0)
         for k in np.flatnonzero(~(finite & ok))[:1]:
             errors.append((idx[k], "coordinates must be finite"
                            if not finite[k] else
                            "a line basis must have rank two"))
     if errors:
         raise ValueError(min(errors)[1])
-    return [_range_tag(hi, lo, 1e-10 * s) for hi, lo, s in zip(
-        lam.max(axis=1).tolist(), lam.min(axis=1).tolist(), scale.tolist())]
+    return [_range_tag(hi, lo, _cut(b, 1e-10)) for hi, lo, b in zip(
+        lam.max(axis=1).tolist(), lam.min(axis=1).tolist(), big.tolist())]
 
 
 @dataclass

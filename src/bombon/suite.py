@@ -20,8 +20,8 @@ from .linalg import (hermitian_eig, max_abs, orthonormal_columns,
                      random_hermitian, random_unitary, sym, zero_tol)
 from .moebius import (GenCircle, MoebiusMap, conjugate_point,
                       pushforward_circle, rotation)
-from .oracles import (RunConfig, grid_line_tag, grid_line_tags,
-                      oracle_from_quadric, verify_axioms)
+from .oracles import (RunConfig, grid_line_tags, oracle_from_quadric,
+                      verify_axioms)
 from .projective import (ProjLine, ProjPoint, Subspace, canonicalize,
                          line_through, meet, proj_close, sample_line,
                          sample_point, span)
@@ -265,61 +265,36 @@ def prop_cores_strictly_sided(rng, ctx):
 # --- sections and tangents ------------------------------------------------
 
 
-def _grid_judged(draws):
-    """Run the generator ``draws`` and judge its lines with the grid oracle.
-
-    ``draws`` yields (a, basis, tag, count) for each line whose ``tag``
-    the grid oracle must confirm, and returns its own (failure, count).
-    The lines are drawn first and judged in one ``grid_line_tags`` call;
-    the first disagreement in draw order is returned as text with the
-    count yielded beside it, ahead of whatever ``draws`` returned or
-    raised after that line.  Should the batch raise, the lines are judged
-    one at a time, so that the first failing line raises where it was
-    drawn.
+def _first_dispute(judged):
+    """Judge the lines (a, basis, tag) of ``judged`` in one
+    ``grid_line_tags`` call; return the first whose ``tag`` the grid
+    oracle disputes, in list order, as text, or None.
     """
-    judged = []
-    result = error = None
-    try:
-        while True:
-            judged.append(next(draws))
-    except StopIteration as stop:
-        result = stop.value
-    except Exception as exc:
-        # raised again below unless an earlier line is disputed; the
-        # suite reports any exception of a property
-        error = exc
-    try:
-        tags = grid_line_tags([j[0] for j in judged], [j[1] for j in judged])
-    except ValueError:
-        tags = (grid_line_tag(a, basis) for a, basis, _, _ in judged)
-    for (_, _, want, count), tag in zip(judged, tags):
+    tags = grid_line_tags([j[0] for j in judged], [j[1] for j in judged])
+    for (_, _, want), tag in zip(judged, tags):
         if tag is not want:
             return (f"classifier said {want.value}, "
-                    f"grid oracle said {tag.value}"), count
-    if error is not None:
-        raise error
-    return result
+                    f"grid oracle said {tag.value}")
+    return None
 
 
 def classifier_vs_grid(rng, count, classify):
     """Compare ``count`` random ``classify(x, line)`` verdicts with the
-    grid oracle.  Returns (first disagreement as text or None, number of
-    low-confidence verdicts left out).
+    grid oracle.  The confident verdicts are collected as drawn and
+    judged in one call.  Returns (first disagreement in draw order as
+    text or None, number of low-confidence verdicts left out).
     """
-    def draws():
-        low = 0
-        for _ in range(count):
-            n = int(rng.integers(1, 6))
-            x = random_bombon(rng, n)
-            line = sample_line(rng, n)
-            sec, _ = classify(x, line)
-            if sec.low_confidence:
-                low += 1
-                continue
-            yield x.a, line.basis(), sec.tag, low
-        return None, low
-
-    return _grid_judged(draws())
+    judged, low = [], 0
+    for _ in range(count):
+        n = int(rng.integers(1, 6))
+        x = random_bombon(rng, n)
+        line = sample_line(rng, n)
+        sec, _ = classify(x, line)
+        if sec.low_confidence:
+            low += 1
+            continue
+        judged.append((x.a, line.basis(), sec.tag))
+    return _first_dispute(judged), low
 
 
 def prop_section_classifier_vs_grid(rng, ctx):
@@ -649,31 +624,30 @@ def transport_tag_change(rng, count, classify):
     random points of each of ``count`` random smooth forms; judge each
     line before and after with ``classify(x, line)``, and before also
     with the grid oracle, which a fault hitting both alike cannot fool.
-    Returns (the first changed or disputed tag as text or None, number
-    of confident pairs).
+    The confident lines are collected as drawn and judged in one call.
+    Returns (the first changed or disputed tag in draw order as text or
+    None, number of confident pairs).
     """
-    def draws():
-        checked = 0
-        for _ in range(count):
-            n = int(rng.integers(2, 6))
-            x = random_smooth_bombon(rng, n)
-            p = random_point_on(rng, x)
-            q = random_point_on(rng, x)
-            w = homogeneity_transport(x, p, q)
-            for _ in range(_TRANSPORT_LINES):
-                line = sample_line(rng, n)
-                s1, _ = classify(x, line)
-                s2, _ = classify(x, ProjLine(w.t @ line.a, w.t @ line.b))
-                if s1.low_confidence or s2.low_confidence:
-                    continue
-                checked += 1
-                if s1.tag is not s2.tag:
-                    return (f"transport changed {s1.tag.value} to "
-                            f"{s2.tag.value}"), checked
-                yield x.a, line.basis(), s1.tag, checked
-        return None, checked
-
-    return _grid_judged(draws())
+    judged, checked = [], 0
+    for _ in range(count):
+        n = int(rng.integers(2, 6))
+        x = random_smooth_bombon(rng, n)
+        p = random_point_on(rng, x)
+        q = random_point_on(rng, x)
+        w = homogeneity_transport(x, p, q)
+        for _ in range(_TRANSPORT_LINES):
+            line = sample_line(rng, n)
+            s1, _ = classify(x, line)
+            s2, _ = classify(x, ProjLine(w.t @ line.a, w.t @ line.b))
+            if s1.low_confidence or s2.low_confidence:
+                continue
+            checked += 1
+            if s1.tag is not s2.tag:
+                return _first_dispute(judged) or (
+                    f"transport changed {s1.tag.value} to "
+                    f"{s2.tag.value}"), checked
+            judged.append((x.a, line.basis(), s1.tag))
+    return _first_dispute(judged), checked
 
 
 def prop_transport_preserves_sections(rng, ctx):

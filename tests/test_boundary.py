@@ -641,9 +641,11 @@ def _check_quadric_oracle():
 
 def _check_gen_circle():
     # Unscaled, the first two determinants overflow and the third
-    # underflows to -0.0, which reads as not mixed.
+    # underflows to -0.0, which reads as not mixed.  The last two have
+    # subnormal entries, which the Hermitian part must keep.
     for m in (1e160 * FLIP, [[1e308, HUGE], [HUGE.conjugate(), -1e308]],
-              1e-200 * FLIP):
+              1e-200 * FLIP, 5e-324 * FLIP,
+              [[3e-322, 1e-323 + 2e-323j], [1e-323 - 2e-323j, -5e-324]]):
         assert GenCircle(m).m.tobytes() == np.asarray(m, complex).tobytes()
     for m in (1e160 * np.eye(2), 1e-200 * np.eye(2),
               [[1e308, HUGE / 15.0], [HUGE.conjugate() / 15.0, 1e308]]):

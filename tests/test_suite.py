@@ -1,14 +1,16 @@
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bombon.errors import NotABombon
+import bombon.suite
 from bombon.jsonio import canonical_dumps
-from bombon.oracles import RunConfig
+from bombon.oracles import RunConfig, grid_line_tags
 from bombon.quadrics import QuadricBombon
-from bombon.sections import SectionTag
-from bombon.suite import REGISTRY, _grid_judged, theorem_suite
+from bombon.sections import SectionTag, classify_line_section
+from bombon.suite import (REGISTRY, _first_dispute, classifier_vs_grid,
+                          theorem_suite, transport_tag_change)
 
 
 def small(seed=7, n_lines=10):
@@ -82,28 +84,68 @@ def test_unknown_property_name_rejected():
         theorem_suite(small(), names=("no_such_property",))
 
 
-def test_grid_judged_reports_the_first_event_in_draw_order():
-    # Lines are drawn first and judged together; a disputed line still
-    # wins over a later failure, and a failure over a later dispute.
+def test_first_dispute_is_the_first_in_draw_order():
+    a = QuadricBombon.from_epsilons([1, 1, -1]).a
+    circle = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    good = (a, circle, SectionTag.CIRCLE)
+    assert _first_dispute([]) is None
+    assert _first_dispute([good, good]) is None
+    judged = [good, (a, circle, SectionTag.EMPTY), good,
+              (a, circle, SectionTag.SINGLE_POINT)]
+    assert _first_dispute(judged) == (
+        "classifier said empty, grid oracle said circle")
+
+
+def test_first_dispute_rejects_a_nan_basis():
+    # one batch judges every line, so a bad basis raises even after a
+    # disputed line
     a = QuadricBombon.from_epsilons([1, 1, -1]).a
     circle = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
     nan = np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 0.0]])
-    good = (a, circle, SectionTag.CIRCLE, 1)
-    disputed = (a, circle, SectionTag.EMPTY, 2)
+    with pytest.raises(ValueError, match="^coordinates must be finite$"):
+        _first_dispute([(a, circle, SectionTag.EMPTY),
+                        (a, nan, SectionTag.CIRCLE)])
 
-    def draws(lines, end):
-        yield from lines
-        if isinstance(end, Exception):
-            raise end
-        return end
 
-    want = ("classifier said empty, grid oracle said circle", 2)
-    assert _grid_judged(draws([good, good], (None, 7))) == (None, 7)
-    assert _grid_judged(draws([good, disputed], ("later", 3))) == want
-    assert _grid_judged(draws([disputed], NotABombon("later"))) == want
-    assert _grid_judged(draws([good, disputed, (a, nan, None, 3)],
-                              (None, 3))) == want
-    with pytest.raises(NotABombon, match="first"):
-        _grid_judged(draws([good], NotABombon("first")))
-    with pytest.raises(ValueError, match="must be finite"):
-        _grid_judged(draws([good, (a, nan, None, 2), disputed], (None, 3)))
+def _scripted(tags):
+    # a classify that gives its n-th call the confident tag tags[n], or
+    # the real classifier's verdict where that is None
+    tags = iter(tags)
+
+    def classify(x, line):
+        tag = next(tags)
+        if tag is None:
+            return classify_line_section(x, line)
+        return SimpleNamespace(tag=tag, low_confidence=False), None
+    return classify
+
+
+def test_transport_reports_an_earlier_dispute_ahead_of_a_changed_tag():
+    # each line is classified, then its image; the second line's tag
+    # changes under transport, and the grid oracle disputes the first
+    # line only when it is called a full line
+    full, circle, empty = (SectionTag.FULL_LINE, SectionTag.CIRCLE,
+                           SectionTag.EMPTY)
+    failure, checked = transport_tag_change(
+        np.random.default_rng(7), 1, _scripted([full, full, circle, empty]))
+    assert failure.startswith("classifier said full_line, grid oracle said ")
+    assert checked == 2
+    failure, checked = transport_tag_change(
+        np.random.default_rng(7), 1, _scripted([None, None, circle, empty]))
+    assert (failure, checked) == ("transport changed circle to empty", 2)
+
+
+def test_grid_comparisons_judge_in_one_call(monkeypatch):
+    # batch judging must not fall back to one call per line
+    calls = []
+
+    def counted(forms, bases):
+        calls.append(len(forms))
+        return grid_line_tags(forms, bases)
+    monkeypatch.setattr(bombon.suite, "grid_line_tags", counted)
+    for run, count in ((classifier_vs_grid, 40), (transport_tag_change, 4)):
+        calls.clear()
+        failure, _ = run(np.random.default_rng(7), count,
+                         classify_line_section)
+        assert failure is None
+        assert len(calls) == 1 and calls[0] > 1, calls
