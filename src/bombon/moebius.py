@@ -11,7 +11,13 @@ modules agree by construction.
 Circle inversion has a closed form in these terms: the conjugate of a
 point u with respect to the circle with matrix M is J conj(M u) with
 J = [[0, -1], [1, 0]], an antiholomorphic involution fixing exactly the
-circle.
+circle.  So has the rotation by theta about u that keeps the circle:
+P diag(e^{-i theta/2}, e^{i theta/2}) P^-1 with P = [u v], v the
+conjugate of u, the paper's circle action P+ x + e^{i theta} P- x with
+u and v as its two cores.
+
+A map is normalized from, and a circle decides on, its gauged matrix
+(``linalg._gauge``), so that neither depends on the matrix's scale.
 """
 
 import numpy as np
@@ -33,6 +39,7 @@ class MoebiusMap:
         a = as_cmatrix(m)
         if a.shape != (2, 2):
             raise ValueError("a Moebius map is a 2x2 matrix")
+        a = _gauge(a)[0]
         d = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
         if abs(d) < 1e-300:
             raise ValueError("matrix is singular")
@@ -70,9 +77,13 @@ class MoebiusMap:
 
 
 class GenCircle:
-    """Generalized circle {[z] : z* M z = 0}, M Hermitian of signature (1,1)."""
+    """Generalized circle {[z] : z* M z = 0}, M Hermitian of signature (1,1).
 
-    __slots__ = ("m",)
+    ``m`` is the caller's form and ``value`` reads it; membership, sides,
+    closeness and inversion read its gauged form ``_g``.
+    """
+
+    __slots__ = ("m", "_g")
 
     def __init__(self, m):
         a = hermitize(m)
@@ -84,7 +95,7 @@ class GenCircle:
         g = _gauge(a)[0]
         if (g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]).real >= 0:
             raise ValueError("form must have signature (1, 1): det < 0 required")
-        self.m = a
+        self.m, self._g = a, g
 
     @classmethod
     def unit_circle(cls):
@@ -98,18 +109,17 @@ class GenCircle:
         return form_value(self.m, z)
 
     def contains(self, z, tol=DEFAULT_TOL):
-        return abs(self.value(z)) <= zero_tol(self.m, tol)
+        return abs(form_value(self._g, z)) <= zero_tol(self._g, tol)
 
     def side(self, z):
-        val = self.value(z)
-        thr = zero_tol(self.m)
-        if abs(val) <= thr:
+        val = form_value(self._g, z)
+        if abs(val) <= zero_tol(self._g):
             return 0
         return 1 if val > 0 else -1
 
     def isclose(self, other, tol=1e-9):
-        a = self.m / max_abs(self.m)
-        b = other.m / max_abs(other.m)
+        a = self._g / max_abs(self._g)
+        b = other._g / max_abs(other._g)
         return max_abs(a - b) <= tol or max_abs(a + b) <= tol
 
     def to_unit_chart(self):
@@ -183,46 +193,21 @@ def conjugate_point(c, u):
     v = _coords(u)
     if c.contains(v):
         raise PointOnCircle("conjugate point of a circle point is itself")
-    return ProjPoint._of(_J_INV @ np.conj(c.m @ v))
-
-
-def _model_rotation(theta):
-    ct = np.cos(theta / 2.0)
-    st = np.sin(theta / 2.0)
-    return np.array([[ct, st], [-st, ct]], dtype=complex)
-
-
-def _three_point_map(p, q, r):
-    # Moebius sending p -> 0, q -> 1, r -> inf, all homogeneous.
-    cols = np.column_stack([r.v, p.v])
-    g = np.linalg.inv(cols)
-    img = g @ q.v
-    if abs(img[0]) < 1e-300 or abs(img[1]) < 1e-300:
-        raise CoincidentPoints("normalization points are not distinct")
-    return MoebiusMap(np.diag([1.0 / img[0], 1.0 / img[1]]) @ g)
+    return ProjPoint._of(_J_INV @ np.conj(c._g @ v))
 
 
 def rotation(c, u, theta):
     """One-parameter rotation of the sphere about u and its conjugate.
 
-    Conjugates (c, u) to the model (real line, i), where the rotation by
-    theta is z -> (z cos(t/2) + sin(t/2)) / (-z sin(t/2) + cos(t/2)),
-    and transports it back.  The resulting maps preserve c, fix u and
-    conjugate_point(c, u), and satisfy the group law in theta exactly up
-    to roundoff; replacing u by its conjugate point reverses the sense
-    of rotation.
+    With P = [u v], v = conjugate_point(c, u), the map is
+    P diag(e^{-i theta/2}, e^{i theta/2}) P^-1: it fixes u and v, its
+    derivative at u is e^{i theta}, and it preserves c, about which u and
+    v are symmetric.  The maps satisfy the group law in theta up to
+    roundoff, and (v, -theta) gives the same map as (u, theta).
     """
     up = u if isinstance(u, ProjPoint) else ProjPoint(u)
     if c.contains(up):
         raise PointOnCircle("rotation center must avoid the circle")
-    za, zb, zc = c.witness_zeros()
-    g = _three_point_map(za, zb, zc)
-    w = g.apply(up.v)
-    wa = w.v[0] / w.v[1]
-    if wa.imag < 0:
-        g = MoebiusMap(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)).compose(g)
-        wa = 1.0 / wa
-    h = MoebiusMap(np.array([[1.0, -wa.real], [0.0, wa.imag]], dtype=complex))
-    g = h.compose(g)
-    gi = np.linalg.inv(g.m)
-    return MoebiusMap(gi @ _model_rotation(theta) @ g.m)
+    p = np.column_stack([up.v, conjugate_point(c, up).v])
+    spin = np.exp(0.5j * theta * np.array([-1.0, 1.0]))
+    return MoebiusMap((p * spin) @ np.linalg.inv(p))

@@ -513,20 +513,16 @@ def _fs_diameter(pts):
 def _ray_forms(label, traces):
     # (m, k, 2, 2) Hermitian 2x2 forms, on each trace basis (p_u, p_v) of
     # the labeller ``label``, of the k forms whose zero sets hold every
-    # boundary crossing of its oracle, or None for an oracle without any.
-    # An oracle with a ``_form`` reads its one form from the labeller's
-    # line forms (g, w): the even rows of g = real_map(C^T) hold Re and Im
-    # of C^T, and the form is C* diag(lam) C.  An oracle with ``_pieces``
-    # restricts each piece to the trace bases, scaled by powers of two.
+    # boundary crossing of its oracle, or None for an oracle without any:
+    # its one ``_form``, else its ``_pieces``, each restricted to the
+    # trace bases scaled by powers of two
+    oracle = label.oracle
+    pieces = oracle._pieces if oracle._form is None else oracle._form[0][None]
+    if pieces is None:
+        return None
     with np.errstate(all="ignore"):
-        if label.g is not None:
-            ct = label.g[:, ::2, ::2] + 1j * label.g[:, ::2, 1::2]
-            m = (ct.conj() * label.w[:, None, ::2, 0]) @ ct.transpose(0, 2, 1)
-            return m[:, None]
-        if label.oracle._pieces is None:
-            return None
         p = _gauge(traces, axis=(1, 2))[0][:, None]
-        return p.conj().transpose(0, 1, 3, 2) @ label.oracle._pieces @ p
+        return p.conj().transpose(0, 1, 3, 2) @ pieces @ p
 
 
 def _ray_zeros(m, ang):

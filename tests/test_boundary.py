@@ -25,7 +25,7 @@ from bombon.convexity import (AffineComplexLine, ball_body, disk_section_test,
 from bombon.errors import CoincidentPoints, NotABombon, ZeroVector
 from bombon.linalg import (_hermitian_eig, circle_frame, hermitian_eig,
                            hermitize, random_unitary, sym, zero_tol)
-from bombon.moebius import GenCircle
+from bombon.moebius import GenCircle, MoebiusMap, conjugate_point, rotation
 from bombon.oracles import (RunConfig, bidisk_oracle, oracle_from_quadric,
                             verify_axioms)
 from bombon.projective import (ProjLine, ProjPoint, Subspace, _canonical,
@@ -651,12 +651,33 @@ def _check_gen_circle():
               [[1e308, HUGE / 15.0], [HUGE.conjugate() / 15.0, 1e308]]):
         with pytest.raises(ValueError, match="det < 0 required"):
             GenCircle(m)
+    # Read on the caller's form, 1e-12 FLIP held every point, at 1e-200
+    # every side read 0, and two circles with a huge entry were close.
+    for s in (1e160, 1e-12, 1e-200, 5e-324):
+        c = GenCircle(s * FLIP)
+        assert c.side([0.5, 1.0]) == -1 and c.side([2.0, 1.0]) == 1
+        assert c.contains([1.0, 1.0])
+        assert c.isclose(GenCircle(FLIP))
+        assert conjugate_point(c, [0.5, 1.0]).isclose([1.0, 0.5])
+        rotation(c, [0.5, 1.0], 0.7)
+    assert not GenCircle([[1e308, HUGE], [HUGE.conjugate(), -1e308]]).isclose(
+        GenCircle([[1e308, -HUGE], [-HUGE.conjugate(), -1e308]]))
+
+
+def _check_moebius_map():
+    # unscaled, the determinant underflowed to "singular" below 2^-600
+    # and overflowed to a NaN matrix above 2^600
+    m = np.array([[1.0, 2.0 + 1.0j], [0.5, -3.0]])
+    want = MoebiusMap(m).m.tobytes()
+    for k in (-1000, -600, 600, 1000):
+        assert MoebiusMap(2.0 ** k * m).m.tobytes() == want
 
 
 @pytest.mark.parametrize("check", [
     _check_unit_rep, _check_form_value, _check_quadric_value,
     _check_orthonormal_columns, _check_affine_line, _check_proj_close,
-    _check_line_through, _check_quadric_oracle, _check_gen_circle],
+    _check_line_through, _check_quadric_oracle, _check_gen_circle,
+    _check_moebius_map],
     ids=lambda f: f.__name__[len("_check_"):])
 def test_overflowing_moduli_get_the_right_answer(check):
     with warnings.catch_warnings():

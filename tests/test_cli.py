@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from bombon.cli import _build_parser, main
+from bombon.jsonio import decode_matrix
 from bombon.linalg import DEFAULT_TOL
+from bombon.moebius import MoebiusMap
 
 ELL3 = {"n": 2, "A": [[[1, 0], [0, 0], [0, 0]],
                       [[0, 0], [1, 0], [0, 0]],
@@ -92,7 +94,8 @@ def test_rotate_and_mvee(capsys, monkeypatch):
                "theta": 0.5}
     code, obj = run_json(capsys, monkeypatch, ["rotate"], payload)
     assert code == 0
-    assert len(obj["m"]) == 2
+    f = MoebiusMap(decode_matrix(obj["m"]))
+    assert abs(f.apply_affine(1.0) - np.exp(0.5j)) <= 1e-12
 
     pts = {"points": [[[1, 0]], [[-1, 0]], [[0, 1]], [[0, -1]]]}
     code, obj = run_json(capsys, monkeypatch, ["mvee"], pts)

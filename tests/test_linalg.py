@@ -499,3 +499,31 @@ def test_modules_use_every_name_they_import():
             unused += [(path.name, node.lineno, name) for name in names
                        if name not in used]
     assert not unused, unused
+
+
+def test_private_helpers_are_read():
+    # A private helper left behind by a refactor is caught here: each
+    # private top-level function of a module is read in that module or
+    # imported by another, and each private method name is read somewhere
+    # in the package.  Dunder methods are called by Python itself.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in pathlib.Path(cli.__file__).parent.glob("*.py")}
+    nodes = [n for tree in trees.values() for n in ast.walk(tree)]
+    imported = {a.name for n in nodes if isinstance(n, ast.ImportFrom)
+                for a in n.names}
+    attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+
+    def private(defs):
+        return [d for d in defs if isinstance(d, ast.FunctionDef)
+                and d.name.startswith("_") and not d.name.endswith("__")]
+
+    dead = []
+    for name, tree in sorted(trees.items()):
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        dead += [(name, d.name) for d in private(tree.body)
+                 if d.name not in read | imported]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                dead += [(name, f"{cls.name}.{d.name}")
+                         for d in private(cls.body) if d.name not in attrs]
+    assert not dead, dead

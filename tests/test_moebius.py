@@ -9,7 +9,8 @@ from bombon.moebius import (GenCircle, MoebiusMap, _fit_hermitian_through,
                             circle_through, conjugate_point,
                             pushforward_circle, rotation)
 from bombon.projective import ProjPoint
-from bombon.suite import involution_violation
+from bombon.suite import (_off_circle_point, _random_gencircle,
+                          involution_violation)
 
 ZERO = ProjPoint([0.0, 1.0])
 ONE = ProjPoint([1.0, 1.0])
@@ -125,6 +126,21 @@ def test_rotation_multiplier_frozen():
     # the center and its conjugate stay put
     assert f.apply(ZERO).isclose(ZERO)
     assert f.apply(INF).isclose(INF)
+    # general positions: the map fixes u and its conjugate, its
+    # derivative 1 / (m10 z0 + m11)^2 at z0 = u0 / u1 is e^{i theta}, and
+    # the circle's witness zeros lie on it
+    rng = np.random.default_rng(83)
+    for _ in range(40):
+        c = _random_gencircle(rng)
+        u = _off_circle_point(rng, c)
+        theta = rng.uniform(-np.pi, np.pi)
+        f = rotation(c, u, theta)
+        for p in (u, conjugate_point(c, u)):
+            assert f.apply(p).isclose(p, 1e-12)
+        z0 = u.v[0] / u.v[1]
+        slope = 1.0 / (f.m[1, 0] * z0 + f.m[1, 1]) ** 2
+        assert abs(slope - np.exp(1j * theta)) <= 1e-8
+        assert all(c.contains(z) for z in c.witness_zeros())
 
 
 def test_rotation_preserves_circle():
