@@ -26,8 +26,8 @@ from .errors import (DegenerateSpan, NoConvergence, NotOnSphere,
                      OracleInconsistent, ZeroVector)
 from .linalg import (as_cvector, finite_nonnegative, form_values,
                      hermitian_eig, orthonormal_columns, real_form, sym)
-from .oracles import (_GRID as _LINE_GRID, OracleSet, _grid_labels,
-                      _grid_tag, _radii, _traced_fits, cp1_grid)
+from .oracles import (_GRID as _LINE_GRID, OracleSet, _fits, _grid_labels,
+                      _grid_tag, _radii, _traced_zeros, cp1_grid)
 from .projective import _unit
 
 # sections wider than 2 * bounding_radius / _GRID hold stage-2 grid points
@@ -71,11 +71,22 @@ class ConvexBodyOracle:
         return bool(got[0]) if single else got
 
 
+def _chart_form(c, hm, r2=1.0):
+    # the homogeneous form E of the ellipsoid (x - c)* H (x - c) <= r2 in
+    # the chart z0 = 1: E = [[c* H c - r2, -(H c)*], [-H c, H]]
+    hc = hm @ c
+    return np.block([[np.vdot(c, hc).real - r2, -hc.conj()],
+                     [-hc[:, None], hm]])
+
+
 def ball_body(n, radius=1.0, center=None):
     """The ball of ``radius`` about ``center`` (the origin) in C^n.
 
-    Raises ValueError for a radius that is not finite and >= 0, and for a
-    center that is not a finite vector of n entries.
+    Its chart oracle labels lines from the ball's homogeneous form
+    [[|c|^2 - r^2, -c*], [-c, I]], as ``ellipsoid_body``'s does, where
+    r^2 is positive and the form finite.  Raises ValueError for a radius
+    that is not finite and >= 0, and for a center that is not a finite
+    vector of n entries.
     """
     radius = finite_nonnegative(radius, "ball radius")
     c = np.zeros(n, dtype=complex) if center is None else as_cvector(center)
@@ -85,8 +96,13 @@ def ball_body(n, radius=1.0, center=None):
     def member(pts):
         return np.linalg.norm(pts - c, axis=1) <= radius
 
-    return ConvexBodyOracle(member, radius + float(np.linalg.norm(c)), n,
+    body = ConvexBodyOracle(member, radius + float(np.linalg.norm(c)), n,
                             f"ball(r={radius})")
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = _chart_form(c, np.eye(n), radius * radius)
+    if radius * radius > 0.0 and np.isfinite(form).all():
+        body._chart_form = form
+    return body
 
 
 def ellipsoid_body(center, h):
@@ -112,9 +128,7 @@ def ellipsoid_body(center, h):
 
     body = ConvexBodyOracle(member, r + float(np.linalg.norm(c)), c.size,
                             "ellipsoid")
-    hc = hm @ c
-    body._chart_form = np.block([[np.vdot(c, hc).real - 1.0, -hc.conj()],
-                                 [-hc[:, None], hm]])
+    body._chart_form = _chart_form(c, hm)
     return body
 
 
@@ -206,12 +220,13 @@ def _chart_oracle(body):
 
 def disk_sections(body, lines, tol=1e-3, rng=None):
     """``disk_section_test`` of each of ``lines`` through ``body``; the
-    lines are traced together, spot-check pairs drawn in line order."""
+    lines share one labeller and are traced together, spot-check pairs
+    drawn in line order."""
     tol = finite_nonnegative(tol, "tol")
     rng = np.random.default_rng(0) if rng is None else rng
     big_r = body.bounding_radius
     oracle = _chart_oracle(body)
-    out, todo, bases, ends = [], [], [], []
+    out, near, bases = [], [], []
     for line in lines:
         out.append(DiskVerdict(DiskTag.EMPTY))
         t0 = -complex(np.vdot(line.direction, line.base))
@@ -220,11 +235,18 @@ def disk_sections(body, lines, tol=1e-3, rng=None):
         if dmin > big_r:
             continue
         chord = float(np.sqrt(big_r ** 2 - dmin ** 2)) + 1e-12
-        basis = np.column_stack([np.append(1.0, p),
-                                 np.append(0.0, chord * line.direction)])
-        label = oracle.on_lines(basis[None])
-        labels, = _grid_labels(label, cp1_grid(_LINE_GRID))
-        _, grid, labels = _grid_tag(label, labels)
+        near.append((len(out) - 1, line, t0, chord))
+        bases.append(np.column_stack([np.append(1.0, p),
+                                      np.append(0.0, chord * line.direction)]))
+    if not near:
+        return out
+    bases = np.array(bases)
+    label = oracle.on_lines(bases)
+    todo, two, ends = [], [], []
+    for j, (i, line, t0, chord) in enumerate(near):
+        one = label.lines(slice(j, j + 1))
+        labels, = _grid_labels(one, cp1_grid(_LINE_GRID))
+        _, grid, labels = _grid_tag(one, labels)
         inside = labels == 1
         if not np.any(inside):
             continue
@@ -236,23 +258,26 @@ def disk_sections(body, lines, tol=1e-3, rng=None):
             raise OracleInconsistent("a midpoint or the centroid of member "
                                      "points left the body")
         if not np.all(inside):
-            todo.append((len(out) - 1, t0, chord))
-            bases.append(basis)
+            todo.append((i, t0, chord))
+            two.append(j)
             # trace columns (p_u, p_v): the centroid and the point at
             # infinity, so that the rays run straight out of the centroid
             ends.append(np.array([[1.0, 0.0], [wc, 1.0]]))
         elif 2.0 * chord <= tol * big_r:
-            out[-1] = DiskVerdict(DiskTag.POINT, center=t0)
+            out[i] = DiskVerdict(DiskTag.POINT, center=t0)
         else:
             raise OracleInconsistent("member points outside the bounding ball")
-    fits = _traced_fits(oracle, np.array(bases), np.array(ends))
-    for (i, t0, chord), (m, zeros) in zip(todo, fits):
-        det = 0.0 if m is None else float(np.linalg.det(m).real)
+    fits = {}
+    for idx, z, m in _fits(_traced_zeros(label.lines(two), bases[two],
+                                         np.array(ends))):
+        fits.update(zip(idx, zip(m, z, np.linalg.det(m).real.tolist())))
+    for k, (i, t0, chord) in enumerate(todo):
+        m, z, det = fits.get(k, (None, None, 0.0))
         if det >= 0 or m[1, 1] == 0:
             raise OracleInconsistent("section boundary fits no circle")
         center = t0 + chord * complex(-m[1, 0] / m[1, 1])
         radius = chord * float(np.sqrt(-det)) / abs(m[1, 1])
-        ts = t0 + chord * (zeros[:, 1] / zeros[:, 0])
+        ts = t0 + chord * (z[:, 1] / z[:, 0])
         rel = float(np.max(np.abs(np.abs(ts - center) - radius))) / radius
         tag = (DiskTag.POINT if 2.0 * radius <= tol * big_r else
                DiskTag.DISK if rel <= tol else DiskTag.NOT_A_DISK)

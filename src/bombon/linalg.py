@@ -88,12 +88,14 @@ def _gauge(a, axis=None):
         if e > 1023:
             return a * 2.0 ** 1023 * math.ldexp(1.0, e - 1023), e
         return (a * math.ldexp(1.0, e) if e else a.copy()), e
-    big = np.maximum(np.abs(a.real), np.abs(a.imag)).max(
-        axis=axis, keepdims=True, initial=0.0)
+    # on the float view of a, whose last axis holds (Re, Im): the axes of
+    # ``axis``, negative ones counted past that axis, and that axis
+    f = a[..., None].view(float)
+    axes = tuple(x - 1 if x < 0 else x for x in (
+        (axis,) if isinstance(axis, int) else axis)) + (-1,)
+    big = np.abs(f).max(axis=axes, keepdims=True, initial=0.0)
     e = np.where(np.isfinite(big) & (big > 0.0), 1 - np.frexp(big)[1], 0)
-    out = np.empty_like(a)
-    out.real, out.imag = np.ldexp(a.real, e), np.ldexp(a.imag, e)
-    return out, e
+    return np.ldexp(f, e).view(complex)[..., 0], e[..., 0]
 
 
 def finite_nonnegative(x, name):
@@ -242,10 +244,14 @@ def _fix_phases(v):
     # reproducible; ties broken by first index.  Columns are eigenvectors,
     # so no pivot is zero.  ``hypot`` gives the pivot modulus bit for bit
     # as scalar ``abs`` does; array ``np.abs`` on complex can differ in
-    # the last bit.
+    # the last bit.  A stack (..., k, k) pins each matrix's columns; one
+    # matrix, the classifier's case, indexes its pivots directly: with
+    # take_along_axis alone, classify calls ran about 10% slower.
     if not v.size:
         return v
-    piv = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
+    idx = np.abs(v).argmax(axis=-2)
+    piv = (v[idx, np.arange(v.shape[1])] if v.ndim == 2 else
+           np.take_along_axis(v, idx[..., None, :], axis=-2))
     return v * (piv.conj() / np.hypot(piv.real, piv.imag))
 
 
@@ -280,19 +286,26 @@ def _hermitian_eig(a, tol):
     entries are below 2^1023).  A non-finite entry, say from an
     overflowing product, is still a ValueError."""
     big = max_abs(a)
-    _require_finite(a, big, "matrix entries")
+    lam, v = _pinned_eigh(a, big)
     thr = _cut(big, tol)
-    try:
-        # LAPACK returns the eigenvalues in ascending order.
-        lam, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
-    v = _fix_phases(v)
     n_pos = int(np.count_nonzero(lam > thr))
     n_neg = int(np.count_nonzero(lam < -thr))
     n_zero = a.shape[0] - n_pos - n_neg
     return Signature(n_pos=n_pos, n_neg=n_neg, n_zero=n_zero,
                      eigvals=lam, eigbasis=v, zero_threshold=thr)
+
+
+def _pinned_eigh(a, big):
+    # eigenvalues, ascending as LAPACK returns them, and phase-pinned
+    # eigenvectors of the exactly Hermitian matrix, or stack of matrices,
+    # ``a`` whose largest entry modulus is ``big``; ValueError for a
+    # non-finite entry, NoConvergence when LAPACK fails
+    _require_finite(a, big, "matrix entries")
+    try:
+        lam, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
+    return lam, _fix_phases(v)
 
 
 def orthonormal_columns(cols, rtol=DEFAULT_TOL):
@@ -369,9 +382,17 @@ def circle_frame(sig):
     """Columns (w+, w-): the eigenvectors of a 2x2 form with eigenvalues
     l0 < 0 < l1 scaled to form values +1 and -1, so that the form reads
     |z|^2 - 1 at z w+ + w-.  Eigenvalues below the zero cut scale too."""
-    lam, q = sig.eigvals, sig.eigbasis
-    return np.column_stack([q[:, 1] / np.sqrt(lam[1]),
-                            q[:, 0] / np.sqrt(-lam[0])])
+    return _circle_frames(sig.eigvals, sig.eigbasis)
+
+
+_NEG_POS = np.array([-1.0, 1.0])
+
+
+def _circle_frames(lam, q):
+    # circle_frame of the eigenpairs (lam, q) of a 2x2 form or of a
+    # stack (..., 2) and (..., 2, 2) of them: the columns q1 / sqrt(l1)
+    # and q0 / sqrt(-l0) in one division
+    return q[..., ::-1] / np.sqrt(lam * _NEG_POS)[..., None, ::-1]
 
 
 def random_hermitian(rng, k, scale=1.0):

@@ -22,12 +22,23 @@ A map is normalized from, and a circle decides on, its gauged matrix
 
 import numpy as np
 
-from .errors import CoincidentPoints, PointOnCircle
+from .errors import CoincidentPoints, PointOnCircle, ZeroVector
 from .linalg import (DEFAULT_TOL, _gauge, as_cmatrix, circle_frame,
                      hermitian_eig, hermitize, max_abs, sym, zero_tol)
 from .projective import ProjPoint, _close, _coords, form_value
 
 _J_INV = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+
+
+def _gauged(z):
+    # the coordinates of a point or vector z, gauged (``linalg._gauge``)
+    # so that products with a gauged or normalized matrix do not
+    # overflow; ZeroVector below largest modulus 1e-300, the floor of
+    # ``ProjPoint``, which the gauge would lift
+    v = _coords(z)
+    if max_abs(v) < 1e-300:
+        raise ZeroVector("cannot canonicalize a zero vector")
+    return _gauge(v)[0]
 
 
 class MoebiusMap:
@@ -51,7 +62,7 @@ class MoebiusMap:
 
     def apply(self, z):
         """Image of a point given as ProjPoint or homogeneous pair."""
-        return ProjPoint._of(self.m @ _coords(z))
+        return ProjPoint._of(self.m @ _gauged(z))
 
     def apply_affine(self, w):
         """Image of an affine parameter w (may return inf)."""
@@ -151,24 +162,31 @@ def _fit_hermitian_through(points):
     # one row (|x|^2, 2 Re xy, -2 Im xy, |y|^2), xy = conj(x) y, per unit
     # representative (x, y), then one SVD.  Takes a list of ProjPoints or
     # vectors, which it validates, or an (m, 2) complex array the library
-    # built, such as the zero tracer's, which it trusts.  |x| comes from
-    # ``hypot``, which matches scalar ``abs`` where array ``np.abs`` can
-    # differ.
+    # built, such as the zero tracer's, which it trusts; an (l, m, 2)
+    # stack of such arrays is fitted in one batch, to an (l, 2, 2) stack
+    # of forms and l residuals, each with the bits of its own call.  |x|
+    # comes from ``hypot``, which matches scalar ``abs`` where array
+    # ``np.abs`` can differ.
     v = (points if isinstance(points, np.ndarray)
          else np.array([_coords(p) for p in points]))
-    v = v / np.linalg.norm(v, axis=1, keepdims=True)
-    x, y = v[:, 0], v[:, 1]
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    x, y = v[..., 0], v[..., 1]
     xy = np.conj(x) * y
-    a = np.column_stack([np.hypot(x.real, x.imag) ** 2, 2.0 * xy.real,
-                         -2.0 * xy.imag, np.hypot(y.real, y.imag) ** 2])
+    a = np.empty(xy.shape + (4,))
+    a[..., 0], a[..., 3] = (np.hypot(x.real, x.imag) ** 2,
+                            np.hypot(y.real, y.imag) ** 2)
+    a[..., 1], a[..., 2] = 2.0 * xy.real, -2.0 * xy.imag
     # the m x m U is never read; below 4 rows only the full vt holds a
     # null vector
-    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < 4)
-    coef = vt[-1]
-    resid = float(s[-1]) if a.shape[0] >= 4 else 0.0
-    m = np.array([[coef[0], coef[1] + 1j * coef[2]],
-                  [coef[1] - 1j * coef[2], coef[3]]], dtype=complex)
-    return m, resid
+    rows = a.shape[-2]
+    _, s, vt = np.linalg.svd(a, full_matrices=rows < 4)
+    coef = vt[..., -1, :]
+    resid = s[..., -1] if rows >= 4 else np.zeros(s.shape[:-1])
+    m = np.empty(coef.shape[:-1] + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 1, 1] = coef[..., 0], coef[..., 3]
+    m[..., 0, 1] = coef[..., 1] + 1j * coef[..., 2]
+    m[..., 1, 0] = coef[..., 1] - 1j * coef[..., 2]
+    return (m, resid) if v.ndim == 3 else (m, float(resid))
 
 
 def circle_through(z1, z2, z3):
@@ -190,7 +208,7 @@ def conjugate_point(c, u):
 
     Raises PointOnCircle when u lies on c, where inversion would fix it.
     """
-    v = _coords(u)
+    v = _gauged(u)
     if c.contains(v):
         raise PointOnCircle("conjugate point of a circle point is itself")
     return ProjPoint._of(_J_INV @ np.conj(c._g @ v))

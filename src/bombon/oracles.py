@@ -21,15 +21,17 @@ grow with its number of lines:
   rounding, on that side from the form's eigenvalues (``_line_label``):
   every grid row would get that label, so the grid is not labelled;
 - the chunk's two-sided lines have their zero sets traced along 64
-  rays per line.  An oracle built from a form, and one whose boundary
-  lies on Hermitian pieces (the bidisk, a polydisk chart), proposes
-  each ray's zero in closed form from the roots of those forms on the
-  ray and keeps it where it is the ray's one crossing and labels
-  certify it (``_trace_zeros``); the other rays, and every ray of other
-  oracles, are bisected on the lines that have them, in one labelling
-  call per step;
-- each zero set gets its own circle fit, and the side rings of the
-  chunk's fitted lines are labelled in one call.
+  rays per line, through the chunk's labeller moved to each line's
+  trace basis, so that a chunk builds its line forms once.  An oracle
+  built from a form, and one whose boundary lies on Hermitian pieces
+  (the bidisk, a polydisk chart), proposes each ray's zero in closed
+  form from the roots of those forms on the ray and keeps it where it
+  is the ray's one crossing and labels certify it (``_trace_zeros``);
+  the other rays, and every ray of other oracles, are bisected each on
+  its own, four halvings per labelling call (``_bisect``);
+- the zero sets are fitted and checked for circles in one batch per
+  count of zeros, each line with the bits of its own fit, and the side
+  rings of the chunk's fitted lines are labelled in one call.
 Every line point is labelled through ``OracleSet.on_lines``, which
 labels rows of the line's CP^1: the grids' rows, shared by all lines,
 and the rays' chart rows, one set per line.  By default each block is
@@ -39,12 +41,15 @@ quadric oracle and the chart of an ellipsoid label a row from its line's
 own 2x2 form instead (``_line_form``): one ``linalg.form_values``
 product on the row's four floats gives its value and squared norm.
 Labels are int8; a grid's labels are written block by block into one
-preallocated (lines, grid) array.  Rows are labelled independently, so
-the tags do not depend on which lines share a call.  Every tag leaves
-through ``oracle_line_tag``, so a wrapper of that one function sees
-each tagged line.
+preallocated (lines, grid) array.  Rows are labelled independently,
+and every stage passes each line two or more rows, so the tags do not
+depend on which lines share a call: numpy takes a one-row product by
+its matrix-vector path, whose sums can round apart from those of the
+same row in a larger product.  Every tag leaves through
+``oracle_line_tag``, so a wrapper of that one function sees each
+tagged line.
 ``convexity.disk_sections`` runs convex-body charts through the same
-stages and circle fit.
+stages and circle fits, with one labeller for all its lines.
 """
 
 from dataclasses import dataclass, field
@@ -54,8 +59,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError, ZeroVector
-from .linalg import (DEFAULT_TOL, _cut, _gauge, _hermitian_eig,
-                     circle_frame, finite_nonnegative, form_values,
+from .linalg import (DEFAULT_TOL, _circle_frames, _cut, _gauge,
+                     _pinned_eigh, finite_nonnegative, form_values, max_abs,
                      real_form, real_map)
 from .moebius import _fit_hermitian_through
 from .projective import ProjPoint, line_through, sample_line, sample_point
@@ -70,9 +75,14 @@ _GRID = 128
 # RunConfig.to_dict as "grid" so that reports keep their bytes
 _GRID_SIGN = 1e-6
 _STAGE2 = 131072
-# zero tracing: rays and bisection steps
+# zero tracing: rays, bisection steps, and the steps taken from one
+# labelling call of a ray's walk (``_bisect``)
 _RAYS = 64
 _BISECT_ITERS = 60
+_HALVINGS = 4
+# the rays' directions, and log10 |w| at their ends
+_ANGLES = np.exp(2j * np.pi * np.arange(_RAYS) / _RAYS)
+_ENDS = np.repeat([[-8.0], [8.0]], _RAYS, axis=1)
 # Half-width, in log10 |z|, of the two labels that certify a ray's
 # proposed zero x in ``_trace_zeros``.  An x in (-8, 8) is spaced at most
 # 2^-49 < 1.8e-15 from its neighbours, and 10^x rounds to a few eps, so
@@ -89,8 +99,8 @@ _FLANK = 1e-12
 # Rows per block when labelling a grid: big enough to amortize the
 # per-call cost, small enough that a block's temporaries stay in cache.
 _BLOCK = 4096
-# two-sided lines traced together: their rays fill one labelling call
-# per bisection step
+# two-sided lines traced together: one label of each of their rays fills
+# one labelling call
 _TRACE_LINES = _BLOCK // _RAYS
 # largest |r - 1| of the traced zeros in the chart of a fitted circle
 _CHART_RESIDUAL = 1e-4
@@ -160,9 +170,10 @@ def _line_form(a, bases):
     b = np.asarray(bases, dtype=complex)
     with np.errstate(all="ignore"):
         b = _gauge(b, axis=(1, 2))[0]
-        r00 = np.linalg.norm(b[:, :, 0], axis=1)
-        q0 = b[:, :, 0] / r00[:, None]
-        u = b[:, :, 1]
+        b0, u = b[:, :, 0], b[:, :, 1]
+        # column norms as np.linalg.norm takes them
+        r00 = np.sqrt(np.add.reduce((b0.conj() * b0).real, axis=1))
+        q0 = b0 / r00[:, None]
         r01 = 0.0
         # Gram-Schmidt, twice for the second column, so that Q stays
         # orthonormal when the columns are nearly dependent
@@ -170,12 +181,13 @@ def _line_form(a, bases):
             c = (q0.conj() * u).sum(axis=1)
             u = u - q0 * c[:, None]
             r01 = r01 + c
-        r11 = np.linalg.norm(u, axis=1)
+        r11 = np.sqrt(np.add.reduce((u.conj() * u).real, axis=1))
         ok = r11 > DEFAULT_TOL * np.maximum(r00, np.hypot(np.abs(r01), r11))
         q = np.stack([q0, u / r11[:, None]], axis=2)
     rt = np.zeros((b.shape[0], 2, 2), dtype=complex)
     rt[:, 0, 0], rt[:, 1, 0], rt[:, 1, 1] = r00, r01, r11
-    q[~ok] = rt[~ok] = 0.0
+    if not ok.all():
+        q[~ok] = rt[~ok] = 0.0
     m = q.conj().transpose(0, 2, 1) @ np.asarray(a, dtype=complex) @ q
     lam, v = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2.0)
     w = np.ones((b.shape[0], 4, 2))
@@ -304,14 +316,15 @@ class OracleSet:
 
         ``bases`` is an (m, dim+1, 2) stack of bases B; the labeller maps
         CP^1 rows s, (r, 2) for all lines or (m, r, 2) per line, to the
-        (m, r) int8 labels of their points, and its ``line(i)`` is line
-        i's labeller.  The points are one real matmul of the rows' floats
-        with ``real_map`` of the bases, unless the oracle has a
-        ``_form``: then the labeller holds each line's ``_line_form``, a
-        row's value and squared norm come from it, and only the rows
-        whose squared norm there is not a normal float (every row of a
-        line of rank one) are built as points.  Raises ValueError for
-        bases that are not finite, before any point is built.
+        (m, r) int8 labels of their points, and its ``lines(idx)`` is the
+        labeller of the lines ``idx``.  The points are one real matmul of
+        the rows' floats with ``real_map`` of the bases, unless the oracle
+        has a ``_form``: then the labeller holds each line's
+        ``_line_form``, a row's value and squared norm come from it, and
+        only the rows whose squared norm there is not a normal float
+        (every row of a line of rank one) are built as points.  Raises
+        ValueError for bases that are not finite, before any point is
+        built.
         """
         bases = np.asarray(bases, dtype=complex)
         if not np.isfinite(bases).all():
@@ -338,6 +351,16 @@ class _LineLabeller:
         return _LineLabeller(self.oracle, *(
             None if a is None else a[idx]
             for a in (self.to_pts, self.g, self.w, self.ok)))
+
+    def traced(self, ends, traces):
+        # the labeller of the trace bases ``traces`` B E of these lines'
+        # bases B, E = ``ends``: a row t of B E is the row E t of B, so
+        # its line form is real_map(E^T) g, and its points, where a row
+        # takes the point path, are built from the traces
+        g = None if self.g is None else real_map(
+            ends.transpose(0, 2, 1)) @ self.g
+        return _LineLabeller(self.oracle, real_map(traces.transpose(0, 2, 1)),
+                             g, self.w, self.ok)
 
     def _points(self, rows):
         return (np.ascontiguousarray(rows, dtype=complex).view(np.float64)
@@ -587,61 +610,102 @@ def _certified_zeros(label, x, ang, valid, lab_lo, lab_hi):
     return kept, np.where(cross, x, 0.0).sum(axis=1)
 
 
-def _trace_zeros(oracle, bases, ends):
+def _bisect(label, a, b, ref, ang):
+    # The ends (a, b) in log10 |w| of rays w = r ang, one ray per line of
+    # the labeller ``label``, after _BISECT_ITERS halvings of a side flip:
+    # a midpoint whose label times ``ref``, the label at a, is > 0 moves
+    # a, < 0 moves b and 0 moves both, after which the ray is done.  Each
+    # round labels the 2^_HALVINGS - 1 midpoints that the next _HALVINGS
+    # halvings of each open ray can visit, each from its own parents as
+    # one halving at a time computes it, in calls of at most _BLOCK rows;
+    # a walk down them then takes those halvings.  Each ray's rows go
+    # through one product with its line's matrix, of several rows: numpy
+    # takes a one-row product by its matrix-vector path, whose sums can
+    # round apart from those of the same rows in a larger product.
+    walk = 2 ** _HALVINGS - 1
+    per = _BLOCK // walk
+    for _ in range(_BISECT_ITERS // _HALVINGS):
+        rays = np.flatnonzero(a != b)
+        if not rays.size:
+            break
+        lo, hi, mids = a[rays, None], b[rays, None], []
+        for level in range(_HALVINGS):
+            mids.append((lo + hi) / 2.0)
+            if level + 1 < _HALVINGS:
+                # children in heap order: (lo, mid) left, (mid, hi) right
+                lo, hi = (np.stack(p, axis=2).reshape(rays.size, -1)
+                          for p in ((lo, mids[-1]), (mids[-1], hi)))
+        mids = np.concatenate(mids, axis=1)
+        rows = np.ones(mids.shape + (2,), dtype=complex)
+        rows[..., 0] = np.power(10.0, mids) * ang[rays, None]
+        t = np.empty(mids.shape, dtype=np.int8)
+        for s in range(0, rays.size, per):
+            r = rays[s:s + per]
+            t[s:s + per] = label.lines(r)(rows[s:s + per]) * ref[r, None]
+        at, node = np.arange(rays.size), np.zeros(rays.size, dtype=int)
+        ra, rb, live = a[rays], b[rays], np.ones(rays.size, dtype=bool)
+        for _ in range(_HALVINGS):
+            tn, mid = t[at, node], mids[at, node]
+            ra = np.where(live & (tn >= 0), mid, ra)
+            rb = np.where(live & (tn <= 0), mid, rb)
+            live &= tn != 0
+            node = 2 * node + 1 + (tn > 0)
+        a[rays], b[rays] = ra, rb
+    return a, b
+
+
+def _trace_zeros(label, bases, ends):
     """Zero sets of the lines ``bases`` (m, n+1, 2), 0 < m <=
-    _TRACE_LINES, along _RAYS rays per line.
+    _TRACE_LINES, of the labeller ``label`` (``OracleSet.on_lines``),
+    along _RAYS rays per line.
 
     Line i is charted by the columns (p_u, p_v) of ends[i]: p_v sits at
-    0 and p_u at infinity.  A ray brackets a zero when its labels at
-    log10 |z| = -8 and 8 are nonzero and differ.  An oracle with a
-    ``_form`` or ``_pieces`` proposes a bracketed ray's zero from every
-    positive root in (-8, 8) of its forms' 2x2 restrictions to the ray
-    (``_ray_forms`` and ``_ray_zeros``), and its labels at each candidate
-    x and at x -+ _FLANK decide (``_certified_zeros``): a ray keeps its
-    one candidate that is a crossing, when it has exactly one and that
-    one's label is 0, or its flank labels are those at -8 and 8.  The
-    other bracketed rays, and every ray of an oracle without forms,
-    bisect the side flip in log10 |z| from [-8, 8], on the lines that
-    have such rays, in one labelling call per step.  No labelling call
-    exceeds _BLOCK rows.  Returns per line the (k, 2) CP^1 coordinates
-    of its k bracketed zeros, or None when no ray brackets a flip.
+    0 and p_u at infinity.  Rays are labelled through ``label`` moved to
+    the trace bases (p_u, p_v), so that the line forms of a chunk are
+    built once.  A ray brackets a zero when its labels at log10 |z| = -8
+    and 8 are nonzero and differ.  An oracle with a ``_form`` or
+    ``_pieces`` proposes a bracketed ray's zero from every positive root
+    in (-8, 8) of its forms' 2x2 restrictions to the ray (``_ray_forms``
+    and ``_ray_zeros``), and its labels at each candidate x and at
+    x -+ _FLANK decide (``_certified_zeros``): a ray keeps its one
+    candidate that is a crossing, when it has exactly one and that one's
+    label is 0, or its flank labels are those at -8 and 8.  The other
+    bracketed rays, every one of them for an oracle with neither, bisect
+    the side flip in log10 |z| from [-8, 8], each ray on its own, four
+    halvings per labelling call (``_bisect``).  No labelling call exceeds
+    _BLOCK rows.  Returns per line the (k, 2) CP^1 coordinates of its k
+    bracketed zeros, or None when no ray brackets a flip.  Raises
+    ValueError when a trace basis is not finite.
     """
-    m = bases.shape[0]
-    ang = np.exp(2j * np.pi * np.arange(_RAYS) / _RAYS)
+    m, ang = bases.shape[0], _ANGLES
     # each line's trace basis (p_u, p_v), the transpose of ends_t @ basis_t
     traces = np.swapaxes(
         ends.transpose(0, 2, 1) @ bases.transpose(0, 2, 1), 1, 2)
-    label = oracle.on_lines(traces)
-    lo = np.full((m, _RAYS), -8.0)
-    hi = np.full((m, _RAYS), 8.0)
-    lab_lo, lab_hi = _ray_labels(label, np.stack([lo, hi], axis=1),
-                                 ang).transpose(1, 0, 2)
+    if not np.isfinite(traces).all():
+        raise ValueError("coordinates must be finite")
+    label = label.traced(ends, traces)
+    lab_lo, lab_hi = _ray_labels(label, np.broadcast_to(
+        _ENDS, (m, 2, _RAYS)), ang).transpose(1, 0, 2)
     valid = (lab_lo != 0) & (lab_hi != 0) & (lab_lo != lab_hi)
+    # log10 |w| of each bracketed ray's zero
+    logr = np.zeros((m, _RAYS))
     todo = valid
     forms = _ray_forms(label, traces) if np.any(valid) else None
     if forms is not None:
         kept, zero = _certified_zeros(
             label, _ray_zeros(forms, ang).reshape(m, -1, _RAYS), ang, valid,
             lab_lo, lab_hi)
-        lo[kept] = hi[kept] = zero[kept]
+        logr[kept] = zero[kept]
         todo = valid & ~kept
-    if np.any(todo):
-        # a midpoint's label times lab_lo is > 0 on lo's side, < 0 on
-        # hi's side and 0 on the set, where both ends move; NaN keeps the
-        # ends of the rays not bisected
-        rows = np.flatnonzero(todo.any(axis=1))
-        sub = label.lines(rows)
-        ref = np.where(todo[rows], lab_lo[rows], np.nan)
-        a, b = lo[rows], hi[rows]
-        for _ in range(_BISECT_ITERS):
-            mid = (a + b) / 2.0
-            t = _ray_labels(sub, mid[:, None], ang)[:, 0] * ref
-            a = np.where(t >= 0, mid, a)
-            b = np.where(t <= 0, mid, b)
-        lo[rows], hi[rows] = a, b
-    w = np.power(10.0, (lo + hi) / 2.0) * ang
-    return [np.column_stack([wi[vi], np.ones(int(vi.sum()))]) @ pi.T
-            if np.any(vi) else None for wi, vi, pi in zip(w, valid, ends)]
+    line, ray = np.nonzero(todo)
+    if line.size:
+        a, b = _bisect(label.lines(line), np.full(line.size, -8.0),
+                       np.full(line.size, 8.0), lab_lo[line, ray], ang[ray])
+        logr[line, ray] = (a + b) / 2.0
+    rows = np.ones((m, _RAYS, 2), dtype=complex)
+    rows[..., 0] = np.power(10.0, logr) * ang
+    zeros = rows @ ends.transpose(0, 2, 1)
+    return [z[v] if v.any() else None for z, v in zip(zeros, valid)]
 
 
 def _grid_labels(label, grid):
@@ -699,15 +763,17 @@ def _grid_tag(label, labels):
     # grid, unless its line form settles that grid's labels as its
     # stage-1 side.
     grid = cp1_grid(_GRID)
-    if bool(np.all(labels == 0)):
+    lo, hi = int(labels.min()), int(labels.max())
+    if lo == hi == 0:
         return ("full_line", True, ""), grid, labels
-    if not (np.any(labels == 1) and np.any(labels == -1)):
+    if (lo, hi) != (-1, 1):
         grid = cp1_grid(_STAGE2)
         side = _line_label(label)
-        if side != 0 and np.any(labels == side):
+        if side != 0 and side in (lo, hi):
             return ("empty", True, ""), grid, np.full(_STAGE2, side, np.int8)
         labels, = _grid_labels(label, grid)
-    if np.any(labels == 1) and np.any(labels == -1):
+        lo, hi = int(labels.min()), int(labels.max())
+    if (lo, hi) == (-1, 1):
         return None, grid, labels
     ons = grid[labels == 0]
     if ons.shape[0] == 0:
@@ -719,55 +785,76 @@ def _grid_tag(label, labels):
             f"one-sided ON set of diameter {diameter:.3f}"), grid, labels
 
 
-def _traced_fits(oracle, bases, ends):
-    # (m, zeros) per two-sided line: its traced zeros and the form fitted
-    # through them, m None below 8 zeros; _TRACE_LINES lines per trace
-    zeros = [z for s in range(0, len(bases), _TRACE_LINES)
-             for z in _trace_zeros(oracle, bases[s:s + _TRACE_LINES],
-                                   ends[s:s + _TRACE_LINES])]
-    return [(None, z) if z is None or len(z) < 8
-            else (_fit_hermitian_through(z)[0], z) for z in zeros]
+def _traced_zeros(label, bases, ends):
+    # _trace_zeros of the lines ``bases`` of the labeller ``label`` from
+    # ``ends``, _TRACE_LINES lines per trace
+    return [z for s in range(0, len(bases), _TRACE_LINES)
+            for z in _trace_zeros(label.lines(slice(s, s + _TRACE_LINES)),
+                                  bases[s:s + _TRACE_LINES],
+                                  ends[s:s + _TRACE_LINES])]
+
+
+def _fits(zeros):
+    # (lines, zeros, forms) for each count k >= 8 of traced zeros in the
+    # list ``zeros``: the indices of the lines with k zeros, their
+    # (l, k, 2) zeros and the (l, 2, 2) forms fitted through them in one
+    # batch, each with the bits of its own fit
+    groups = {}
+    for i, z in enumerate(zeros):
+        if z is not None and len(z) >= 8:
+            groups.setdefault(len(z), []).append(i)
+    for idx in groups.values():
+        z = np.stack([zeros[i] for i in idx])
+        yield idx, z, _fit_hermitian_through(z)[0]
 
 
 def _circle_fit(m, zeros):
-    # (circle_frame of the form m fitted through the traced zeros, "") or
-    # (None, why the zeros are not a circle)
-    if m is None:
-        return None, "could not bracket the zero set"
-    if np.linalg.det(m).real >= 0:
-        return None, "zero set fit is not mixed-signature"
-    # the fitted form is Hermitian by construction
-    frame = circle_frame(_hermitian_eig(m, DEFAULT_TOL))
-    hom = np.linalg.solve(frame, zeros.T).T
+    # (frame, summary) of each form of the stack m (l, 2, 2) fitted
+    # through the traced zeros (l, k, 2): (its circle_frame, "") or
+    # (None, why the zeros are not a circle); each frame has the bits of
+    # a batch of one.  The fitted forms are Hermitian by construction.
+    out = [(None, "zero set fit is not mixed-signature")] * len(m)
+    mixed = np.flatnonzero(~(np.linalg.det(m).real >= 0))
+    if not mixed.size:
+        return out
+    m = m[mixed]
+    frames = _circle_frames(*_pinned_eigh(m, max_abs(m)))
+    hom = np.linalg.solve(frames, zeros[mixed].transpose(0, 2, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.abs(hom[:, 0] / hom[:, 1])
-    residual = float(np.max(np.abs(r - 1.0)))
-    if not np.isfinite(residual) or residual > _CHART_RESIDUAL:
-        return None, f"circle fit residual {residual:.3e} in chart units"
-    return frame, ""
+    for i, frame, residual in zip(mixed.tolist(), frames,
+                                  np.max(np.abs(r - 1.0), axis=1).tolist()):
+        out[i] = ((frame, "") if residual <= _CHART_RESIDUAL else
+                  (None, f"circle fit residual {residual:.3e} in chart units"))
+    return out
 
 
-def _circle_tags(oracle, bases, ends):
-    # result of each two-sided line of ``bases`` (m, n+1, 2), m <=
-    # _TRACE_LINES, traced from ``ends``: traced zeros, a circle fit per
-    # line, and the side rings of all fitted lines in one labels call
-    out, fitted, rings = [], [], []
-    for i, (basis, (m, z)) in enumerate(zip(
-            bases, _traced_fits(oracle, bases, ends))):
-        frame, summary = _circle_fit(m, z)
-        out.append(("nonconforming", True, summary))
-        if frame is not None:
-            fitted.append(i)
-            rings.append(side_rings(basis, frame))
+def _circle_tags(label, bases, ends):
+    # result of each two-sided line of ``bases`` (m, n+1, 2) of the
+    # labeller ``label``, traced from ``ends``: traced zeros, circle fits
+    # in one batch per zero count, and the side rings of all fitted lines
+    # in one labels call
+    oracle = label.oracle
+    out = [("nonconforming", True, "could not bracket the zero set")] * len(
+        bases)
+    frames = {}
+    for idx, z, m in _fits(_traced_zeros(label, bases, ends)):
+        for i, (frame, summary) in zip(idx, _circle_fit(m, z)):
+            out[i] = ("nonconforming", True, summary)
+            if frame is not None:
+                frames[i] = frame
+    fitted = sorted(frames)
+    rings = [side_rings(bases[i], frames[i]) for i in fitted]
     if fitted:
+        # each ring's labels all equal its first, nonzero and unlike the
+        # other ring's
         sides = oracle.labels(np.concatenate(rings).reshape(
-            -1, bases.shape[1]))
-        for i, (inner, outer) in zip(
-                fitted, sides.reshape(len(fitted), 2, -1)):
-            ok = (np.all(inner == inner[0]) and np.all(outer == outer[0])
-                  and inner[0] != 0 and outer[0] != 0
-                  and inner[0] != outer[0])
-            out[i] = ("circle", bool(ok), "")
+            -1, bases.shape[1])).reshape(len(fitted), 2, -1)
+        inner, outer = sides[:, 0, 0], sides[:, 1, 0]
+        ok = ((sides == sides[:, :, :1]).all(axis=(1, 2)) & (inner != 0)
+              & (outer != 0) & (inner != outer))
+        for i, good in zip(fitted, ok.tolist()):
+            out[i] = ("circle", good, "")
     return out
 
 
@@ -783,13 +870,12 @@ def _tag_stream(oracle, lines):
             tag, grid, labels = _grid_tag(label.lines(slice(i, i + 1)), labels)
             tags.append(tag)
             if tag is None:
-                # the columns (p_u, p_v) of a U and a V grid point
+                # the columns (p_u, p_v) of the first U and the first V
+                # grid point
                 two.append(i)
-                ends.append(np.column_stack([
-                    grid[int(np.argmax(labels == 1))],
-                    grid[int(np.argmax(labels == -1))]]))
+                ends.append(grid[[labels.argmax(), labels.argmin()]].T)
         if two:
-            for i, tag in zip(two, _circle_tags(oracle, bases[two],
+            for i, tag in zip(two, _circle_tags(label.lines(two), bases[two],
                                                 np.array(ends))):
                 tags[i] = tag
         yield from zip(bases, tags)

@@ -178,6 +178,15 @@ class ProjLine:
         line._set(a, b)
         return line
 
+    @classmethod
+    def _apart(cls, a, b):
+        """The line through two 1-d complex arrays of one size that the
+        library built and has already found to be distinct points: no
+        checks."""
+        line = object.__new__(cls)
+        line.a, line.b = a, b
+        return line
+
     def _set(self, a, b):
         if a.size != b.size:
             raise ValueError("line endpoints live in different spaces")
@@ -332,4 +341,6 @@ def sample_line(rng, n):
         p = sample_point(rng, n)
         q = sample_point(rng, n)
         if not _close(p.v, q.v, 1e-6):
-            return ProjLine._of(p.v, q.v)
+            # points 1e-6 apart pass the constructor's 1e-9 coincidence
+            # check, so the line is built without it
+            return ProjLine._apart(p.v, q.v)

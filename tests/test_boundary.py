@@ -315,9 +315,9 @@ def test_verifier_does_not_revalidate(monkeypatch):
 
 def test_verifier_builds_each_line_form_once(monkeypatch):
     # One labeller per chunk of 32 lines builds their line forms, and the
-    # stages of each line read its slice: a 60-line verify_axioms run,
-    # two chunks with two-sided lines in each, builds one per chunk and
-    # one per chunk's zero trace, and a one-sided disk_section_test line
+    # stages of each line read its slice, the zero trace included: a
+    # 60-line verify_axioms run, two chunks with two-sided lines in each,
+    # builds one per chunk, and a two-sided disk_section_test line
     # builds one.  _line_label, _grid_tag and _ray_zeros build none.
     calls, seen = [], {}
     line_form = oracles._line_form
@@ -345,9 +345,14 @@ def test_verifier_builds_each_line_form_once(monkeypatch):
     rep = verify_axioms(oracle_from_quadric(x),
                         RunConfig(seed=8, n_lines=60))
     assert rep.tallies["circle"] > 0 and rep.tallies["empty"] > 0
-    assert len(calls) == 4 and calls[0] == 32 and calls[2] == 28
+    assert calls == [32, 28]
     assert seen["_grid_tag"] == 60 and seen["_ray_zeros"] == 2
     assert seen["_line_label"] >= rep.tallies["empty"]
+    calls.clear()
+    verdict = disk_section_test(ellipsoid_body(np.zeros(2), np.eye(2)),
+                                AffineComplexLine([0.2, 0.1], [1.0, 0.5j]))
+    assert verdict.tag.value == "disk"
+    assert calls == [1] and seen["_ray_zeros"] == 3
     calls.clear()
     body = ellipsoid_body(np.zeros(2), np.diag([1.0, 4.0]))
     verdict = disk_section_test(body, AffineComplexLine([0.0, 0.9],
@@ -662,6 +667,13 @@ def _check_gen_circle():
         rotation(c, [0.5, 1.0], 0.7)
     assert not GenCircle([[1e308, HUGE], [HUGE.conjugate(), -1e308]]).isclose(
         GenCircle([[1e308, -HUGE], [-HUGE.conjugate(), -1e308]]))
+    # the product with the unscaled vector overflowed; the point is the
+    # one of the vector scaled by 2^-1023, with a subnormal entry
+    c = GenCircle(np.diag([1.5, -1.0]))
+    got = conjugate_point(c, [1.5e308, 1.0])
+    assert got.v.tobytes() == conjugate_point(
+        c, [1.5e308 * 2.0 ** -1023, 2.0 ** -1023]).v.tobytes()
+    assert abs(got.v[0] * 1.5e308 * 1.5 - 1.0) < 1e-12 and got.v[1] == 1.0
 
 
 def _check_moebius_map():
@@ -671,6 +683,16 @@ def _check_moebius_map():
     want = MoebiusMap(m).m.tobytes()
     for k in (-1000, -600, 600, 1000):
         assert MoebiusMap(2.0 ** k * m).m.tobytes() == want
+    # the image of a huge vector overflowed in the product; below the
+    # ProjPoint floor a vector is still zero
+    f = MoebiusMap(np.diag([1.5, 1.0]))
+    got = f.apply([1.5e308, 1.0])
+    assert got.v.tobytes() == f.apply(
+        [1.5e308 * 2.0 ** -1023, 2.0 ** -1023]).v.tobytes()
+    assert got.v[0] == 1.0 and abs(got.v[1] * 1.5e308 * 1.5 - 1.0) < 1e-12
+    for v in ([1e-301, 0.0], [0.0, 0.0]):
+        with pytest.raises(ZeroVector, match="cannot canonicalize"):
+            f.apply(v)
 
 
 @pytest.mark.parametrize("check", [

@@ -251,6 +251,30 @@ def test_disk_section_tags_pinned():
         "21640db73df2a2efb93293e950eb8c24edbbf8e54e139b56463c3d876335ce8d")
 
 
+def test_ball_sections_from_its_form_match_membership():
+    # A ball of positive radius labels its chart lines from its form
+    # [[|c|^2 - r^2, -c*], [-c, I]]; its sections get the tags of the
+    # same ball labelled by membership alone, with centers and radii to
+    # 1e-9 of the radius.  A radius whose square is 0 or overflows keeps
+    # no form.
+    rng = np.random.default_rng(277)
+    for n, radius in ((1, 1.0), (2, 0.7), (3, 2.5)):
+        ball = ball_body(n, radius, 0.3 * _cgauss(rng, n))
+        assert ball._chart_form is not None
+        plain = ConvexBodyOracle(ball.membership, ball.bounding_radius, n)
+        lines = [AffineComplexLine(0.5 * _cgauss(rng, n), _cgauss(rng, n))
+                 for _ in range(30)]
+        got = disk_sections(ball, lines, rng=np.random.default_rng(0))
+        want = disk_sections(plain, lines, rng=np.random.default_rng(0))
+        assert [v.tag for v in got] == [v.tag for v in want]
+        assert sum(v.tag is DiskTag.DISK for v in got) > 10
+        for v, w in zip(got, want):
+            assert abs(v.center - w.center) <= 1e-9 * radius
+            assert abs(v.radius - w.radius) <= 1e-9 * radius
+    for radius in (0.0, 1e-200, 1e200):
+        assert ball_body(2, radius)._chart_form is None
+
+
 def test_chart_oracle_row_at_infinity_is_outside_without_warning():
     oracle = convexity._chart_oracle(ball_body(2))
     pts = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.5, 0.0],

@@ -425,6 +425,45 @@ def test_gauge_scales_each_slice_exactly():
             assert np.array_equal(undone, a)
 
 
+def _two_part_gauge(a, axis):
+    # the gauge's axis form before it read a float view: the largest |Re|
+    # or |Im| of each slice, and the real and imaginary parts scaled
+    # apart
+    big = np.maximum(np.abs(a.real), np.abs(a.imag)).max(
+        axis=axis, keepdims=True, initial=0.0)
+    e = np.where(np.isfinite(big) & (big > 0.0), 1 - np.frexp(big)[1], 0)
+    out = np.empty_like(a)
+    out.real, out.imag = np.ldexp(a.real, e), np.ldexp(a.imag, e)
+    return out, e
+
+
+def test_gauge_float_view_keeps_the_two_part_bytes():
+    # The axis form reads the array as floats, one abs, one max and one
+    # ldexp, and gives the bytes and exponents of the two-part form, on
+    # slices that are zero, subnormal, near 2^1023, infinite or NaN, and
+    # on a strided view.
+    rng = np.random.default_rng(89)
+    tiny = np.finfo(float).smallest_subnormal
+    b = rng.standard_normal((9, 4, 3)) + 1j * rng.standard_normal((9, 4, 3))
+    b *= 10.0 ** rng.uniform(-300.0, 300.0, (9, 1, 3))
+    b[0] = 0.0
+    b[1] = b[1] / np.abs(b[1]).max() * 1e-310
+    b[2, :, 0] = [3 * tiny, -5j * tiny, 0.0, tiny + 2j * tiny]
+    b[3] = b[3] / np.abs(b[3]).max() * 1.7e308
+    b[4, 1, 1] = np.inf
+    b[5, 2, 2] = complex(0.0, -np.inf)
+    b[6, 0, 0] = np.nan
+    b[7, 3, 1] = complex(np.nan, 1.0)
+    b[8, :, 2] = [1.5e308 + 1.5e308j, -0.0, 0.5, -1e308]
+    with np.errstate(all="ignore"):
+        for a in (b, b[:, ::2, 1:]):
+            for axis in (1, (1, 2), (-2, -1)):
+                got, e = _gauge(a, axis=axis)
+                want, we = _two_part_gauge(a, axis)
+                assert got.tobytes() == want.tobytes()
+                assert e.shape == we.shape and e.tobytes() == we.tobytes()
+
+
 def _modulus_scale(w):
     # the reference rule: a power of two from the largest entry modulus,
     # which overflows where |Re| or |Im| do not

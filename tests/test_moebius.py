@@ -213,7 +213,8 @@ def _zero_sets(rng, count):
             continue
         ends = np.column_stack([grid[np.argmax(lab == 1)],
                                 grid[np.argmax(lab == -1)]])
-        zeros, = _trace_zeros(oracle, basis[None], ends[None])
+        zeros, = _trace_zeros(oracle.on_lines(basis[None]), basis[None],
+                              ends[None])
         if zeros is not None:
             sets.append(zeros)
         t = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

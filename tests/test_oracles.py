@@ -18,6 +18,7 @@ import bombon
 from bombon import convexity, linalg, oracles
 from bombon.errors import PreconditionError, ZeroVector
 from bombon.jsonio import canonical_dumps
+from bombon.moebius import _fit_hermitian_through
 from bombon.linalg import _gauge, form_values, zero_tol
 from bombon.oracles import (OracleSet, RunConfig, bidisk_oracle, cp1_grid,
                             grid_line_tag, oracle_from_quadric,
@@ -1033,13 +1034,15 @@ def test_trace_zeros_batch_equals_single_lines():
                          for row in lab[keep]]).reshape(-1, 2, 2)
         batch = [z for s in range(0, len(ends), oracles._TRACE_LINES)
                  for z in oracles._trace_zeros(
-                     oracle, bases[keep][s:s + oracles._TRACE_LINES],
+                     oracle.on_lines(bases[keep][s:s + oracles._TRACE_LINES]),
+                     bases[keep][s:s + oracles._TRACE_LINES],
                      ends[s:s + oracles._TRACE_LINES])]
         assert len(batch) == len(ends)
         if oracle.dim == 2 and oracle.exact is None:
             assert len(ends) > oracles._TRACE_LINES
         for z, basis, end in zip(batch, bases[keep], ends):
-            single, = oracles._trace_zeros(oracle, basis[None], end[None])
+            single, = oracles._trace_zeros(oracle.on_lines(basis[None]),
+                                           basis[None], end[None])
             assert (z is None) == (single is None)
             if z is not None:
                 assert z.shape == single.shape
@@ -1056,14 +1059,66 @@ def _traces_of(bases, ends):
                        1, 2)
 
 
+def test_traced_labeller_labels_as_the_trace_bases_own():
+    # The tracer labels a ray row t of the trace basis B E through the
+    # labeller of B moved by E (``_LineLabeller.traced``), which reads
+    # the row E t of B's line form.  Its labels are those of a labeller
+    # built on B E itself, on every row whose value p* A p / |p|^2 lies
+    # 1e-9 max|A| or more from each cut, and on every row of a line that
+    # has no line form: rank-one lines and oracles without a form take
+    # the point path, with one point map for both.
+    rng = np.random.default_rng(271)
+    logr = np.linspace(-8.0, 8.0, 41)
+    rows = np.ones((len(logr), oracles._RAYS, 2), dtype=complex)
+    rows[..., 0] = np.power(10.0, logr)[:, None] * _ray_angles()
+    rows = np.vstack([rows.reshape(-1, 2), cp1_grid(oracles._GRID)])
+    cases = []
+    for n in range(1, 5):
+        for n_zero in range(n):
+            x = random_bombon(rng, n, n_zero=n_zero)
+            bases = np.array([sample_line(rng, n).basis() for _ in range(12)])
+            # rank-one lines: the second column a multiple of the first
+            bases[:3, :, 1] = bases[:3, :, 0] * _cgauss(rng, 3)[:, None]
+            cases.append((oracle_from_quadric(x), bases, x._cut))
+        m = _cgauss(rng, n, n)
+        body = convexity.ellipsoid_body(0.3 * _cgauss(rng, n),
+                                        m @ m.conj().T + 0.3 * np.eye(n))
+        cases.append((convexity._chart_oracle(body), np.concatenate(
+            [np.ones((12, 1, 2)), _cgauss(rng, 12, n, 2)], axis=1), 0.0))
+    quad = cases[-2][0]
+    cases += [(dataclasses.replace(quad, side=quad.side), cases[-2][1], None),
+              (bidisk_oracle(), np.array([sample_line(rng, 2).basis()
+                                          for _ in range(12)]), None)]
+    checked = total = 0
+    for oracle, bases, cut in cases:
+        ends = _cgauss(rng, len(bases), 2, 2)
+        traces = _traces_of(bases, ends)
+        got = oracle.on_lines(bases).traced(ends, traces)(rows)
+        want = oracle.on_lines(traces)(rows)
+        far = np.ones(got.shape, dtype=bool)
+        if cut is not None:
+            a = oracle._form[0]
+            pts = rows @ traces.transpose(0, 2, 1)
+            vals = (np.einsum("lri,ij,lrj->lr", pts.conj(), a, pts).real
+                    / np.einsum("lri,lri->lr", pts.conj(), pts).real)
+            margin = 1e-9 * linalg.max_abs(a)
+            far = (np.abs(vals - cut) > margin) & (np.abs(vals + cut) > margin)
+            far[~oracle.on_lines(bases).ok] = True
+        assert np.array_equal(got[far], want[far])
+        checked += int(far.sum())
+        total += far.size
+    assert checked > 0.999 * total
+
+
 def _bisected(oracle, bases, ends):
     # (log10 |w|, bracketed, lab_lo, lab_hi, labeller) of every ray of the
     # zero tracer as it was before ray zeros were proposed from line
     # forms: each bracketed ray bisected in log10 |w| from [-8, 8], all
-    # lines in one labelling call per step
+    # lines in one labelling call per step, through the lines' labeller
+    # moved to their trace bases, as the tracer labels
     ang = _ray_angles()
     chart = np.ones((bases.shape[0], oracles._RAYS, 2), dtype=complex)
-    label = oracle.on_lines(_traces_of(bases, ends))
+    label = oracle.on_lines(bases).traced(ends, _traces_of(bases, ends))
 
     def lab(logr):
         chart[..., 0] = np.power(10.0, logr) * ang
@@ -1095,9 +1150,9 @@ def _record_traces(monkeypatch, runs):
     calls = []
     trace = oracles._trace_zeros
 
-    def spy(oracle, bases, ends):
-        calls.append((oracle, bases, ends))
-        return trace(oracle, bases, ends)
+    def spy(label, bases, ends):
+        calls.append((label.oracle, bases, ends))
+        return trace(label, bases, ends)
 
     with monkeypatch.context() as m:
         m.setattr(oracles, "_trace_zeros", spy)
@@ -1199,7 +1254,7 @@ def _check_trace(oracle, bases, ends):
     # labels.
     ang = _ray_angles()
     delta = oracles._FLANK
-    got = oracles._trace_zeros(oracle, bases, ends)
+    got = oracles._trace_zeros(oracle.on_lines(bases), bases, ends)
     logr, valid, lab_lo, lab_hi, _ = _bisected(oracle, bases, ends)
     traces = _traces_of(bases, ends)
     label = oracle.on_lines(traces)
@@ -1324,11 +1379,133 @@ def test_trace_zeros_fall_back_to_bisection(monkeypatch, shift):
     monkeypatch.setattr(oracles, "_ray_zeros", off)
     for oracle, bases, ends in calls:
         logr, valid, _, _, _ = _bisected(oracle, bases, ends)
-        got = oracles._trace_zeros(oracle, bases, ends)
+        got = oracles._trace_zeros(oracle.on_lines(bases), bases, ends)
         for z, want in zip(got, _zeros_at(logr, valid, ends)):
             assert (z is None) == (want is None)
             assert z is None or z.tobytes() == want.tobytes()
     assert len(proposed) == sum(proposes)
+
+
+def _ray_root_forms(rng):
+    # seeded 2x2 ray forms [[a, m01], [conj(m01), c]]: a c < 0, where one
+    # root is positive; beta^2 >> a c > 0 with roots near 10^7 and 10^-7
+    # on the rays near angle 0, where the textbook formula cancels; and
+    # random forms scaled by 10^-100..10^100
+    out = []
+    for _ in range(12):
+        a, c = np.exp(rng.uniform(-3.0, 3.0, 2)) * [1.0, -1.0]
+        out.append([[a, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))], [0, c]])
+    for _ in range(12):
+        r1, r2 = 1e7 * rng.uniform(0.5, 2.0), 1e-7 * rng.uniform(0.5, 2.0)
+        a = np.exp(rng.uniform(-3.0, 3.0))
+        beta = -a * (r1 + r2) / 2.0 * np.exp(1j * rng.uniform(-0.1, 0.1))
+        out.append([[a, beta], [0, a * r1 * r2]])
+    for _ in range(12):
+        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        out.append(h * 10.0 ** rng.uniform(-100.0, 100.0))
+    m = np.array(out, dtype=complex)
+    return (m + m.conj().transpose(0, 2, 1)) / 2.0
+
+
+def test_ray_zeros_match_a_high_precision_reference():
+    # _ray_zeros takes the roots of a r^2 + 2 beta r + c as q / a and
+    # c / q, q = -(beta + sign(beta) sqrt(beta^2 - ac)), so that no root
+    # is a difference of nearly equal terms.  Against 50-digit roots of
+    # the same gauged a, c and beta, each root r's error is bounded to
+    # first order in the unit roundoff u = eps / 2:
+    # - fl(beta^2 - ac) = D + E, |E| <= u (beta^2 + |ac| + |D|), and the
+    #   square root adds u, so it is within (kappa + 1) u relative, for
+    #   kappa = (beta^2 + |ac| + |D|) / (2 D);
+    # - beta and sign(beta) sqrt(D) have one sign, so q's sum adds u;
+    # - q / a and c / q add u each;
+    # so r is within (kappa + 3) u relative, and log10 r within
+    # (kappa + 3) u / ln 10 of the exact log L, plus log10's own error,
+    # at most two ulps of L, 4 u |L|.  The test allows 1% over that sum.
+    # kappa is 1 for ac < 0 and near 1 for beta^2 >> |ac|; rays with
+    # kappa > 1e6, near a double root, are not checked, since there the
+    # first-order bound and the sign of D are not certain.  The textbook
+    # formula (-beta -+ sign(beta) sqrt(D)) / a for the same root misses
+    # the bound on many rays, those with beta^2 >> |ac| among them.
+    rng = np.random.default_rng(263)
+    m = _ray_root_forms(rng)
+    ang = _ray_angles()
+    got = oracles._ray_zeros(m, ang)
+    u = np.finfo(float).eps / 2.0
+    g = _gauge(m, axis=(-2, -1))[0]
+    beta = (ang.conj() * g[:, 0, 1][:, None]).real
+    checked, naive_misses, finite = 0, 0, 0
+    with mpmath.workdps(50):
+        for i in range(len(m)):
+            a, c = mpmath.mpf(g[i, 0, 0].real), mpmath.mpf(g[i, 1, 1].real)
+            for j in range(len(ang)):
+                b = mpmath.mpf(beta[i, j])
+                d = b * b - a * c
+                kappa = (b * b + abs(a * c) + abs(d)) / (2 * abs(d))
+                if kappa > 1e6:
+                    continue
+                checked += 1
+                if d < 0:
+                    assert np.all(np.isnan(got[i, :, j]))
+                    continue
+                q = -(b + mpmath.sign(b) * mpmath.sqrt(d))
+                root = np.copysign(np.sqrt(
+                    beta[i, j] ** 2 - float(a * c)), beta[i, j])
+                for x, r, s in zip(got[i, :, j], (q / a, c / q), (1, -1)):
+                    if r <= 0:
+                        assert not np.isfinite(x)
+                        continue
+                    finite += 1
+                    ref = mpmath.log10(r)
+                    bound = 1.01 * float((kappa + 3) * u / mpmath.ln(10)
+                                         + 4 * u * abs(ref))
+                    assert abs(x - ref) <= bound
+                    naive = (-beta[i, j] - s * root) / float(a)
+                    with np.errstate(invalid="ignore", divide="ignore"):
+                        err = abs(np.log10(naive) - float(ref))
+                    naive_misses += not err <= bound
+    assert checked > 0.9 * m.shape[0] * len(ang)
+    assert finite > len(ang) * m.shape[0] // 2 and naive_misses > 100
+
+
+def test_stacked_circle_fits_keep_each_lines_bytes():
+    # The verifier fits and checks the lines with one count of traced
+    # zeros as one stack.  Each line's fitted form, frame and summary
+    # have the bytes of its batch of one, the frame those of the
+    # one-matrix eigendecomposition it replaced, and the labels of its
+    # side rings, labelled with the other lines' in one call, those of a
+    # call of its own.
+    rng = np.random.default_rng(269)
+    stacked = 0
+    for n in range(1, 5):
+        for n_zero in range(n):
+            oracle, bases, ends = _two_sided_traces(
+                oracle_from_quadric(random_bombon(rng, n, n_zero=n_zero)),
+                np.array([sample_line(rng, n).basis() for _ in range(40)]))
+            zeros = oracles._traced_zeros(oracle.on_lines(bases), bases, ends)
+            for idx, z, m in oracles._fits(zeros):
+                stacked += len(idx) > 1
+                fits = oracles._circle_fit(m, z)
+                rings = []
+                for j, i in enumerate(idx):
+                    one = _fit_hermitian_through(zeros[i])[0]
+                    assert m[j].tobytes() == one.tobytes()
+                    (frame, why), = oracles._circle_fit(one[None], z[j:j + 1])
+                    assert fits[j][1] == why
+                    if frame is None:
+                        assert fits[j][0] is None
+                        continue
+                    assert fits[j][0].tobytes() == frame.tobytes()
+                    assert frame.tobytes() == linalg.circle_frame(
+                        linalg._hermitian_eig(one, linalg.DEFAULT_TOL)
+                    ).tobytes()
+                    rings.append(sections.side_rings(bases[i], frame))
+                if rings:
+                    together = oracle.labels(np.concatenate(rings).reshape(
+                        -1, n + 1)).reshape(len(rings), -1)
+                    for ring, got in zip(rings, together):
+                        alone = oracle.labels(ring.reshape(-1, n + 1))
+                        assert got.tobytes() == alone.tobytes()
+    assert stacked > 0
 
 
 def test_certified_zeros_keep_one_certified_crossing():
@@ -1388,24 +1565,36 @@ def test_piece_traces_label_in_few_block_calls(monkeypatch):
 
     def labels_calls(o, b, e):
         # the row counts of the labels calls of the trace of b's first
-        # _TRACE_LINES lines
+        # _TRACE_LINES lines, with their labeller, and of those calls the
+        # ones that bisect
         assert len(b) >= oracles._TRACE_LINES
-        sizes, side = [], o.side
+        b, e = b[:oracles._TRACE_LINES], e[:oracles._TRACE_LINES]
+        sizes, walk, side = [], [], o.side
 
         def spy(pts):
             sizes.append(len(pts))
             return side(pts)
 
-        monkeypatch.setattr(o, "side", spy)
-        oracles._trace_zeros(o, b[:oracles._TRACE_LINES],
-                             e[:oracles._TRACE_LINES])
-        return sizes
+        def spy_bisect(*args):
+            before = len(sizes)
+            out = bisect(*args)
+            walk.append(len(sizes) - before)
+            return out
 
+        monkeypatch.setattr(o, "side", spy)
+        monkeypatch.setattr(oracles, "_bisect", spy_bisect)
+        oracles._trace_zeros(o.on_lines(b), b, e)
+        return sizes, walk
+
+    bisect = oracles._bisect
     monkeypatch.setattr(oracles, "_certified_zeros", spy_certified)
-    bidisk = labels_calls(oracle, bases, ends)
-    chart = labels_calls(*chart_call)
-    # the bidisk trace bisects its rays that cross the set three times
-    assert bisected[0] > 0 and len(bidisk) > oracles._BISECT_ITERS
+    bidisk, walk = labels_calls(oracle, bases, ends)
+    chart, _ = labels_calls(*chart_call)
+    # the bidisk trace bisects its rays that cross the set three times,
+    # all of them together, four halvings per labels call: at most 15
+    # calls, fewer once every ray has landed in the ON band
+    assert bisected[0] > 0 and len(walk) == 1
+    assert 0 < walk[0] <= oracles._BISECT_ITERS // oracles._HALVINGS
     assert max(bidisk) <= oracles._BLOCK
     assert bisected[1] == 0 and len(chart) <= 14
     assert max(chart) <= oracles._BLOCK
