@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (DegenerateSpan, NoConvergence, NotOnSphere,
                      OracleInconsistent, ZeroVector)
-from .linalg import (as_cvector, finite_nonnegative, form_values,
+from .linalg import (_gauge, as_cvector, finite_nonnegative, form_values,
                      hermitian_eig, orthonormal_columns, real_form, sym)
 from .oracles import (_GRID as _LINE_GRID, OracleSet, _fits, _grid_labels,
                       _grid_tag, _radii, _traced_zeros, cp1_grid)
@@ -79,6 +79,22 @@ def _chart_form(c, hm, r2=1.0):
                      [-hc[:, None], hm]])
 
 
+def _norm(c):
+    # |c| of a finite vector, taken on its gauge (``linalg._gauge``) so
+    # that its squares neither over- nor underflow; inf where |c| itself
+    # overflows
+    g, e = _gauge(c)
+    return float(np.linalg.norm(g)) * 2.0 ** -e
+
+
+def _finite_chart_form(c, hm, r2=1.0):
+    # ``_chart_form``, or None where r2 is not positive or an entry is not
+    # finite: such a body's chart oracle labels its points
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = _chart_form(c, hm, r2)
+    return form if r2 > 0.0 and np.isfinite(form).all() else None
+
+
 def ball_body(n, radius=1.0, center=None):
     """The ball of ``radius`` about ``center`` (the origin) in C^n.
 
@@ -96,12 +112,8 @@ def ball_body(n, radius=1.0, center=None):
     def member(pts):
         return np.linalg.norm(pts - c, axis=1) <= radius
 
-    body = ConvexBodyOracle(member, radius + float(np.linalg.norm(c)), n,
-                            f"ball(r={radius})")
-    with np.errstate(over="ignore", invalid="ignore"):
-        form = _chart_form(c, np.eye(n), radius * radius)
-    if radius * radius > 0.0 and np.isfinite(form).all():
-        body._chart_form = form
+    body = ConvexBodyOracle(member, radius + _norm(c), n, f"ball(r={radius})")
+    body._chart_form = _finite_chart_form(c, np.eye(n), radius * radius)
     return body
 
 
@@ -112,8 +124,9 @@ def ellipsoid_body(center, h):
     chart z0 = 1 of CP^n it is p* E p <= 0 for the homogeneous form
     E = [[c* H c - 1, -(H c)*], [-H c, H]], which is positive at
     z0 = 0, so the row at infinity is outside: the chart oracle labels
-    the points of a line from the line's 2x2 restriction of E.  Raises
-    ValueError for a center that is not a finite vector.
+    the points of a line from the line's 2x2 restriction of E, where E
+    is finite.  Raises ValueError for a center that is not a finite
+    vector.
     """
     c = as_cvector(center)
     hm = sym(np.asarray(h, dtype=complex))
@@ -126,9 +139,8 @@ def ellipsoid_body(center, h):
     def member(pts):
         return form_values(pts - c, rform) <= 1.0
 
-    body = ConvexBodyOracle(member, r + float(np.linalg.norm(c)), c.size,
-                            "ellipsoid")
-    body._chart_form = _chart_form(c, hm)
+    body = ConvexBodyOracle(member, r + _norm(c), c.size, "ellipsoid")
+    body._chart_form = _finite_chart_form(c, hm)
     return body
 
 

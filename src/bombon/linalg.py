@@ -314,7 +314,10 @@ def orthonormal_columns(cols, rtol=DEFAULT_TOL):
     ``cols`` is (dim, m); dependent columns are dropped.  The rank cut is
     ``rtol`` relative to the largest input column norm.  Columns whose
     squares under- or overflow there are first gauged as a whole
-    (``_gauge``).  Raises ValueError for entries that are not finite.
+    (``_gauge``).  The loop stops once dim columns span C^dim: a later
+    column's residual is rounding, which the default cut drops, so at
+    most dim columns are returned whatever ``rtol``.  Raises ValueError
+    for entries that are not finite.
     """
     a = np.asarray(cols, dtype=complex)
     if a.ndim != 2:
@@ -338,6 +341,8 @@ def orthonormal_columns(cols, rtol=DEFAULT_TOL):
         nw = np.linalg.norm(w)
         if nw > thresh:
             basis.append(w / nw)
+            if len(basis) == dim:
+                break
     if not basis:
         return np.zeros((dim, 0), dtype=complex)
     return np.column_stack(basis)

@@ -18,8 +18,14 @@ grow with its number of lines:
   block's temporaries stay in cache.  That grid is built once, a block
   at a time, into the one 4.2 MB array it is held in.  An oracle built
   from a form settles a line whose 2x2 line form is definite, beyond
-  rounding, on that side from the form's eigenvalues (``_line_label``):
-  every grid row would get that label, so the grid is not labelled;
+  rounding, on that side from the form's eigenvalues, and an oracle
+  with two boundary pieces (the bidisk, a polydisk chart in C^2)
+  settles a line that reads outside on every stage-1 row when some
+  combination of the pieces' 2x2 restrictions is positive definite
+  beyond their band and rounding (``_line_label``): every grid row
+  would get that label, so the grid is not labelled.  The grid is
+  labelled for the other one-sided lines, for lines of three or more
+  pieces and for oracles with neither;
 - the chunk's two-sided lines have their zero sets traced along 64
   rays per line, through the chunk's labeller moved to each line's
   trace basis, so that a chunk builds its line forms once.  An oracle
@@ -111,6 +117,18 @@ _TINY = np.finfo(float).tiny
 # machine epsilon and smallest subnormal, for _line_label's error bound
 _EPS = np.finfo(float).eps
 _SUB = np.finfo(float).smallest_subnormal
+# Band of the ``_pieces`` contract, relative to a piece's largest entry
+# modulus.  The bidisk labels -1 where its gauge g, three roundings from
+# |z_i| / (r_i |z0|), exceeds 1 + _BIDISK_BAND, which
+# p* F_i p > 2.1e-9 r_i^2 |z0|^2 ensures; a polydisk chart labels -1
+# where |z_i / z0| > r_i, a few roundings from exact.  At a point with
+# |p| > 2^-830, as ``_line_label`` certifies them, the band puts
+# |z_i| / |z0| a factor 2^100 beyond r_i wherever z0 is subnormal, so
+# neither oracle's quotients lose the label there.
+_PIECE_BAND = 4e-9
+# largest |e| of the gauge 2^e of a line basis (``linalg._gauge``) whose
+# line ``_line_label`` settles from its pieces
+_PIECE_GAUGE = 800
 _grid_cache = {}
 
 
@@ -291,9 +309,12 @@ class OracleSet:
     _form: tuple = field(default=None, init=False, repr=False,
                          compare=False)
     # (k, dim+1, dim+1) stack of Hermitian forms F_i of an oracle whose
-    # side flips only where some p* F_i p is 0, set by its builder, so
-    # that ``_trace_zeros`` proposes zeros from their roots; dropped by
-    # ``dataclasses.replace`` like ``_form``
+    # side flips only where some p* F_i p is 0, and which labels -1 every
+    # point p at which some p* F_i p > _PIECE_BAND |F_i| |p|^2, |F_i| the
+    # largest entry modulus of F_i; set by its builder, so that
+    # ``_trace_zeros`` proposes zeros from their roots and, for k = 2,
+    # ``_line_label`` settles the lines that are wholly beyond that band;
+    # dropped by ``dataclasses.replace`` like ``_form``
     _pieces: np.ndarray = field(default=None, init=False, repr=False,
                                 compare=False)
 
@@ -331,18 +352,18 @@ class OracleSet:
             raise ValueError("coordinates must be finite")
         to_pts = real_map(bases.transpose(0, 2, 1))
         if self._form is None:
-            return _LineLabeller(self, to_pts)
+            return _LineLabeller(self, bases, to_pts)
         (g, w), ok = _line_form(self._form[0], bases)
-        return _LineLabeller(self, to_pts, g, w, ok)
+        return _LineLabeller(self, bases, to_pts, g, w, ok)
 
 
 class _LineLabeller:
-    # ``OracleSet.on_lines`` of a stack of lines: the real point map
-    # ``to_pts`` of their bases and, for an oracle with a ``_form``, their
-    # line forms (g, w) and rank flags ``ok`` from ``_line_form``
+    # ``OracleSet.on_lines`` of a stack of lines: their ``bases``, whose
+    # real point map is ``to_pts``, and, for an oracle with a ``_form``,
+    # their line forms (g, w) and rank flags ``ok`` from ``_line_form``
 
-    def __init__(self, oracle, to_pts, g=None, w=None, ok=None):
-        self.oracle, self.to_pts = oracle, to_pts
+    def __init__(self, oracle, bases, to_pts, g=None, w=None, ok=None):
+        self.oracle, self.bases, self.to_pts = oracle, bases, to_pts
         self.g, self.w, self.ok = g, w, ok
 
     def lines(self, idx):
@@ -350,7 +371,7 @@ class _LineLabeller:
         # those lines' rows of these arrays
         return _LineLabeller(self.oracle, *(
             None if a is None else a[idx]
-            for a in (self.to_pts, self.g, self.w, self.ok)))
+            for a in (self.bases, self.to_pts, self.g, self.w, self.ok)))
 
     def traced(self, ends, traces):
         # the labeller of the trace bases ``traces`` B E of these lines'
@@ -359,8 +380,9 @@ class _LineLabeller:
         # takes the point path, are built from the traces
         g = None if self.g is None else real_map(
             ends.transpose(0, 2, 1)) @ self.g
-        return _LineLabeller(self.oracle, real_map(traces.transpose(0, 2, 1)),
-                             g, self.w, self.ok)
+        return _LineLabeller(self.oracle, traces,
+                             real_map(traces.transpose(0, 2, 1)), g, self.w,
+                             self.ok)
 
     def _points(self, rows):
         return (np.ascontiguousarray(rows, dtype=complex).view(np.float64)
@@ -722,11 +744,14 @@ def _grid_labels(label, grid):
 
 def _line_label(label):
     # The label that the one-line labeller ``label`` gives every unit row
-    # of its line when the line form makes it certain, else 0.  A row's
-    # value is v = fl(N / S), where N = sum lam_j z_j and S = sum z_j
-    # over the same squares z_j >= 0, so N / S is a weighted mean of lam.
-    # With fl(a op b) = (a op b)(1 + d) + e, |d| <= eps / 2 and |e| <=
-    # t / 2 for t the smallest subnormal (Higham, ch. 2-3):
+    # of its line when it is certain, else 0: from the line form of an
+    # oracle with a ``_form``, or from the two ``_pieces`` of one without.
+    #
+    # Line form.  A row's value is v = fl(N / S), where N = sum lam_j z_j
+    # and S = sum z_j over the same squares z_j >= 0, so N / S is a
+    # weighted mean of lam.  With fl(a op b) = (a op b)(1 + d) + e,
+    # |d| <= eps / 2 and |e| <= t / 2 for t the smallest subnormal
+    # (Higham, ch. 2-3):
     # - N's 7 operations leave it within gamma_4 max|lam| S + 7 t / 2;
     # - S, a sum of 4 nonnegative terms, is within a factor gamma_3;
     # - the division adds eps / 2 relative and t / 2;
@@ -737,22 +762,82 @@ def _line_label(label):
     # normal, so no row takes the point path.  kappa is twice the bound
     # above, and ``sides`` is monotone: equal labels at both ends of
     # [min lam - kappa, max lam + kappa] are every row's label.
-    if label.g is None:
+    #
+    # Pieces.  A row s of the basis B is labelled at the point
+    # p' = fl(B s), which reads -1 where some p'* F_i p' exceeds the band
+    # of the ``_pieces`` contract.  With G_i = F_i - _PIECE_BAND |F_i| I,
+    # a t in [0, 1] for which M(t) = t B* G_1 B + (1 - t) B* G_2 B has
+    # lam_min(M(t)) > kappa makes t p'* G_1 p' + (1 - t) p'* G_2 p' > 0,
+    # so one of the two is positive, at every unit row.  On a line the
+    # joint range of two Hermitian forms is convex (Toeplitz-Hausdorff),
+    # so such a t exists whenever the whole line is beyond the band
+    # (the complex S-lemma); lam_min(M(t)) = c(t) - |u(t)| is concave,
+    # with c the half trace and u = ((m00 - m11) / 2, Re m01, Im m01)
+    # affine in t, and its best t on [0, 1] is a root of a quadratic.
+    # Three forms can have a joint range that is not convex (Au-Yeung and
+    # Poon, 1979), so lines of three or more pieces keep the grid.  B and
+    # each F_i are gauged (``linalg._gauge``), exactly, and kappa bounds
+    # the rounding there to first order, with f = max |F_i| and
+    # b = |B|_F^2 on the gauged arrays, each >= 1:
+    # - the band's subtraction moves G_i by eps f, and the restrictions
+    #   (B* G_i) B, two products of sums of n + 1 complex terms, are
+    #   within gamma_{2n+6} |B|^T |G_i| |B|, of 2-norm <= (n + 1) f b;
+    # - the combination, c and u add 8 (n + 1) eps f b, and lam_min's
+    #   square root and difference 16 (n + 1) eps f b;
+    # - fl(B s), one real matmul of 4 terms, is within sqrt(2) gamma_4
+    #   |B|_F |s| of B s, which moves each p* G_i p by at most
+    #   12 (n + 1) eps f b at a unit row;
+    # in all (n + 1)(2n + 44) eps f b <= kappa.  The gauge 2^e of B has
+    # |e| <= _PIECE_GAUGE, so a product's subnormal rounding, below
+    # 2^-250 f b in gauged units, is far inside kappa, and no point
+    # overflows; a certified point has |p'| > 2^-830, so each oracle's
+    # quotients are far from underflow (``_PIECE_BAND``).
+    if label.g is not None:
+        g, lam = label.g[0], label.w[0, ::2, 0]
+        mx, gf = float(np.abs(lam).max()), float(np.square(g).sum())
+        # 4 mx gf bounds every partial sum of N: finite, it also rules out
+        # a non-finite g or lam
+        if not (label.ok[0] and np.isfinite(4.0 * mx * gf)):
+            return 0
+        lo = np.linalg.svd(g, compute_uv=False)[-1] - 64.0 * _EPS * gf ** 0.5
+        s2 = lo * lo
+        if lo <= 0.0 or s2 < 4.0 * _TINY:
+            return 0
+        kappa = 16.0 * _EPS * mx + 16.0 * _SUB / s2 + 2.0 * _SUB
+        ends = label.oracle._form[1](np.array([lam.min() - kappa,
+                                               lam.max() + kappa]))
+        return int(ends[0]) if ends[0] == ends[1] else 0
+    pieces = label.oracle._pieces
+    if pieces is None or len(pieces) != 2:
         return 0
-    g, lam = label.g[0], label.w[0, ::2, 0]
-    mx, gf = float(np.abs(lam).max()), float(np.square(g).sum())
-    # 4 mx gf bounds every partial sum of N: finite, it also rules out a
-    # non-finite g or lam
-    if not (label.ok[0] and np.isfinite(4.0 * mx * gf)):
+    b, e = _gauge(label.bases[0])
+    if abs(e) > _PIECE_GAUGE:
         return 0
-    lo = np.linalg.svd(g, compute_uv=False)[-1] - 64.0 * _EPS * gf ** 0.5
-    s2 = lo * lo
-    if lo <= 0.0 or s2 < 4.0 * _TINY:
-        return 0
-    kappa = 16.0 * _EPS * mx + 16.0 * _SUB / s2 + 2.0 * _SUB
-    ends = label.oracle._form[1](np.array([lam.min() - kappa,
-                                           lam.max() + kappa]))
-    return int(ends[0]) if ends[0] == ends[1] else 0
+    with np.errstate(all="ignore"):
+        f = _gauge(pieces, axis=(1, 2))[0]
+        big = np.abs(f).max(axis=(1, 2))
+        f = f - (_PIECE_BAND * big)[:, None, None] * np.eye(f.shape[1])
+        m = b.conj().T @ f @ b
+        c = (m[:, 0, 0].real + m[:, 1, 1].real) / 2.0
+        u = np.stack([(m[:, 0, 0].real - m[:, 1, 1].real) / 2.0,
+                      m[:, 0, 1].real, m[:, 0, 1].imag], axis=1)
+        # lam_min(M(t)) = c_2 + t dc - |u_2 + t du|: its slope is 0 where
+        # (a + t) |du|^2 / |u(t)| = dc, for u_2 = a du + w with w
+        # orthogonal to du, which has a root only for |du|^2 > dc^2
+        dc, du = c[0] - c[1], u[0] - u[1]
+        dd = du @ du
+        t = [0.0, 1.0]
+        if dd > dc * dc:
+            a = (u[1] @ du) / dd
+            w2 = max(u[1] @ u[1] - a * a * dd, 0.0)
+            t.append(min(max(dc * np.sqrt(w2 / (dd * (dd - dc * dc))) - a,
+                             0.0), 1.0))
+        t = np.array(t)
+        lam = c[1] + t * dc - np.linalg.norm(u[1] + t[:, None] * du, axis=1)
+        n = b.shape[0] - 1
+        kappa = (8.0 * (n + 1) * (n + 6) * _EPS * big.max()
+                 * float(np.square(np.abs(b)).sum()))
+        return -1 if lam.max() > kappa else 0
 
 
 def _grid_tag(label, labels):
@@ -760,8 +845,8 @@ def _grid_tag(label, labels):
     # the grid whose labels decide it, those labels and the line's tag,
     # or None for the tag when they show both sides.  ``labels`` are the
     # stage-1 labels; a one-sided line is labelled again on the stage-2
-    # grid, unless its line form settles that grid's labels as its
-    # stage-1 side.
+    # grid, unless ``_line_label`` settles that grid's labels as its
+    # stage-1 side, from its oracle's line form or its two pieces.
     grid = cp1_grid(_GRID)
     lo, hi = int(labels.min()), int(labels.max())
     if lo == hi == 0:

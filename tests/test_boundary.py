@@ -695,11 +695,26 @@ def _check_moebius_map():
             f.apply(v)
 
 
+def _check_ball_body():
+    # |c| overflowed in its squares, and |c|^2 - r^2 in the chart form,
+    # which is then left to the points
+    body = ball_body(2, center=[1e300, 0.0])
+    assert body.bounding_radius == 1e300 and body._chart_form is None
+    assert body.inside([1e300 + 0.5, 0.5]) and not body.inside([1e300, 2.0])
+
+
+def _check_ellipsoid_body():
+    # the same for the ellipsoid, which kept a chart form with an inf entry
+    body = ellipsoid_body([1e300, 0.0], np.eye(2))
+    assert body.bounding_radius == 1e300 and body._chart_form is None
+    assert body.inside([1e300, 0.5]) and not body.inside([1e300, 2.0])
+
+
 @pytest.mark.parametrize("check", [
     _check_unit_rep, _check_form_value, _check_quadric_value,
     _check_orthonormal_columns, _check_affine_line, _check_proj_close,
     _check_line_through, _check_quadric_oracle, _check_gen_circle,
-    _check_moebius_map],
+    _check_moebius_map, _check_ball_body, _check_ellipsoid_body],
     ids=lambda f: f.__name__[len("_check_"):])
 def test_overflowing_moduli_get_the_right_answer(check):
     with warnings.catch_warnings():

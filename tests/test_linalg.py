@@ -205,6 +205,50 @@ def test_orthonormal_columns_drops_dependent():
     assert max_abs(q.conj().T @ q - np.eye(2)) < 1e-14
 
 
+def _every_column(cols, rtol=DEFAULT_TOL):
+    # orthonormal_columns with its loop run over every column, past a
+    # basis of full span
+    a = np.asarray(cols, dtype=complex)
+    with np.errstate(all="ignore"):
+        biggest = float(np.linalg.norm(a, axis=0).max())
+    if not 2.0 ** -511 <= biggest < np.inf:
+        a = _gauge(a)[0]
+        biggest = float(np.linalg.norm(a, axis=0).max())
+    basis = []
+    for j in range(a.shape[1]):
+        w = a[:, j].copy()
+        for _ in range(2):
+            for b in basis:
+                w = w - b * np.vdot(b, w)
+        nw = np.linalg.norm(w)
+        if nw > rtol * biggest:
+            basis.append(w / nw)
+    return np.column_stack(basis) if basis else np.zeros((a.shape[0], 0))
+
+
+def test_orthonormal_columns_stops_at_full_span():
+    # Stopping once the basis spans C^dim keeps the bits of running every
+    # column: random columns, dependent ones, columns gauged at 1e+-200
+    # and more columns than dim (an MVEE span check takes up to 4n + 4).
+    # At rtol 0 no call returns more than dim columns, where running on
+    # keeps the rounding residuals of the later columns.
+    rng = np.random.default_rng(71)
+    over = 0
+    for dim in range(1, 7):
+        for m in (1, dim, dim + 1, 2 * dim + 3, 4 * dim + 4):
+            a = rng.standard_normal((dim, m)) + 1j * rng.standard_normal(
+                (dim, m))
+            dep = a.copy()
+            dep[:, m // 2:] = dep[:, :1] * (0.5 - 2j)
+            for cols in (a, dep, 1e-200 * a, 1e200 * dep):
+                assert orthonormal_columns(cols).tobytes() == \
+                    _every_column(cols).tobytes()
+                got = orthonormal_columns(cols, rtol=0.0)
+                assert got.shape[1] <= dim
+                over += _every_column(cols, rtol=0.0).shape[1] > dim
+    assert over > 0
+
+
 def test_nullspace_frozen():
     ns = nullspace(np.array([[1.0, 1.0, 0.0]], dtype=complex))
     assert ns.shape == (3, 2)

@@ -13,6 +13,7 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
+import scipy.optimize
 
 import bombon
 from bombon import convexity, linalg, oracles
@@ -638,11 +639,20 @@ def _one_sided(oracle, bases):
     return ~two & np.any(lab != 0, axis=1)
 
 
+def _uncertified(oracle, bases):
+    # whether each line is one-sided on its stage-1 grid and not settled
+    # by ``_line_label``
+    return [bool(one) and oracles._line_label(oracle.on_lines(b[None])) == 0
+            for one, b in zip(_one_sided(oracle, bases), bases)]
+
+
 def test_stage2_grids_labelled_only_where_a_form_cannot_settle(monkeypatch):
     # Quadric and ellipsoid-chart lines whose line form is definite take
-    # no stage-2 labelling; a one-sided line of the bidisk, of an oracle
-    # without a form and a tangent quadric line take one each.  The tags
-    # and disk verdicts are those of labelling every stage-2 grid.
+    # no stage-2 labelling, nor do bidisk lines that its two pieces
+    # settle; a one-sided line of an oracle without a form or pieces, a
+    # tangent quadric line and an unsettled one-sided bidisk line take one
+    # each.  The tags and disk verdicts are those of labelling every
+    # stage-2 grid.
     rng = np.random.default_rng(233)
     x = QuadricBombon.from_epsilons([1, 1, 1, -1])
     quad = oracle_from_quadric(x)
@@ -656,15 +666,16 @@ def test_stage2_grids_labelled_only_where_a_form_cannot_settle(monkeypatch):
         0.6 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)),
         rng.standard_normal(3) + 1j * rng.standard_normal(3))
         for _ in range(40)]
+    bidisk = bidisk_oracle()
     cases = ((quad, bases, 0), (quad, tangent, len(tangent)),
              (replaced, bases, int(_one_sided(replaced, bases).sum())),
-             (bidisk_oracle(), bidisk_bases,
-              int(_one_sided(bidisk_oracle(), bidisk_bases).sum())))
+             (bidisk, bidisk_bases, sum(_uncertified(bidisk, bidisk_bases))))
     want = [oracle_line_tags(oracle, b) for oracle, b, _ in cases]
     want_disks = _disk_sections_of(body, lines)
     assert {t for t, _, _ in want[0]} == {"empty", "circle"}
     assert {t for t, _, _ in want[1]} == {"single_point"}
-    assert all(count > 0 for _, _, count in cases[1:])
+    assert all(count > 0 for _, _, count in cases[1:3])
+    assert _one_sided(bidisk, bidisk_bases).sum() > cases[3][2]
     stage2 = _spy_stage2(monkeypatch)
     for (oracle, b, count), tags in zip(cases, want):
         stage2.clear()
@@ -678,6 +689,7 @@ def test_stage2_grids_labelled_only_where_a_form_cannot_settle(monkeypatch):
     # the same tags when every stage-2 grid is labelled
     monkeypatch.setattr(oracles, "_line_label", lambda label: 0)
     assert oracle_line_tags(quad, bases) == want[0]
+    assert oracle_line_tags(bidisk, bidisk_bases) == want[3]
     assert _disk_sections_of(body, lines) == want_disks
 
 
@@ -905,6 +917,191 @@ def test_line_label_declines_degenerate_bases(monkeypatch):
     assert got[1:] == [("empty", True, ""), "coordinates must be finite"]
     monkeypatch.setattr(oracles, "_line_label", lambda label: 0)
     assert tags() == got
+
+
+def _chart_bases(rng, n, count):
+    # bases (chart point, direction) of lines of the chart z0 = 1 of C^n
+    # through Gaussian points of scale 1.5
+    return np.array([np.column_stack([np.append(1.0, 1.5 * _cgauss(rng, n)),
+                                      np.append(0.0, _cgauss(rng, n))])
+                     for _ in range(count)])
+
+
+def _pieces_lines(rng, count, radii=((1.0, 1.0), (1.0, 0.3), (2.0, 0.5),
+                                       (1.0, 0.0))):
+    # (oracle, bases): bidisks of ``radii`` on ``count`` sampled lines
+    # each, and polydisk charts in C^2 of the first two on half as many
+    # chart lines
+    out = [(bidisk_oracle(r), np.array([sample_line(rng, 2).basis()
+                                        for _ in range(count)]))
+           for r in radii]
+    return out + [(convexity._chart_oracle(convexity.polydisk_body(r)),
+                   _chart_bases(rng, 2, count // 2)) for r in radii[:2]]
+
+
+def _corner_line(radii, delta, g, phases):
+    # A line through the corner p = (1, r_1 (1 + delta) u_1,
+    # r_2 (1 + delta) u_2) of the polydisk of ``radii`` along
+    # d = (0, r_1 u_1, -r_2 u_2), whose grid row g lands on p.  On it
+    # F_1 / r_1^2 + F_2 / r_2^2 reads 2 ((1 + delta)^2 - 1) + 2
+    # (1 + delta)^2 |s|^2 at p + s d, so for delta > 0 the line leaves
+    # the polydisk everywhere, by a margin of first order in delta at p.
+    u = np.exp(1j * np.asarray(phases))
+    r = np.asarray(radii)
+    p = np.append(1.0, r * (1.0 + delta) * u)
+    d = np.append(0.0, r * u * [1.0, -1.0])
+    return _line_through_grid_row(p, d, g)
+
+
+def test_pieces_label_is_every_stage2_label(monkeypatch):
+    # Wherever two pieces settle a line, every row of its stage-2 grid
+    # reads -1: bidisks of radii (1, 1), (1, 0.3), (2, 0.5) and (1, 0)
+    # and polydisk charts in C^2 on sampled lines, on bases scaled by
+    # 1e-150..1e150 with random phases, and on tilted and lopsided bases;
+    # on lines through a corner of the boundary at a grid row, within
+    # and beyond the bidisk's band there, up to 64 ulps past the edge
+    # of what is settled; polydisk charts through ``disk_sections`` too.
+    rng = np.random.default_rng(241)
+    seen = Counter()
+    for oracle, bases in _pieces_lines(rng, 24):
+        seen.update(_settled(oracle, bases))
+        phases = np.exp(2j * np.pi * rng.random((len(bases), 1, 2)))
+        lam = 10.0 ** rng.uniform(-150.0, 150.0, (len(bases), 1, 1))
+        seen.update(_settled(oracle, bases * phases * lam))
+        tilt = 10.0 ** rng.uniform(-4.0, 4.0, (len(bases), 1, 2))
+        seen.update(_settled(oracle, bases * tilt))
+        assert _settled(oracle, bases[:4] * [1.0, 1e-160]) == [0] * 4
+    assert seen[-1] > 60 and seen[0] > 0
+    # corner lines whose grid row lands on the corner, where the bidisk
+    # reads its band: delta from -1e-6 to 1e-6, and the lines 1, 4, 16
+    # and 64 ulps of delta beyond the largest delta that is not settled
+    grid = cp1_grid(oracles._STAGE2)
+    edges = Counter()
+    for oracle, radii in [(o, r) for r in ((1.0, 1.0), (1.0, 0.3), (2.0, 0.5))
+                          for o in (bidisk_oracle(r), convexity._chart_oracle(
+                              convexity.polydisk_body(r)))]:
+        for _ in range(2):
+            g = grid[int(rng.integers(grid.shape[0]))]
+            phases = 2.0 * np.pi * rng.random(2)
+            deltas = 10.0 ** np.linspace(-12.0, -6.0, 13)
+            got = _settled(oracle, np.array([
+                _corner_line(radii, x, g, phases)
+                for x in np.concatenate([-deltas, deltas])]))
+            assert got[:13] == [0] * 13 and got[-1] == -1
+            seen.update(got)
+            lo, hi = 1e-12, 1e-6
+            while np.nextafter(lo, hi) < hi:
+                mid = np.sqrt(lo * hi) if hi / lo > 2.0 else (lo + hi) / 2.0
+                mid = min(max(mid, np.nextafter(lo, hi)), np.nextafter(hi, lo))
+                if oracles._line_label(oracle.on_lines(
+                        _corner_line(radii, mid, g, phases)[None])):
+                    hi = mid
+                else:
+                    lo = mid
+            edges.update(_settled(oracle, np.array([
+                _corner_line(radii, lo + k * np.spacing(lo), g, phases)
+                for k in (1, 4, 16, 64)])))
+    # rounding moves lam_min by about as much as a few ulps of delta, so
+    # some lines just past the edge are not settled
+    assert edges[-1] >= 24
+    # through disk_sections: each settled line's stage-2 grid reads -1,
+    # and the verdicts are those of labelling every grid
+    line_label = oracles._line_label
+    settled = []
+
+    def checked(label):
+        side = line_label(label)
+        if side:
+            labels, = oracles._grid_labels(label, cp1_grid(oracles._STAGE2))
+            assert np.all(labels == side)
+            settled.append(side)
+        return side
+
+    for radii in ((1.0, 1.0), (1.0, 0.3)):
+        body = convexity.polydisk_body(radii)
+        lines = [convexity.AffineComplexLine(0.7 * _cgauss(rng, 2),
+                                             _cgauss(rng, 2))
+                 for _ in range(40)]
+        monkeypatch.setattr(oracles, "_line_label", checked)
+        got = _disk_sections_of(body, lines)
+        monkeypatch.setattr(oracles, "_line_label", lambda label: 0)
+        assert _disk_sections_of(body, lines) == got
+    assert len(settled) >= 5
+
+
+def _best_margin(oracle, basis):
+    # the largest lam_min over t in [0, 1], by a bounded scalar search,
+    # of t G_1 + (1 - t) G_2 on the line ``basis`` scaled to 2-norm 1,
+    # for G_i each piece over its largest entry modulus less the band of
+    # the pieces contract
+    b = basis / np.linalg.norm(basis, 2)
+    g = [f / np.abs(f).max() - oracles._PIECE_BAND * np.eye(len(f))
+         for f in oracle._pieces]
+    m1, m2 = (b.conj().T @ gi @ b for gi in g)
+    best = scipy.optimize.minimize_scalar(
+        lambda t: -np.linalg.eigvalsh(t * m1 + (1.0 - t) * m2)[0],
+        bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12})
+    return -float(best.fun)
+
+
+def test_pieces_label_misses_no_certificate():
+    # Every line that reads -1 on its whole stage-1 grid but that the
+    # pieces do not settle lies within the stated margin: no t that a
+    # bounded search finds makes its normalized pencil definite beyond
+    # 1e-12, which is above _line_label's kappa in those units.  Of the
+    # 1200 bidisk lines and 600 polydisk chart lines below, 770 read -1
+    # on every stage-1 row and 709 of them are settled; 60 of the other
+    # 61 show the set on their stage-2 grid, and the one left is within
+    # the margin.
+    rng = np.random.default_rng(251)
+    counts = Counter()
+    for oracle, bases in _pieces_lines(rng, 600, ((1.0, 1.0), (1.0, 0.3))):
+        lab = oracles._grid_labels(oracle.on_lines(bases),
+                                   cp1_grid(oracles._GRID))
+        for basis in bases[(lab == -1).all(axis=1)]:
+            label = oracle.on_lines(basis[None])
+            counts["outside"] += 1
+            if oracles._line_label(label):
+                counts["settled"] += 1
+                continue
+            labels, = oracles._grid_labels(label, cp1_grid(oracles._STAGE2))
+            if np.any(labels != -1):
+                counts["set on stage 2"] += 1
+            else:
+                counts["within the margin"] += 1
+            assert _best_margin(oracle, basis) <= 1e-12
+    assert counts == {"outside": 770, "settled": 709, "set on stage 2": 60,
+                      "within the margin": 1}
+
+
+def test_three_piece_chart_labels_its_grid(monkeypatch):
+    # Three forms can have a non-convex joint range, so a polydisk chart
+    # in C^3 settles no line from its pieces: each of its one-sided lines
+    # labels the stage-2 grid.
+    rng = np.random.default_rng(257)
+    oracle = convexity._chart_oracle(convexity.polydisk_body((1.0, 1.0, 0.5)))
+    assert len(oracle._pieces) == 3
+    bases = _chart_bases(rng, 3, 24)
+    one = int(_one_sided(oracle, bases).sum())
+    assert one > 0
+    stage2 = _spy_stage2(monkeypatch)
+    oracle_line_tags(oracle, bases)
+    assert stage2 == [1] * one
+
+
+def test_bidisk_verify_labels_stage2_only_for_unsettled_lines(monkeypatch):
+    # A 16-line bidisk verify_axioms call labels a stage-2 grid for each
+    # one-sided line that its pieces do not settle, and for no other.
+    cfg = RunConfig(seed=36, n_lines=16)
+    rng = np.random.default_rng(cfg.seed)
+    bases = np.array([sample_line(rng, 2).basis() for _ in range(16)])
+    oracle = bidisk_oracle()
+    unsettled = sum(_uncertified(oracle, bases))
+    assert _one_sided(oracle, bases).sum() > unsettled > 0
+    want = verify_axioms(oracle, cfg).to_dict()
+    stage2 = _spy_stage2(monkeypatch)
+    assert verify_axioms(oracle, cfg).to_dict() == want
+    assert stage2 == [1] * unsettled
 
 
 def _pinned_report(seed, tags, bad=()):
